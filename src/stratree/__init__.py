@@ -5,12 +5,11 @@ from .decompose import (
     EigenBasis,
     SpectralLine,
     antisym_lift,
-    balance,
-    build_recurrence,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
     full_eigenbasis,
+    level_matrix,
     stratified_lift,
     symmetrize,
 )
@@ -55,9 +54,7 @@ __all__ = [
     "antisym_lift",
     "assemble",
     "assemble_dirichlet",
-    "balance",
     "build_index",
-    "build_recurrence",
     "common_vanishing",
     "count_sign_graphs",
     "counting_identity",
@@ -68,6 +65,7 @@ __all__ = [
     "full_eigenbasis",
     "glued_spectrum",
     "glued_stratified_matrix",
+    "level_matrix",
     "matvec",
     "realize_glued",
     "stratified_lift",

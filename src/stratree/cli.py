@@ -55,8 +55,6 @@ class RunConfig:
     tol: float = 1e-8
     oracle_cap: int = DEFAULT_ORACLE_CAP
     basis_cap: int = DEFAULT_BASIS_CAP
-    jobs: int = 1
-    seed: int = 0
     out: str | None = None
     export_matrix: str | None = None
     levels: int | None = None
@@ -143,7 +141,7 @@ def cmd_spectrum(config: RunConfig) -> int:
                 "origin_level": s.origin_level,
                 "position": s.position,
             }
-            for s in decompose_spectrum(config.spec, jobs=config.jobs)
+            for s in decompose_spectrum(config.spec)
         ]
     if config.export_matrix:
         if isinstance(config.spec, GluedTreeSpec):
@@ -237,7 +235,7 @@ def cmd_bench(config: RunConfig) -> int:
     else:
         spec = config.spec
     t0 = time.perf_counter()
-    lines = decompose_spectrum(spec, jobs=config.jobs)
+    lines = decompose_spectrum(spec)
     decompose_ms = (time.perf_counter() - t0) * 1000.0
     total_mult = sum(s.multiplicity for s in lines)
     n = spec.vertex_count()
@@ -281,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
         p.add_argument("--basis-cap", type=int, default=DEFAULT_BASIS_CAP)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
         if name == "spectrum":
             p.add_argument(
@@ -314,8 +310,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         tol=args.tol,
         oracle_cap=args.oracle_cap,
         basis_cap=args.basis_cap,
-        jobs=args.jobs,
-        seed=args.seed,
         out=args.out,
         export_matrix=getattr(args, "export_matrix", None),
         levels=getattr(args, "levels", None),

@@ -3,24 +3,26 @@ level recurrence.
 
 A Laplacian eigenfunction that is constant on each level of a (sub)tree is
 determined by one value per level, and those values satisfy a three-term
-recurrence.  Writing the recurrence as a small tridiagonal matrix per
-subtree root level, and balancing it to symmetric form by a diagonal
-similarity, turns the full eigenproblem on |V| vertices into k tiny
-tridiagonal solves.  Eigenfunctions that vanish at a subtree root are
-recovered by transporting a stratified Dirichlet eigenfunction between
-sibling subtrees and taking differences, which yields exactly
-n(l0) - n(l0-1) independent vectors per recurrence eigenvalue at level l0.
+recurrence.  A diagonal similarity makes that recurrence symmetric: the
+level matrix T of the whole tree holds the level degrees on its diagonal
+and sqrt(c(l)) beside it.  The recurrence of a subtree rooted at level l0
+is the trailing slice of T from row l0 (Rojo & Robbiano's Bethe-tree
+formula, in reversed level order), so the full eigenproblem on |V|
+vertices becomes LAPACK solves of k slices of one k-row matrix.
+Eigenfunctions that vanish at a subtree root are recovered by transporting
+a stratified Dirichlet eigenfunction between sibling subtrees and taking
+differences, which yields exactly n(l0) - n(l0-1) independent vectors per
+recurrence eigenvalue at level l0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import TriDiag, tridiag_eigen, tridiag_eigenvalues
-from .laplacian import SparseSymMatrix, assemble, matvec
+from .eigen import TriDiag, tridiag_eigen
+from .laplacian import assemble, matvec
 from .tree import CapacityError, SymmetricTreeSpec, TreeIndex, build_index
 
 DEFAULT_BASIS_CAP = 100_000
@@ -41,113 +43,71 @@ class SpectralLine:
     position: int
 
 
-@dataclass(frozen=True)
-class LevelRecurrence:
-    """Nonsymmetric tridiagonal form of the stratified eigen-equation.
+def level_matrix(spec: SymmetricTreeSpec) -> TriDiag:
+    """Balanced stratified recurrence of the whole tree, one row per level.
 
-    Row l holds d(l) on the diagonal, -c(l) above and -1 below: applying
-    the Laplacian to a level-constant function reads off these weights.
+    Row l holds the degree d(l) on the diagonal and sqrt(c(l)) beside it.
+    For l >= 1, d(l) already counts the parent edge, which is exactly the
+    Dirichlet diagonal of a subtree rooted at level l, so that subtree's
+    recurrence is ``level_matrix(spec).trailing(l)``.
     """
-
-    diag: np.ndarray
-    sup: np.ndarray  # superdiagonal, -c(l)
-    sub: np.ndarray  # subdiagonal, all -1
-
-    @property
-    def m(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.m > 1:
-            idx = np.arange(self.m - 1)
-            a[idx, idx + 1] = self.sup
-            a[idx + 1, idx] = self.sub
-        return a
+    diag = np.array([float(spec.degree(l)) for l in range(spec.levels)])
+    return TriDiag(diag, np.sqrt(np.asarray(spec.children, dtype=float)))
 
 
-def build_recurrence(spec: SymmetricTreeSpec, root_level: int) -> LevelRecurrence:
-    """Level recurrence for the subtree rooted at ``root_level``.
+def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
+    """Eigenvalues (and per-level eigenvectors) of the recurrence at ``root_level``.
 
-    At level 0 the root has no parent (degree c(0)); at deeper root levels
-    the parent edge contributes, matching the Dirichlet diagonal c(l)+1.
+    ``t`` is the tree's ``level_matrix``.  The vectors come back one per row
+    in level-recurrence coordinates: the balancing similarity is
+    (-1)^j sqrt(relative population of level j within the subtree), the
+    running product of the slice's off-diagonals, and each vector is signed
+    so that its root value is positive.  At the root level the smallest
+    eigenvalue is the Laplacian's exact zero (constant eigenfunction).
     """
-    k = spec.levels
-    if not 0 <= root_level <= k - 1:
-        raise IndexError(f"root level {root_level} out of range for {k} levels")
-    m = k - root_level
-    # the full-tree degree already counts the parent edge for levels >= 1,
-    # which is exactly the Dirichlet diagonal on a deeper subtree
-    diag = np.array([float(spec.degree(root_level + j)) for j in range(m)])
-    sup = -np.asarray(spec.children[root_level:], dtype=float)
-    sub = -np.ones(max(m - 1, 0))
-    return LevelRecurrence(diag, sup, sub)
-
-
-def balance(rec: LevelRecurrence) -> TriDiag:
-    """Diagonal similarity to symmetric form: off-diagonals become sqrt(c)."""
-    off = np.sqrt(rec.sup * rec.sub)
-    return TriDiag(rec.diag.copy(), off)
-
-
-def unbalance_vector(rec: LevelRecurrence, w: np.ndarray) -> np.ndarray:
-    """Pull a balanced-form eigenvector back to level-recurrence coordinates.
-
-    The similarity diagonal is (-1)^j sqrt(relative population of level j
-    within the subtree); relative rather than absolute populations differ
-    only by a global scalar and avoid huge square roots on deep trees.
-    """
-    m = rec.m
-    g = np.empty(m)
-    rel = 1.0
-    for j in range(m):
-        g[j] = ((-1) ** j) * w[j] / math.sqrt(rel)
-        if j < m - 1:
-            rel *= -rec.sup[j]
-    if g[0] < 0:
-        g = -g
-    return g
-
-
-def stratified_levels(spec: SymmetricTreeSpec, root_level: int, want_vectors: bool = False):
-    """Eigenvalues (and per-level eigenvectors) of the stratified recurrence."""
-    rec = build_recurrence(spec, root_level)
-    t = balance(rec)
+    s = t.trailing(root_level)
+    if want_vectors:
+        vals, w = tridiag_eigen(s, want_vectors=True)
+    else:
+        vals = tridiag_eigen(s)
+    if root_level == 0:
+        vals[0] = 0.0
     if not want_vectors:
-        return tridiag_eigenvalues(t)
-    vals, vecs = tridiag_eigen(t, want_vectors=True)
-    gs = [unbalance_vector(rec, vecs[:, i]) for i in range(rec.m)]
-    return vals, gs
+        return vals
+    scale = np.concatenate(([1.0], np.cumprod(s.off)))
+    sign = np.where(np.arange(s.m) % 2, -1.0, 1.0)
+    g = (w * (sign / scale)[:, None]).T
+    g[g[:, 0] < 0] *= -1.0
+    return vals, g
 
 
-def decompose_spectrum(spec: SymmetricTreeSpec, jobs: int = 1) -> list[SpectralLine]:
+def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0) -> list[tuple[int, int, np.ndarray]]:
+    """``(root level, multiplicity, eigenvalues)`` for each level from ``first_level``.
+
+    The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
+    with multiplicity n(l0)-n(l0-1) (1 at the root); levels below a
+    single-child level add no vertices and are skipped.
+    """
+    t = level_matrix(spec)
+    pops = spec.populations()
+    out = []
+    for l0 in range(first_level, spec.levels):
+        mult = 1 if l0 == 0 else pops[l0] - pops[l0 - 1]
+        if mult:
+            out.append((l0, mult, stratified_levels(t, l0)))
+    return out
+
+
+def decompose_spectrum(spec: SymmetricTreeSpec) -> list[SpectralLine]:
     """Complete Laplacian spectrum of a symmetric tree, never materialized.
 
-    One tridiagonal solve per subtree root level; the level-l0 solve
-    contributes each of its k-l0 simple eigenvalues with multiplicity
-    n(l0)-n(l0-1) (1 at the root).  Levels with c(l0-1)=1 contribute
-    nothing and are skipped.  Total multiplicity is exactly |V|.
-    The per-level solves are independent; ``jobs`` > 1 runs them in a
-    thread pool.
+    One solve per level-matrix slice; total multiplicity is exactly |V|.
     """
-    pops = spec.populations()
-    levels = [
-        l0
-        for l0 in range(spec.levels)
-        if l0 == 0 or pops[l0] - pops[l0 - 1] > 0
+    lines = [
+        SpectralLine(lam, mult, l0, pos)
+        for l0, mult, vals in level_spectra(spec)
+        for pos, lam in enumerate(vals.tolist())
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(lambda l0: stratified_levels(spec, l0), levels))
-    else:
-        solved = [stratified_levels(spec, l0) for l0 in levels]
-    lines: list[SpectralLine] = []
-    for l0, vals in zip(levels, solved):
-        mult = 1 if l0 == 0 else pops[l0] - pops[l0 - 1]
-        for pos, lam in enumerate(vals):
-            lines.append(SpectralLine(float(lam), mult, l0, pos))
     lines.sort(key=lambda s: (s.value, s.origin_level))
     return lines
 
@@ -292,14 +252,15 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
 
     entries: list[tuple[float, int, str, np.ndarray]] = []
 
-    vals, gs = stratified_levels(spec, 0, want_vectors=True)
+    t = level_matrix(spec)
+    vals, gs = stratified_levels(t, 0, want_vectors=True)
     for lam, g in zip(vals, gs):
         entries.append((float(lam), 0, "stratified", stratified_lift(index, 0, g)))
 
     for l0 in range(1, spec.levels):
         if pops[l0] - pops[l0 - 1] == 0:
             continue
-        vals, gs = stratified_levels(spec, l0, want_vectors=True)
+        vals, gs = stratified_levels(t, l0, want_vectors=True)
         for parent in range(index.offsets[l0 - 1], index.offsets[l0]):
             v = index.children_of(parent)[0]
             for lam, g in zip(vals, gs):

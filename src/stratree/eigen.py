@@ -1,10 +1,10 @@
-"""Eigensolvers: Sturm-sequence bisection for symmetric tridiagonals, and a
-dense symmetric solver used as the brute-force oracle.
+"""Eigensolvers: LAPACK for symmetric tridiagonals, Sturm counts as an
+independent check on them, and a dense symmetric solver used as the
+brute-force oracle.
 
-The tridiagonal path is self-contained (bisection on Sturm counts plus
-inverse iteration with Rayleigh refinement) because the matrices it targets
-are tiny and their Sturm counts are also exercised directly by the test
-suite.  The dense oracle wraps LAPACK through numpy.
+The tridiagonals are the small level matrices of the decomposition, so a
+dense LAPACK solve of each costs little; ``sturm_count`` is kept apart from
+that route so the test suite can check LAPACK's eigenvalue counts with it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from .tree import CapacityError
 
 DEFAULT_ORACLE_CAP = 2000
-
-_BISECT_STEPS = 90
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,12 @@ class TriDiag:
         rows[:-1] += np.abs(self.off)
         rows[1:] += np.abs(self.off)
         return float(rows.max())
+
+    def trailing(self, start: int) -> TriDiag:
+        """Trailing principal submatrix from row ``start`` on."""
+        if not 0 <= start < self.m:
+            raise IndexError(f"row {start} out of range for {self.m} rows")
+        return TriDiag(self.diag[start:], self.off[start:])
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag)
@@ -84,96 +88,17 @@ def sturm_count(t: TriDiag, x) -> np.ndarray | int:
     return count
 
 
-def _bisect_eigenvalues(t: TriDiag) -> np.ndarray:
-    m = t.m
-    radius = np.zeros(m)
-    if m > 1:
-        radius[:-1] += np.abs(t.off)
-        radius[1:] += np.abs(t.off)
-    lo = np.full(m, float(np.min(t.diag - radius)))
-    hi = np.full(m, float(np.max(t.diag + radius)))
-    if np.all(lo == hi):
-        return lo
-    targets = np.arange(m)
-    tol = 2 * np.finfo(float).eps * max(float(np.max(hi - lo)), 1.0)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        too_high = sturm_count(t, mid) > targets
-        hi = np.where(too_high, mid, hi)
-        lo = np.where(too_high, lo, mid)
-        if np.all(hi - lo <= tol):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _inverse_iteration(t: TriDiag, lam: float, prior: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    """One eigenpair by inverse iteration, refined by Rayleigh quotients."""
-    m = t.m
-    if m == 1:
-        return float(t.diag[0]), np.ones(1)
-    dense = t.to_dense()
-    scale = max(t.norm_inf(), 1.0)
-    shift = lam
-    rng = np.random.default_rng(12345 + m)
-    v = np.ones(m) + 1e-3 * rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    best_res, best = np.inf, v
-    for _ in range(12):
-        a = dense - shift * np.eye(m)
-        try:
-            w = np.linalg.solve(a, v)
-        except np.linalg.LinAlgError:
-            shift += 1e-13 * scale
-            continue
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            shift += 1e-13 * scale
-            continue
-        v = w / nw
-        # deflate against already-accepted vectors of nearby eigenvalues
-        for lam_p, vp in prior:
-            if abs(lam_p - lam) <= 1e-8 * scale:
-                v -= (vp @ v) * vp
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            v = rng.standard_normal(m)
-            v /= np.linalg.norm(v)
-            continue
-        v /= nv
-        rq = float(v @ t.matvec(v))
-        res = float(np.linalg.norm(t.matvec(v) - rq * v))
-        if res < best_res:
-            best_res, best, lam = res, v, rq
-        if res <= 1e-14 * scale:
-            break
-        shift = rq
-    return lam, best
-
-
 def tridiag_eigen(t: TriDiag, want_vectors: bool = False):
     """Full spectrum of a symmetric tridiagonal, nondecreasing.
 
     Returns the eigenvalue array, or ``(values, vectors)`` with orthonormal
     eigenvector columns when ``want_vectors`` is set.  With nonzero
-    off-diagonals the eigenvalues are simple and returned strictly sorted.
+    off-diagonals the eigenvalues are simple.
     """
-    vals = _bisect_eigenvalues(t)
-    if not want_vectors:
-        return vals
-    vecs = np.zeros((t.m, t.m))
-    refined = np.empty(t.m)
-    prior: list[tuple[float, np.ndarray]] = []
-    for i, lam in enumerate(vals):
-        lam_i, v = _inverse_iteration(t, float(lam), prior)
-        refined[i] = lam_i
-        vecs[:, i] = v
-        prior.append((lam_i, v))
-    order = np.argsort(refined, kind="stable")
-    return refined[order], vecs[:, order]
-
-
-def tridiag_eigenvalues(t: TriDiag) -> np.ndarray:
-    return tridiag_eigen(t, want_vectors=False)
+    a = t.to_dense()
+    if want_vectors:
+        return np.linalg.eigh(a)
+    return np.linalg.eigvalsh(a)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import SpectralLine, decompose_spectrum
-from .eigen import TriDiag, tridiag_eigenvalues
+from .decompose import level_matrix, level_spectra
+from .eigen import TriDiag, tridiag_eigen
 from .tree import GluedTreeSpec
 
 
@@ -39,57 +39,32 @@ def glued_stratified_matrix(spec: GluedTreeSpec) -> TriDiag:
     """Balanced signed-level recurrence of the glued tree.
 
     Rows run from the deepest right level -(k2-1) up to the deepest left
-    level k1-1.  The root row has degree c_left(0)+c_right(0); each
-    off-diagonal balances to sqrt(c) of the level nearer the root on its
-    side.
+    level k1-1: the right side's level matrix reversed, then the left's,
+    sharing one root row of degree c_left(0)+c_right(0).  Each
+    off-diagonal is sqrt(c) of the level nearer the root on its side.
     """
-    k1, k2 = spec.left.levels, spec.right.levels
-    m = k1 + k2 - 1
-    diag = np.empty(m)
-    off = np.empty(max(m - 1, 0))
-    root_row = k2 - 1  # row index of signed level 0
-
-    def side_degree(children: tuple[int, ...], depth: int) -> float:
-        # depth >= 1 on a side with k levels: interior c(depth)+1, leaf 1
-        k = len(children) + 1
-        return 1.0 if depth == k - 1 else children[depth] + 1.0
-
-    root_deg = (spec.left.children[0] if k1 > 1 else 0) + (
-        spec.right.children[0] if k2 > 1 else 0
-    )
-    for row in range(m):
-        level = row - root_row
-        if level == 0:
-            diag[row] = float(root_deg)
-        elif level > 0:
-            diag[row] = side_degree(spec.left.children, level)
-        else:
-            diag[row] = side_degree(spec.right.children, -level)
-    for row in range(m - 1):
-        level = row - root_row  # coupling between |level| nearer root and next
-        if level >= 0:
-            off[row] = np.sqrt(spec.left.children[level])
-        else:
-            off[row] = np.sqrt(spec.right.children[-level - 1])
-    return TriDiag(diag, off)
+    left, right = level_matrix(spec.left), level_matrix(spec.right)
+    diag = np.concatenate((right.diag[:0:-1], [left.diag[0] + right.diag[0]], left.diag[1:]))
+    return TriDiag(diag, np.concatenate((right.off[::-1], left.off)))
 
 
 def glued_spectrum(spec: GluedTreeSpec) -> list[GluedSpectralLine]:
     """Complete spectrum of the glued tree with exact multiplicities.
 
     Union of each side's deeper-level (root-vanishing) spectral lines and
-    the simple eigenvalues of the signed-level recurrence; total
-    multiplicity is |V_left| + |V_right| - 1 exactly.
+    the simple eigenvalues of the signed-level recurrence, whose smallest
+    is the exact zero; total multiplicity is |V_left| + |V_right| - 1.
     """
-    lines: list[GluedSpectralLine] = []
-    for side, side_spec in (("left", spec.left), ("right", spec.right)):
-        for s in decompose_spectrum(side_spec):
-            if s.origin_level >= 1:
-                lines.append(
-                    GluedSpectralLine(s.value, s.multiplicity, side, s.origin_level, s.position)
-                )
-    for pos, lam in enumerate(tridiag_eigenvalues(glued_stratified_matrix(spec))):
-        lines.append(GluedSpectralLine(float(lam), 1, "stratified", 0, pos))
+    lines = [
+        GluedSpectralLine(lam, mult, side, l0, pos)
+        for side, side_spec in (("left", spec.left), ("right", spec.right))
+        for l0, mult, vals in level_spectra(side_spec, first_level=1)
+        for pos, lam in enumerate(vals.tolist())
+    ]
+    vals = tridiag_eigen(glued_stratified_matrix(spec))
+    vals[0] = 0.0
+    for pos, lam in enumerate(vals.tolist()):
+        lines.append(GluedSpectralLine(lam, 1, "stratified", 0, pos))
     lines.sort(key=lambda s: (s.value, s.origin_side))
     return lines
 

@@ -63,9 +63,16 @@ class TestSpectrum:
         assert target.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric")
 
     def test_deterministic_output(self, capsys):
-        _, a = run(capsys, "spectrum", "--children", "3,2,2", "--seed", "5")
-        _, b = run(capsys, "spectrum", "--children", "3,2,2", "--seed", "5")
+        _, a = run(capsys, "spectrum", "--children", "3,2,2")
+        _, b = run(capsys, "spectrum", "--children", "3,2,2")
         assert a == b
+
+    def test_zero_eigenvalue_is_exact(self, capsys):
+        code, out = run(capsys, "spectrum", "--children", "3,2,1,2")
+        assert code == 0
+        values = [r["lambda"] for r in json.loads(out)]
+        assert values[0] == 0.0
+        assert min(values) >= 0.0
 
 
 class TestErrors:

@@ -3,21 +3,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratree.decompose import (
     antisym_lift,
-    balance,
-    build_recurrence,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
     full_eigenbasis,
+    level_matrix,
     stratified_levels,
     stratified_lift,
     symmetrize,
-    unbalance_vector,
 )
-from stratree.eigen import dense_eigen, tridiag_eigen
+from stratree.eigen import dense_eigen, sturm_count, tridiag_eigen
 from stratree.laplacian import assemble, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, build_index
 
@@ -30,38 +30,63 @@ def oracle_spectrum(spec):
     return vals
 
 
+def recurrence(spec, l0):
+    """Nonsymmetric level recurrence of the subtree rooted at level l0.
+
+    Row l holds d(l) on the diagonal, -c(l) above and -1 below: applying
+    the Laplacian to a level-constant function reads off these weights.
+    """
+    m = spec.levels - l0
+    r = np.diag([float(spec.degree(l)) for l in range(l0, spec.levels)])
+    idx = np.arange(m - 1)
+    r[idx, idx + 1] = -np.asarray(spec.children[l0:], dtype=float)
+    r[idx + 1, idx] = -1.0
+    return r
+
+
+def balancing(spec, l0):
+    """Diagonal D with D^-1 R D symmetric: (-1)^j / sqrt(relative population)."""
+    pops = spec.populations()
+    return np.diag([(-1) ** j / math.sqrt(pops[l0 + j] / pops[l0]) for j in range(spec.levels - l0)])
+
+
 class TestLevelRecurrence:
     def test_whole_tree_star(self):
-        rec = build_recurrence(SymmetricTreeSpec([2]), 0)
-        assert rec.to_dense().tolist() == [[2.0, -2.0], [-1.0, 1.0]]
+        t = level_matrix(SymmetricTreeSpec([2])).trailing(0)
+        assert np.allclose(t.to_dense(), [[2.0, SQRT2], [SQRT2, 1.0]])
 
     def test_dirichlet_level_one(self):
-        rec = build_recurrence(SymmetricTreeSpec([3, 2]), 1)
-        assert rec.to_dense().tolist() == [[3.0, -2.0], [-1.0, 1.0]]
+        t = level_matrix(SymmetricTreeSpec([3, 2])).trailing(1)
+        assert np.allclose(t.to_dense(), [[3.0, SQRT2], [SQRT2, 1.0]])
 
     def test_leaf_level_is_scalar(self):
         for c in (2, 5):
-            rec = build_recurrence(SymmetricTreeSpec([c]), 1)
-            assert rec.to_dense().tolist() == [[1.0]]
+            t = level_matrix(SymmetricTreeSpec([c])).trailing(1)
+            assert t.to_dense().tolist() == [[1.0]]
 
     def test_root_level_out_of_range(self):
+        t = level_matrix(SymmetricTreeSpec([2]))
         with pytest.raises(IndexError):
-            build_recurrence(SymmetricTreeSpec([2]), 2)
+            stratified_levels(t, 2)
 
 
 class TestBalance:
     def test_star_balanced(self):
-        t = balance(build_recurrence(SymmetricTreeSpec([2]), 0))
-        assert np.allclose(t.to_dense(), [[2.0, SQRT2], [SQRT2, 1.0]])
+        spec = SymmetricTreeSpec([2])
+        d = balancing(spec, 0)
+        t = level_matrix(spec).trailing(0)
+        assert np.allclose(np.linalg.inv(d) @ recurrence(spec, 0) @ d, t.to_dense())
 
     def test_dirichlet_balanced(self):
-        t = balance(build_recurrence(SymmetricTreeSpec([3, 2]), 1))
-        assert np.allclose(t.to_dense(), [[3.0, SQRT2], [SQRT2, 1.0]])
+        spec = SymmetricTreeSpec([3, 2])
+        d = balancing(spec, 1)
+        t = level_matrix(spec).trailing(1)
+        assert np.allclose(np.linalg.inv(d) @ recurrence(spec, 1) @ d, t.to_dense())
 
     def test_reversed_form_same_spectrum(self):
         # index reversal of the balanced matrix (leaf-first numbering)
         # has an identical spectrum
-        t = balance(build_recurrence(SymmetricTreeSpec([2]), 0))
+        t = level_matrix(SymmetricTreeSpec([2]))
         rev = t.to_dense()[::-1, ::-1]
         assert np.allclose(rev, [[1.0, SQRT2], [SQRT2, 2.0]])
         vals_rev, _ = dense_eigen(rev)
@@ -70,17 +95,47 @@ class TestBalance:
 
     @pytest.mark.parametrize("children,l0", [([2], 0), ([3, 2], 0), ([3, 2], 1), ([2, 3, 2], 0)])
     def test_similar_to_unbalanced_form(self, children, l0):
-        rec = build_recurrence(SymmetricTreeSpec(children), l0)
-        nonsym_vals = np.sort(np.linalg.eigvals(rec.to_dense()).real)
-        assert np.allclose(tridiag_eigen(balance(rec)), nonsym_vals, atol=1e-10)
+        spec = SymmetricTreeSpec(children)
+        nonsym_vals = np.sort(np.linalg.eigvals(recurrence(spec, l0)).real)
+        assert np.allclose(stratified_levels(level_matrix(spec), l0), nonsym_vals, atol=1e-10)
 
     def test_unbalanced_eigenvector_solves_recurrence(self):
-        rec = build_recurrence(SymmetricTreeSpec([3, 2, 2]), 0)
-        t = balance(rec)
-        vals, vecs = tridiag_eigen(t, want_vectors=True)
-        for i, lam in enumerate(vals):
-            g = unbalance_vector(rec, vecs[:, i])
-            assert np.allclose(rec.to_dense() @ g, lam * g, atol=1e-10)
+        spec = SymmetricTreeSpec([3, 2, 2])
+        for l0 in range(spec.levels):
+            r = recurrence(spec, l0)
+            vals, gs = stratified_levels(level_matrix(spec), l0, want_vectors=True)
+            for lam, g in zip(vals, gs):
+                assert g[0] > 0
+                assert np.allclose(r @ g, lam * g, atol=1e-10)
+
+
+# children in 1..5 and up to 40 levels
+level_specs = st.lists(st.integers(1, 5), max_size=39).map(SymmetricTreeSpec)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestLevelMatrixSlices:
+    """Each level's spectrum comes from LAPACK on a trailing slice of one
+    matrix; Cauchy interlacing and Sturm counts check it independently."""
+
+    @property_settings
+    @given(level_specs)
+    def test_consecutive_slices_interlace(self, spec):
+        t = level_matrix(spec)
+        tol = 1e-10 * t.norm_inf()
+        spectra = [stratified_levels(t, l0) for l0 in range(t.m)]
+        for outer, inner in zip(spectra, spectra[1:]):
+            assert np.all(outer[:-1] <= inner + tol)
+            assert np.all(inner <= outer[1:] + tol)
+
+    @property_settings
+    @given(level_specs)
+    def test_sturm_counts_between_eigenvalues(self, spec):
+        t = level_matrix(spec)
+        for l0 in range(t.m):
+            vals = stratified_levels(t, l0)
+            mids = 0.5 * (vals[1:] + vals[:-1])
+            assert sturm_count(t.trailing(l0), mids).tolist() == list(range(1, t.m - l0))
 
 
 class TestDecomposeSpectrum:
@@ -134,10 +189,6 @@ class TestDecomposeSpectrum:
         lines = decompose_spectrum(SymmetricTreeSpec([3, 2, 2]))
         assert all(a.value <= b.value for a, b in zip(lines, lines[1:]))
 
-    def test_jobs_gives_identical_result(self):
-        spec = SymmetricTreeSpec([3, 2, 2])
-        assert decompose_spectrum(spec) == decompose_spectrum(spec, jobs=4)
-
     def test_huge_tree_never_materialized(self):
         spec = SymmetricTreeSpec([3] * 49)
         lines = decompose_spectrum(spec)
@@ -177,7 +228,7 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec([3, 2, 2])
         idx = build_index(spec)
         lap = assemble(idx)
-        vals, gs = stratified_levels(spec, 0, want_vectors=True)
+        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
         for lam, g in zip(vals, gs):
             f = stratified_lift(idx, 0, g)
             assert np.max(np.abs(matvec(lap, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
@@ -185,7 +236,7 @@ class TestStratifiedLift:
     def test_constant_per_level(self):
         spec = SymmetricTreeSpec([3, 2])
         idx = build_index(spec)
-        vals, gs = stratified_levels(spec, 0, want_vectors=True)
+        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
         f = stratified_lift(idx, 0, gs[1])
         for l in range(spec.levels):
             level = f[idx.offsets[l] : idx.offsets[l + 1]]
@@ -195,7 +246,7 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec([3, 2])
         idx = build_index(spec)
         v = idx.offsets[1]
-        vals, gs = stratified_levels(spec, 1, want_vectors=True)
+        vals, gs = stratified_levels(level_matrix(spec), 1, want_vectors=True)
         f = stratified_lift(idx, v, gs[0])
         support = set(u for r in idx.subtree_ranges(v) for u in r)
         for u in range(idx.n):
@@ -229,7 +280,7 @@ class TestAntisymLift:
         spec = SymmetricTreeSpec([3, 2, 2])
         idx = build_index(spec)
         v = idx.offsets[1]
-        vals, gs = stratified_levels(spec, 1, want_vectors=True)
+        vals, gs = stratified_levels(level_matrix(spec), 1, want_vectors=True)
         f = stratified_lift(idx, v, gs[0])
         for out in antisym_lift(idx, v, f):
             for l in range(spec.levels):
@@ -250,7 +301,7 @@ class TestSymmetrize:
     def test_stratified_fixed_point(self):
         spec = SymmetricTreeSpec([3, 2])
         idx = build_index(spec)
-        vals, gs = stratified_levels(spec, 0, want_vectors=True)
+        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
         f = stratified_lift(idx, 0, gs[0])
         assert np.allclose(symmetrize(idx, 0, f), f)
 

@@ -86,6 +86,12 @@ class TestGluedSpectrum:
             else:
                 assert s.origin_level >= 1
 
+    def test_zero_eigenvalue_is_exact(self):
+        for left, right in [([2], [3]), ([3, 2], [2, 2]), ([1], [2, 2, 2])]:
+            lines = glued_spectrum(gspec(left, right))
+            assert lines[0].value == 0.0 and lines[0].origin_side == "stratified"
+            assert min(s.value for s in lines) >= 0.0
+
     @pytest.mark.parametrize(
         "left,right",
         [([2], [2]), ([3], [1, 2]), ([2, 3], [3, 2]), ([1], [2, 2, 2]), ([2, 2, 2], [3])],
