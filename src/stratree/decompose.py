@@ -59,11 +59,12 @@ def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
     """Eigenvalues (and per-level eigenvectors) of the recurrence at ``root_level``.
 
     ``t`` is the tree's ``level_matrix``.  The vectors come back one per row
-    in level-recurrence coordinates: the balancing similarity is
-    (-1)^j sqrt(relative population of level j within the subtree), the
-    running product of the slice's off-diagonals, and each vector is signed
+    in level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
+    population of level j within the subtree), where that square root is
+    the running product of the slice's off-diagonals sqrt(c); each is signed
     so that its root value is positive.  At the root level the smallest
-    eigenvalue is the Laplacian's exact zero (constant eigenfunction).
+    eigenvalue is the Laplacian's zero (the constant eigenfunction), which
+    LAPACK returns as +-1e-16 and is set to exactly 0.0 here.
     """
     s = t.trailing(root_level)
     if want_vectors:
@@ -81,7 +82,9 @@ def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
     return vals, g
 
 
-def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0) -> list[tuple[int, int, np.ndarray]]:
+def level_spectra(
+    spec: SymmetricTreeSpec, first_level: int = 0
+) -> list[tuple[int, int, np.ndarray]]:
     """``(root level, multiplicity, eigenvalues)`` for each level from ``first_level``.
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues

@@ -46,8 +46,8 @@ def recurrence(spec, l0):
 
 def balancing(spec, l0):
     """Diagonal D with D^-1 R D symmetric: (-1)^j / sqrt(relative population)."""
-    pops = spec.populations()
-    return np.diag([(-1) ** j / math.sqrt(pops[l0 + j] / pops[l0]) for j in range(spec.levels - l0)])
+    pops = spec.populations()[l0:]
+    return np.diag([(-1) ** j / math.sqrt(p / pops[0]) for j, p in enumerate(pops)])
 
 
 class TestLevelRecurrence:
