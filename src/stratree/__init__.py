@@ -31,6 +31,7 @@ from .tree import (
     SymmetricTreeSpec,
     TreeIndex,
     build_index,
+    realize,
     realize_glued,
     subtree,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "glued_stratified_matrix",
     "level_matrix",
     "matvec",
+    "realize",
     "realize_glued",
     "stratified_lift",
     "sturm_count",

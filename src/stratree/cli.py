@@ -25,7 +25,7 @@ from .decompose import (
     decompose_spectrum,
     full_eigenbasis,
 )
-from .eigen import DEFAULT_ORACLE_CAP, dense_eigen
+from .eigen import DEFAULT_ORACLE_CAP
 from .glued import glued_spectrum
 from .laplacian import assemble
 from .nodal import courant_check
@@ -33,11 +33,10 @@ from .tree import (
     CapacityError,
     GluedTreeSpec,
     InvalidSpecError,
-    RootedTree,
     SymmetricTreeSpec,
-    build_index,
+    realize,
 )
-from .verify import run_all_checks
+from .verify import oracle, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,14 +84,20 @@ def _load_spec_file(path: str) -> SymmetricTreeSpec | GluedTreeSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidSpecError(f"cannot read spec file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidSpecError("spec file must hold a JSON object")
+
+    def side(key: str) -> SymmetricTreeSpec:
+        if not isinstance(doc[key], list):
+            raise InvalidSpecError(f'"{key}" must be a JSON list of children counts')
+        return SymmetricTreeSpec(doc[key])
+
     if "children" in doc:
-        return SymmetricTreeSpec(doc["children"])
+        return side("children")
     if "left" in doc and "right" in doc:
-        return GluedTreeSpec(SymmetricTreeSpec(doc["left"]), SymmetricTreeSpec(doc["right"]))
+        return GluedTreeSpec(side("left"), side("right"))
     raise InvalidSpecError('spec file needs "children" or "left"/"right"')
 
 
@@ -144,14 +149,8 @@ def cmd_spectrum(config: RunConfig) -> int:
             for s in decompose_spectrum(config.spec)
         ]
     if config.export_matrix:
-        if isinstance(config.spec, GluedTreeSpec):
-            from .tree import realize_glued
-
-            lap = assemble(realize_glued(config.spec))
-        else:
-            lap = assemble(build_index(config.spec))
         with open(config.export_matrix, "w") as fh:
-            lap.to_matrix_market(fh)
+            assemble(realize(config.spec)).to_matrix_market(fh)
     _emit(config, _document(config, rows))
     return EXIT_OK
 
@@ -182,13 +181,7 @@ def cmd_eigvecs(config: RunConfig) -> int:
 
 
 def cmd_nodal(config: RunConfig) -> int:
-    if isinstance(config.spec, GluedTreeSpec):
-        from .tree import realize_glued
-
-        tree = realize_glued(config.spec)
-    else:
-        tree = RootedTree.from_index(build_index(config.spec))
-    vals, vecs = dense_eigen(assemble(tree).to_dense(), cap=config.oracle_cap)
+    tree, vals, vecs = oracle(config.spec, config.oracle_cap)
     records = courant_check(tree, vals, vecs, cluster_tol=config.tol)
     rows = [
         {
@@ -206,9 +199,6 @@ def cmd_nodal(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    n = config.spec.vertex_count()
-    if n > config.oracle_cap:
-        raise CapacityError(f"|V|={n} exceeds the oracle cap {config.oracle_cap}")
     results = run_all_checks(
         config.spec,
         tol=config.tol,
@@ -238,18 +228,17 @@ def cmd_bench(config: RunConfig) -> int:
     lines = decompose_spectrum(spec)
     decompose_ms = (time.perf_counter() - t0) * 1000.0
     total_mult = sum(s.multiplicity for s in lines)
-    n = spec.vertex_count()
-    if n <= config.oracle_cap:
-        t0 = time.perf_counter()
-        dense_eigen(assemble(build_index(spec)).to_dense(), cap=config.oracle_cap)
+    t0 = time.perf_counter()
+    try:
+        oracle(spec, config.oracle_cap)
         dense_ms: float | str = (time.perf_counter() - t0) * 1000.0
-    else:
+    except CapacityError:
         dense_ms = "skipped(cap)"
     rows = [
         {
             "children": ",".join(str(c) for c in spec.children),
             "k": spec.levels,
-            "vertices": n,
+            "vertices": spec.vertex_count(),
             "total_multiplicity": total_mult,
             "decompose_ms": decompose_ms,
             "dense_ms": dense_ms,
@@ -294,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.children is not None and args.spec is not None:
         raise InvalidSpecError("give --children or --spec, not both")
@@ -328,8 +320,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("STRATREE_LOG", "error").upper()
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)

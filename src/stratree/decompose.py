@@ -127,8 +127,12 @@ def counting_identity(spec: SymmetricTreeSpec) -> tuple[int, int]:
     return lhs, sum(pops)
 
 
-def expanded_spectrum(lines: list[SpectralLine]) -> np.ndarray:
-    """Eigenvalues repeated by multiplicity, sorted ascending."""
+def expanded_spectrum(lines) -> np.ndarray:
+    """Eigenvalues repeated by multiplicity, sorted ascending.
+
+    Reads only ``value`` and ``multiplicity``, so it serves the spectral
+    lines of symmetric and glued trees alike.
+    """
     out = np.concatenate([np.full(s.multiplicity, s.value) for s in lines])
     out.sort()
     return out

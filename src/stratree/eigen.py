@@ -173,14 +173,16 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> np.ndarray:
 def dense_eigen(m: DenseSym | np.ndarray, cap: int = DEFAULT_ORACLE_CAP, cluster_tol: float = 1e-8):
     """Brute-force eigendecomposition, refused above the size cap.
 
-    Returns nondecreasing eigenvalues and an orthonormal eigenvector matrix
-    (columns); eigenvectors of clustered eigenvalues are refined so they
-    span the cluster eigenspace to working precision.
+    The cap is checked on the input's shape, before the symmetrized copy is
+    made.  Returns nondecreasing eigenvalues and an orthonormal eigenvector
+    matrix (columns); eigenvectors of clustered eigenvalues are refined so
+    they span the cluster eigenspace to working precision.
     """
+    shape = np.shape(m.a if isinstance(m, DenseSym) else m)
+    if shape and shape[0] > cap:
+        raise CapacityError(f"dense solve of size {shape[0]} exceeds the cap of {cap}")
     if not isinstance(m, DenseSym):
         m = DenseSym(np.asarray(m))
-    if m.n > cap:
-        raise CapacityError(f"dense solve of size {m.n} exceeds the cap of {cap}")
     vals, vecs = np.linalg.eigh(m.a)
     vecs = _purify_degenerate(m.a, vals, vecs, cluster_tol)
     return vals, vecs

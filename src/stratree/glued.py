@@ -67,9 +67,3 @@ def glued_spectrum(spec: GluedTreeSpec) -> list[GluedSpectralLine]:
         lines.append(GluedSpectralLine(lam, 1, "stratified", 0, pos))
     lines.sort(key=lambda s: (s.value, s.origin_side))
     return lines
-
-
-def expanded_glued_spectrum(lines: list[GluedSpectralLine]) -> np.ndarray:
-    out = np.concatenate([np.full(s.multiplicity, s.value) for s in lines])
-    out.sort()
-    return out

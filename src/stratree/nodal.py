@@ -41,15 +41,13 @@ def count_sign_graphs(tree: RootedTree, f: np.ndarray, zero_tol: float = 0.0) ->
     sign = np.zeros(tree.n, dtype=np.int8)
     sign[f > zero_tol] = 1
     sign[f < -zero_tol] = -1
-    pos = int(np.sum(sign == 1))
-    neg = int(np.sum(sign == -1))
-    zero = tree.n - pos - neg
-    for p, v in tree.edges():
-        if sign[p] == sign[v]:
-            if sign[p] == 1:
-                pos -= 1
-            elif sign[p] == -1:
-                neg -= 1
+    parents = np.asarray(tree.parents)
+    child = np.flatnonzero(parents >= 0)
+    up = sign[parents[child]]
+    kept = up[up == sign[child]]  # sign shared by both ends of each edge
+    pos = int(np.count_nonzero(sign == 1) - np.count_nonzero(kept == 1))
+    neg = int(np.count_nonzero(sign == -1) - np.count_nonzero(kept == -1))
+    zero = tree.n - int(np.count_nonzero(sign))
     return SignGraphReport(pos, neg, zero)
 
 

@@ -10,8 +10,10 @@ first, so each level and each subtree occupies contiguous index ranges.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator, Sequence
 
 MAX_VERTICES = 2**63 - 1
@@ -30,18 +32,23 @@ class SymmetricTreeSpec:
     """Children-per-level sequence of a symmetric tree.
 
     ``children[i]`` is the number of children of every level-i vertex.  An
-    empty sequence is the single-vertex tree.
+    empty sequence is the single-vertex tree.  Counts must be integers (not
+    bools or floats) from 1 up to the largest float, so that the level
+    degrees are finite.
     """
 
     children: tuple[int, ...]
 
     def __init__(self, children: Sequence[int]):
-        object.__setattr__(self, "children", tuple(int(c) for c in children))
-        for c in self.children:
+        children = tuple(children)
+        for c in children:
+            if isinstance(c, bool) or not isinstance(c, Integral):
+                raise InvalidSpecError(f"children counts must be integers, got {c!r}")
             if c < 1:
-                raise InvalidSpecError(
-                    f"children counts must be >= 1, got {c} in {self.children}"
-                )
+                raise InvalidSpecError(f"children counts must be >= 1, got {c}")
+            if c > sys.float_info.max:
+                raise InvalidSpecError("a children count is larger than the largest float")
+        object.__setattr__(self, "children", tuple(int(c) for c in children))
 
     @property
     def levels(self) -> int:
@@ -273,3 +280,10 @@ def realize_glued(spec: GluedTreeSpec) -> RootedTree:
         parents.append(0 if p == 0 else nl - 1 + p)
         levels.append(-right.level_of(v))
     return RootedTree(tuple(parents), signed_levels=tuple(levels))
+
+
+def realize(spec: SymmetricTreeSpec | GluedTreeSpec) -> RootedTree:
+    """Explicit parent-array tree of either spec kind."""
+    if isinstance(spec, GluedTreeSpec):
+        return realize_glued(spec)
+    return RootedTree.from_index(build_index(spec))

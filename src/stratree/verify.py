@@ -3,7 +3,9 @@
 Every check here pits two independent routes against each other: the
 tridiagonal decomposition versus a dense eigensolve of the assembled
 Laplacian, the constructed eigenbasis versus its residuals and rank, and
-the nodal-domain theorems versus sign counts on oracle eigenpairs.
+the nodal-domain theorems versus sign counts on oracle eigenpairs.  The
+oracle is solved once per spec and its eigenpairs are handed to every
+check that needs them.
 """
 
 from __future__ import annotations
@@ -19,16 +21,10 @@ from .decompose import (
     full_eigenbasis,
 )
 from .eigen import DEFAULT_ORACLE_CAP, dense_eigen
-from .glued import expanded_glued_spectrum, glued_spectrum
+from .glued import glued_spectrum
 from .laplacian import assemble
 from .nodal import courant_check, zero_free_check
-from .tree import (
-    GluedTreeSpec,
-    RootedTree,
-    SymmetricTreeSpec,
-    build_index,
-    realize_glued,
-)
+from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 SPECTRUM_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -40,23 +36,33 @@ class CheckResult:
     name: str
     passed: bool
     max_deviation: float
-    detail: str = ""
 
 
-def check_spectrum_oracle(
-    spec: SymmetricTreeSpec, tol: float = SPECTRUM_TOL, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> CheckResult:
-    """Multiplicity-expanded decomposition versus dense eigenvalues."""
-    fast = expanded_spectrum(decompose_spectrum(spec))
-    lap = assemble(build_index(spec))
-    vals, _ = dense_eigen(lap.to_dense(), cap=oracle_cap)
-    dev = float(np.max(np.abs(fast - vals))) if len(vals) else 0.0
-    return CheckResult("spectrum_oracle", dev <= tol, dev)
+def oracle(
+    spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORACLE_CAP
+) -> tuple[RootedTree, np.ndarray, np.ndarray]:
+    """The realized tree and the dense eigenpairs of its Laplacian.
+
+    Refused from the spec's vertex count, before the tree is realized or
+    anything is assembled, so an oversized request costs no memory.
+    """
+    n = spec.vertex_count()
+    if n > cap:
+        raise CapacityError(f"|V|={n} exceeds the oracle cap {cap}")
+    tree = realize(spec)
+    vals, vecs = dense_eigen(assemble(tree).to_dense(), cap=cap)
+    return tree, vals, vecs
 
 
-def check_counting(spec: SymmetricTreeSpec) -> CheckResult:
-    lhs, total = counting_identity(spec)
-    return CheckResult("counting_identity", lhs == total, float(abs(lhs - total)))
+def check_spectrum_oracle(name: str, lines, vals: np.ndarray, tol: float = SPECTRUM_TOL) -> CheckResult:
+    """Multiplicity-expanded fast spectrum versus dense eigenvalues."""
+    dev = float(np.max(np.abs(expanded_spectrum(lines) - vals)))
+    return CheckResult(name, dev <= tol, dev)
+
+
+def check_counting(*specs: SymmetricTreeSpec) -> CheckResult:
+    dev = sum(abs(lhs - total) for lhs, total in map(counting_identity, specs))
+    return CheckResult("counting_identity", dev == 0, float(dev))
 
 
 def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = 100_000) -> CheckResult:
@@ -69,32 +75,23 @@ def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = 100_000) -> Check
 
 
 def check_nodal(
-    spec: SymmetricTreeSpec, oracle_cap: int = DEFAULT_ORACLE_CAP
+    tree: RootedTree, vals: np.ndarray, vecs: np.ndarray
 ) -> tuple[CheckResult, CheckResult]:
     """Courant bound and zero-free equality on all oracle eigenpairs."""
-    index = build_index(spec)
-    tree = RootedTree.from_index(index)
-    vals, vecs = dense_eigen(assemble(index).to_dense(), cap=oracle_cap)
-    courant = courant_check(tree, vals, vecs)
-    zf = zero_free_check(tree, vals, vecs)
-    c_ok = all(r.passed for r in courant)
-    z_ok = all(r.passed for r in zf if r.checked)
+    c_ok = all(r.passed for r in courant_check(tree, vals, vecs))
+    z_ok = all(r.passed for r in zero_free_check(tree, vals, vecs) if r.checked)
     return (
         CheckResult("courant_bound", c_ok, 0.0 if c_ok else 1.0),
         CheckResult("zero_free_equality", z_ok, 0.0 if z_ok else 1.0),
     )
 
 
-def check_multiplicity_bound(
-    spec: SymmetricTreeSpec, tol: float = SPECTRUM_TOL, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> CheckResult:
+def check_multiplicity_bound(lines, vals: np.ndarray, tol: float = SPECTRUM_TOL) -> CheckResult:
     """Oracle multiplicity of each deep-level eigenvalue meets the
     population-difference lower bound."""
-    lap = assemble(build_index(spec))
-    vals, _ = dense_eigen(lap.to_dense(), cap=oracle_cap)
     worst = 0.0
     ok = True
-    for s in decompose_spectrum(spec):
+    for s in lines:
         if s.origin_level < 1:
             continue
         mult = int(np.sum(np.abs(vals - s.value) <= tol))
@@ -104,34 +101,28 @@ def check_multiplicity_bound(
     return CheckResult("multiplicity_lower_bound", ok, worst)
 
 
-def check_glued_oracle(
-    spec: GluedTreeSpec, tol: float = SPECTRUM_TOL, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> CheckResult:
-    fast = expanded_glued_spectrum(glued_spectrum(spec))
-    tree = realize_glued(spec)
-    vals, _ = dense_eigen(assemble(tree).to_dense(), cap=oracle_cap)
-    dev = float(np.max(np.abs(fast - vals))) if len(vals) else 0.0
-    return CheckResult("glued_spectrum_oracle", dev <= tol, dev)
-
-
 def run_all_checks(
     spec: SymmetricTreeSpec | GluedTreeSpec,
     tol: float = SPECTRUM_TOL,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     basis_cap: int = 100_000,
 ) -> list[CheckResult]:
-    """The full verification battery for one spec."""
+    """The full verification battery for one spec, on one oracle solve.
+
+    The oracle comes first, so a tree over the cap is refused before any
+    other work.
+    """
+    tree, vals, vecs = oracle(spec, oracle_cap)
     if isinstance(spec, GluedTreeSpec):
-        glued = check_glued_oracle(spec, tol, oracle_cap)
-        left_count = counting_identity(spec.left)
-        right_count = counting_identity(spec.right)
-        count_ok = left_count[0] == left_count[1] and right_count[0] == right_count[1]
-        return [glued, CheckResult("counting_identity", count_ok, 0.0)]
-    results = [
-        check_spectrum_oracle(spec, tol, oracle_cap),
+        return [
+            check_spectrum_oracle("glued_spectrum_oracle", glued_spectrum(spec), vals, tol),
+            check_counting(spec.left, spec.right),
+        ]
+    lines = decompose_spectrum(spec)
+    return [
+        check_spectrum_oracle("spectrum_oracle", lines, vals, tol),
         check_counting(spec),
         check_eigenbasis(spec, basis_cap),
+        *check_nodal(tree, vals, vecs),
+        check_multiplicity_bound(lines, vals, tol),
     ]
-    results.extend(check_nodal(spec, oracle_cap))
-    results.append(check_multiplicity_bound(spec, tol, oracle_cap))
-    return results

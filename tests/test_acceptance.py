@@ -16,7 +16,7 @@ from stratree.decompose import (
     full_eigenbasis,
 )
 from stratree.eigen import dense_eigen
-from stratree.glued import expanded_glued_spectrum, glued_spectrum
+from stratree.glued import glued_spectrum
 from stratree.laplacian import assemble
 from stratree.nodal import courant_check, zero_free_check
 from stratree.tree import (
@@ -157,7 +157,7 @@ def test_criterion_7_glued_equivalence():
             if gspec.vertex_count() > 300:
                 continue
             pairs += 1
-            fast = expanded_glued_spectrum(glued_spectrum(gspec))
+            fast = expanded_spectrum(glued_spectrum(gspec))
             vals, _ = dense_eigen(assemble(realize_glued(gspec)).to_dense())
             worst = max(worst, float(np.max(np.abs(fast - vals))))
     # star-gluing sanity: left=[a], right=[b] is the star on a+b leaves
@@ -165,7 +165,7 @@ def test_criterion_7_glued_equivalence():
     for a in range(1, 4):
         for b in range(1, 4):
             gspec = GluedTreeSpec(SymmetricTreeSpec([a]), SymmetricTreeSpec([b]))
-            got = expanded_glued_spectrum(glued_spectrum(gspec))
+            got = expanded_spectrum(glued_spectrum(gspec))
             expected = sorted([0.0] + [1.0] * (a + b - 1) + [a + b + 1.0])
             star_worst = max(star_worst, float(np.max(np.abs(got - expected))))
     report(

@@ -1,8 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
+import sys
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratree.cli import main
 
@@ -103,6 +111,91 @@ class TestErrors:
     def test_eigvecs_cap_exceeded(self, capsys):
         code, _ = run(capsys, "eigvecs", "--children", "4,4,4", "--basis-cap", "10")
         assert code == 3
+
+    def test_nodal_cap_refused_before_allocating(self, capsys):
+        # |V| = 2047: densifying it first would take 33 MB
+        tracemalloc.start()
+        try:
+            code = main(["nodal", "--children", ",".join(["2"] * 10), "--oracle-cap", "100"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1 << 20
+
+
+def run_spec_text(text):
+    """Run ``spectrum --spec`` on a file holding ``text`` (str or bytes);
+    returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", "--spec", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_input_error(code, err):
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+BAD_SPECS = {
+    "string": '{"children": "32"}',
+    "float": '{"children": [2.7]}',
+    "integral_float": '{"children": [2.0]}',
+    "bool": '{"children": [true, 2]}',
+    "scalar": '{"children": 3}',
+    "string_side": '{"left": [2], "right": "x"}',
+    "overflowing_float": '{"children": [1e400]}',
+    "null": '{"children": [null]}',
+    "object": '{"children": {"3": 2}}',
+    "beyond_float": '{"children": [1%s]}' % ("0" * 400),
+    "over_digit_limit": '{"children": [1%s]}' % ("0" * 5000),
+    "bare_list": "[3, 2]",
+    "not_utf8": b"\xff\xfe{",
+}
+
+
+class TestStrictSpecs:
+    @pytest.mark.parametrize("text", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_rejected_with_one_line(self, text):
+        code, _, err = run_spec_text(text)
+        assert_input_error(code, err)
+
+    def test_rejected_children_flag(self, capsys):
+        assert main(["spectrum", "--children", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def valid_children(value):
+    return isinstance(value, list) and all(
+        type(c) is int and 1 <= c <= sys.float_info.max for c in value
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestSpecProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(json_values, st.booleans())
+    def test_any_json_value_runs_or_is_one_error_line(self, value, glued):
+        doc = {"left": [2], "right": value} if glued else {"children": value}
+        code, out, err = run_spec_text(json.dumps(doc))
+        if valid_children(value):
+            assert code == 0 and err == ""
+            vertices = sum(math.prod(value[:l]) for l in range(len(value) + 1))
+            assert sum(r["multiplicity"] for r in json.loads(out)) == vertices + 2 * glued
+        else:
+            assert_input_error(code, err)
 
 
 class TestVerify:

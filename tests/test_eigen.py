@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_dense_residuals():
 def test_dense_cap_refusal():
     with pytest.raises(CapacityError):
         dense_eigen(np.zeros((5, 5)), cap=4)
+
+
+def test_dense_cap_refused_before_copying():
+    a = np.zeros((1500, 1500))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            dense_eigen(a, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dense_sym_requires_square():

@@ -3,11 +3,7 @@ import pytest
 
 from stratree.decompose import decompose_spectrum, expanded_spectrum
 from stratree.eigen import dense_eigen, tridiag_eigen
-from stratree.glued import (
-    expanded_glued_spectrum,
-    glued_spectrum,
-    glued_stratified_matrix,
-)
+from stratree.glued import glued_spectrum, glued_stratified_matrix
 from stratree.laplacian import assemble
 from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize_glued
 
@@ -49,13 +45,13 @@ class TestStratifiedMatrix:
 class TestGluedSpectrum:
     def test_star_gluing_matches_k15(self):
         lines = glued_spectrum(gspec([2], [3]))
-        vals = expanded_glued_spectrum(lines)
+        vals = expanded_spectrum(lines)
         assert np.allclose(vals, [0.0, 1.0, 1.0, 1.0, 1.0, 6.0], atol=1e-8)
         assert np.allclose(vals, oracle(gspec([2], [3])), atol=1e-8)
 
     def test_thirteen_vertex_gluing(self):
         spec = gspec([2, 2], [2, 2])
-        vals = expanded_glued_spectrum(glued_spectrum(spec))
+        vals = expanded_spectrum(glued_spectrum(spec))
         assert len(vals) == 13
         assert np.allclose(vals, oracle(spec), atol=1e-8)
 
@@ -66,13 +62,13 @@ class TestGluedSpectrum:
             assert sum(s.multiplicity for s in lines) == spec.vertex_count()
 
     def test_side_swap_symmetry(self):
-        a = expanded_glued_spectrum(glued_spectrum(gspec([2, 2], [3])))
-        b = expanded_glued_spectrum(glued_spectrum(gspec([3], [2, 2])))
+        a = expanded_spectrum(glued_spectrum(gspec([2, 2], [3])))
+        b = expanded_spectrum(glued_spectrum(gspec([3], [2, 2])))
         assert np.allclose(a, b, atol=1e-10)
 
     def test_degenerate_gluing_equals_plain_decomposition(self):
         spec = SymmetricTreeSpec([3, 2])
-        a = expanded_glued_spectrum(glued_spectrum(gspec([], [3, 2])))
+        a = expanded_spectrum(glued_spectrum(gspec([], [3, 2])))
         b = expanded_spectrum(decompose_spectrum(spec))
         assert np.allclose(a, b, atol=1e-10)
 
@@ -98,5 +94,5 @@ class TestGluedSpectrum:
     )
     def test_oracle_equivalence(self, left, right):
         spec = gspec(left, right)
-        vals = expanded_glued_spectrum(glued_spectrum(spec))
+        vals = expanded_spectrum(glued_spectrum(spec))
         assert np.allclose(vals, oracle(spec), atol=1e-8)

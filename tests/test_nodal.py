@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratree.decompose import decompose_spectrum
 from stratree.eigen import dense_eigen
@@ -12,7 +16,7 @@ from stratree.nodal import (
     oracle_zero_tol,
     zero_free_check,
 )
-from stratree.tree import RootedTree, SymmetricTreeSpec, build_index
+from stratree.tree import GluedTreeSpec, RootedTree, SymmetricTreeSpec, build_index, realize_glued
 
 
 def tree_of(children):
@@ -68,6 +72,65 @@ class TestCountSignGraphs:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             count_sign_graphs(tree_of([2]), np.ones(4))
+
+
+@st.composite
+def trees(draw):
+    """A random labelled tree, or a realized glued tree."""
+    if draw(st.booleans()):
+        side = st.lists(st.integers(1, 3), max_size=3).map(SymmetricTreeSpec)
+        return realize_glued(GluedTreeSpec(draw(side), draw(side)))
+    n = draw(st.integers(1, 60))
+    order = draw(st.permutations(range(n)))  # order[0] is the root
+    parents = [-1] * n
+    for i in range(1, n):
+        parents[order[i]] = order[draw(st.integers(0, i - 1))]
+    return RootedTree(tuple(parents))
+
+
+@st.composite
+def signed_functions(draw):
+    tree = draw(trees())
+    values = st.sampled_from([-2.5, -1.0, -1e-12, 0.0, 1e-12, 0.5, 3.0])
+    f = np.array(draw(st.lists(values, min_size=tree.n, max_size=tree.n)))
+    return tree, f, draw(st.sampled_from([0.0, 1e-9]))
+
+
+def bfs_sign_components(tree, f, zero_tol):
+    """(positive, negative, zero) counts by breadth-first search over edges
+    whose ends share a strict sign."""
+    sign = [1 if x > zero_tol else -1 if x < -zero_tol else 0 for x in f]
+    adj = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parents):
+        if p >= 0:
+            adj[p].append(v)
+            adj[v].append(p)
+    seen = [False] * tree.n
+    counts = {1: 0, -1: 0, 0: sign.count(0)}
+    for s in range(tree.n):
+        if seen[s] or sign[s] == 0:
+            continue
+        counts[sign[s]] += 1
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not seen[w] and sign[w] == sign[s]:
+                    seen[w] = True
+                    queue.append(w)
+    return counts[1], counts[-1], counts[0]
+
+
+class TestSignGraphProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(signed_functions())
+    def test_counts_match_breadth_first_search(self, case):
+        tree, f, zero_tol = case
+        rep = count_sign_graphs(tree, f, zero_tol)
+        assert (rep.positive_count, rep.negative_count, rep.zero_count) == bfs_sign_components(
+            tree, f, zero_tol
+        )
 
 
 class TestClusterSpectrum:
