@@ -9,19 +9,24 @@ failure, 2 input error, 3 resource/cap error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .decompose import (
     DEFAULT_BASIS_CAP,
+    EigenBasis,
     decompose_spectrum,
     full_eigenbasis,
 )
@@ -59,8 +64,8 @@ class RunConfig:
     levels: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidSpecError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidSpecError(f"tolerance must be positive and finite, not {self.tol}")
         if self.oracle_cap < 1:
             raise InvalidSpecError("oracle cap must be >= 1")
 
@@ -101,12 +106,27 @@ def _load_spec_file(path: str) -> SymmetricTreeSpec | GluedTreeSpec:
     raise InvalidSpecError('spec file needs "children" or "left"/"right"')
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _create(path: str) -> TextIO:
+    """``path`` opened for writing; one that cannot be opened is an input error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InvalidSpecError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _output(config: RunConfig) -> Iterator[TextIO]:
+    """The ``--out`` file, or stdout when there is none."""
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        with _create(config.out) as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(config: RunConfig, text: str) -> None:
+    with _output(config) as fh:
+        fh.write(text)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -149,34 +169,68 @@ def cmd_spectrum(config: RunConfig) -> int:
             for s in decompose_spectrum(config.spec)
         ]
     if config.export_matrix:
-        with open(config.export_matrix, "w") as fh:
+        with _create(config.export_matrix) as fh:
             assemble(realize(config.spec)).to_matrix_market(fh)
     _emit(config, _document(config, rows))
     return EXIT_OK
+
+
+def _vector_texts(vectors: np.ndarray, sep: str) -> Iterator[str]:
+    """Each row of ``vectors`` as JSON numbers joined by ``sep``.
+
+    Each distinct bit pattern is formatted once, by ``json.dumps``, so the
+    text matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and
+    Infinity are spelled its way).  Eigenbasis rows hold few distinct
+    values: lifts are constant per level, sibling differences are ±g or 0.
+    """
+    bits = np.ascontiguousarray(vectors, dtype=np.float64).view(np.uint64)
+    flat = np.sort(bits, axis=None)
+    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    texts = np.array([json.dumps(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    for row in bits:
+        yield sep.join(texts[np.searchsorted(distinct, row)].tolist())
+
+
+_EIGVECS_JSON_ROW = (
+    '  {{\n    "lambda": {},\n    "origin_level": {},\n    "construction": {},'
+    '\n    "residual": {},\n    "vector": [\n      {}\n    ]\n  }}'
+)
+
+
+def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
+    """Write ``basis`` one row at a time, in the layout of
+    ``json.dumps(rows, indent=2)`` or of ``_rows_to_csv`` with the vector
+    column as compact JSON."""
+    fields = zip(
+        basis.values.tolist(),
+        basis.origin_levels.tolist(),
+        basis.construction,
+        basis.residuals.tolist(),
+    )
+    if fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
+        for (lam, level, kind, res), vec in zip(fields, _vector_texts(basis.vectors, ", ")):
+            writer.writerow([_fmt_float(lam), level, kind, _fmt_float(res), f"[{vec}]"])
+        return
+    sep = "[\n"
+    for (lam, level, kind, res), vec in zip(fields, _vector_texts(basis.vectors, ",\n      ")):
+        fh.write(sep)
+        fh.write(
+            _EIGVECS_JSON_ROW.format(
+                json.dumps(lam), level, json.dumps(kind), json.dumps(res), vec
+            )
+        )
+        sep = ",\n"
+    fh.write("\n]\n")
 
 
 def cmd_eigvecs(config: RunConfig) -> int:
     if isinstance(config.spec, GluedTreeSpec):
         raise InvalidSpecError("eigvecs supports symmetric trees only")
     basis = full_eigenbasis(config.spec, basis_cap=config.basis_cap)
-    rows = [
-        {
-            "lambda": float(basis.values[i]),
-            "origin_level": int(basis.origin_levels[i]),
-            "construction": basis.construction[i],
-            "residual": float(basis.residuals[i]),
-            "vector": [float(x) for x in basis.vectors[i]],
-        }
-        for i in range(basis.n)
-    ]
-    if config.fmt == "csv":
-        flat = [
-            {k: (json.dumps(v) if k == "vector" else v) for k, v in row.items()}
-            for row in rows
-        ]
-        _emit(config, _rows_to_csv(flat))
-    else:
-        _emit(config, json.dumps(rows, indent=2) + "\n")
+    with _output(config) as fh:
+        _write_eigenbasis(fh, basis, config.fmt)
     return EXIT_OK
 
 

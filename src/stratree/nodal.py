@@ -80,6 +80,40 @@ class NodalRecord:
     checked: bool = True
 
 
+def nodal_records(
+    tree: RootedTree,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    cluster_tol: float = 1e-8,
+    zero_tol: float | None = None,
+) -> tuple[list[NodalRecord], list[NodalRecord]]:
+    """The ``courant_check`` and ``zero_free_check`` records together, from
+    one sign-graph count per eigenvector."""
+    courant, zero_free = [], []
+    for start, size in cluster_spectrum(values, cluster_tol):
+        bound = start + size  # (start+1) + size - 1
+        for i in range(start, start + size):
+            f = vectors[:, i]
+            tol = oracle_zero_tol(f) if zero_tol is None else zero_tol
+            rep = count_sign_graphs(tree, f, tol)
+            value = float(values[i])
+            courant.append(
+                NodalRecord(
+                    value, start + 1, size, rep.total, rep.zero_count,
+                    bound, rep.total <= bound,
+                )
+            )
+            checked = rep.zero_count == 0
+            ok = not checked or (size == 1 and rep.total == start + 1)
+            zero_free.append(
+                NodalRecord(
+                    value, start + 1, size, rep.total, rep.zero_count,
+                    start + 1, ok, checked,
+                )
+            )
+    return courant, zero_free
+
+
 def courant_check(
     tree: RootedTree,
     values: np.ndarray,
@@ -94,20 +128,7 @@ def courant_check(
     ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
     ``zero_tol=None`` selects the per-vector oracle threshold.
     """
-    records = []
-    for start, size in cluster_spectrum(values, cluster_tol):
-        bound = start + size  # (start+1) + size - 1
-        for i in range(start, start + size):
-            f = vectors[:, i]
-            tol = oracle_zero_tol(f) if zero_tol is None else zero_tol
-            rep = count_sign_graphs(tree, f, tol)
-            records.append(
-                NodalRecord(
-                    float(values[i]), start + 1, size, rep.total, rep.zero_count,
-                    bound, rep.total <= bound,
-                )
-            )
-    return records
+    return nodal_records(tree, values, vectors, cluster_tol, zero_tol)[0]
 
 
 def zero_free_check(
@@ -121,28 +142,7 @@ def zero_free_check(
     must be simple and the sign-graph count must equal its 1-based
     position.  Pairs with zeros are reported unchecked.
     """
-    records = []
-    for start, size in cluster_spectrum(values, cluster_tol):
-        for i in range(start, start + size):
-            f = vectors[:, i]
-            tol = oracle_zero_tol(f) if zero_tol is None else zero_tol
-            rep = count_sign_graphs(tree, f, tol)
-            if rep.zero_count > 0:
-                records.append(
-                    NodalRecord(
-                        float(values[i]), start + 1, size, rep.total,
-                        rep.zero_count, start + 1, True, checked=False,
-                    )
-                )
-                continue
-            ok = size == 1 and rep.total == start + 1
-            records.append(
-                NodalRecord(
-                    float(values[i]), start + 1, size, rep.total,
-                    rep.zero_count, start + 1, ok,
-                )
-            )
-    return records
+    return nodal_records(tree, values, vectors, cluster_tol, zero_tol)[1]
 
 
 def common_vanishing(

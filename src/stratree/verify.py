@@ -23,7 +23,7 @@ from .decompose import (
 from .eigen import DEFAULT_ORACLE_CAP, dense_eigen
 from .glued import glued_spectrum
 from .laplacian import assemble
-from .nodal import courant_check, zero_free_check
+from .nodal import nodal_records
 from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 SPECTRUM_TOL = 1e-8
@@ -78,8 +78,9 @@ def check_nodal(
     tree: RootedTree, vals: np.ndarray, vecs: np.ndarray
 ) -> tuple[CheckResult, CheckResult]:
     """Courant bound and zero-free equality on all oracle eigenpairs."""
-    c_ok = all(r.passed for r in courant_check(tree, vals, vecs))
-    z_ok = all(r.passed for r in zero_free_check(tree, vals, vecs) if r.checked)
+    courant, zero_free = nodal_records(tree, vals, vecs)
+    c_ok = all(r.passed for r in courant)
+    z_ok = all(r.passed for r in zero_free if r.checked)
     return (
         CheckResult("courant_bound", c_ok, 0.0 if c_ok else 1.0),
         CheckResult("zero_free_equality", z_ok, 0.0 if z_ok else 1.0),

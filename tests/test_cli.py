@@ -8,11 +8,15 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stratree.cli as cli
 from stratree.cli import main
+from stratree.decompose import EigenBasis, full_eigenbasis
+from stratree.tree import SymmetricTreeSpec
 
 
 def parse_csv(text):
@@ -122,6 +126,29 @@ class TestErrors:
             tracemalloc.stop()
         assert code == 3
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command", ["spectrum", "eigvecs", "nodal", "verify", "bench"])
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "out.json"
+        code = main([command, "--children", "2", "--out", str(target)])
+        assert_input_error(code, capsys.readouterr().err)
+
+    def test_unwritable_export_matrix(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "lap.mtx"
+        code = main(["spectrum", "--children", "2", "--export-matrix", str(target)])
+        assert_input_error(code, capsys.readouterr().err)
+
+    def test_eigvecs_cap_refused_before_the_output_opens(self, capsys, tmp_path):
+        target = tmp_path / "basis.json"
+        code = main(["eigvecs", "--children", "4,4,4", "--basis-cap", "10", "--out", str(target)])
+        assert code == 3
+        assert not target.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "nodal"])
+    def test_bad_tolerance(self, capsys, command, tol):
+        code = main([command, "--children", "2", f"--tol={tol}"])
+        assert_input_error(code, capsys.readouterr().err)
 
 
 def run_spec_text(text):
@@ -235,6 +262,72 @@ class TestEigvecs:
         code, out = run(capsys, "eigvecs", "--children", "3,2")
         assert code == 0
         assert len(json.loads(out)) == 10
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("children", [(), (1,), (2,), (3, 2), (3, 2, 2), (3, 4, 2, 1, 4, 3)])
+    def test_output_matches_the_encoders(self, capsys, children, fmt):
+        basis = full_eigenbasis(SymmetricTreeSpec(children))
+        code, out = run(capsys, "eigvecs", "--children", ",".join(map(str, children)), "--format", fmt)
+        assert code == 0
+        assert out == encoded_eigvecs(basis, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_signed_zeros_and_neighbouring_floats(self, capsys, monkeypatch, fmt):
+        x = 0.1
+        vectors = np.array(
+            [
+                [0.0, -0.0, x, np.nextafter(x, 1.0)],
+                [-0.0, np.nextafter(x, 1.0), x, 0.0],
+                [np.nan, np.inf, -np.inf, -x],
+                [5e-324, -5e-324, 1e300, -0.0],
+            ]
+        )
+        basis = EigenBasis(
+            np.array([-0.0, 0.0, x, np.nextafter(x, 1.0)]),
+            vectors,
+            np.array([0, 1, 1, 2]),
+            ["stratified", "antisym", "antisym", "antisym"],
+            np.array([0.0, 1e-17, np.nextafter(1e-17, 1.0), 5e-324]),
+        )
+        monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
+        code, out = run(capsys, "eigvecs", "--children", "3", "--format", fmt)
+        assert code == 0
+        assert out == encoded_eigvecs(basis, fmt)
+        if fmt == "json":
+            assert out.count("-0.0") == 4
+
+    def test_streams_without_the_whole_document(self, tmp_path):
+        # |V| = 448: the basis itself is 1.6 MB; the whole indented JSON
+        # document and its chunk list peaked at 25 MB
+        n = SymmetricTreeSpec([3, 4, 2, 1, 4, 3]).vertex_count()
+        tracemalloc.start()
+        try:
+            code = main(["eigvecs", "--children", "3,4,2,1,4,3", "--out", str(tmp_path / "b.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * n * n * 8
+
+
+def encoded_eigvecs(basis, fmt):
+    """``eigvecs`` output built with the json and csv encoders from the
+    whole list of rows: the reference the streaming writer must match."""
+    rows = [
+        {
+            "lambda": float(basis.values[i]),
+            "origin_level": int(basis.origin_levels[i]),
+            "construction": basis.construction[i],
+            "residual": float(basis.residuals[i]),
+            "vector": [float(x) for x in basis.vectors[i]],
+        }
+        for i in range(basis.n)
+    ]
+    if fmt == "csv":
+        return cli._rows_to_csv(
+            [{k: (json.dumps(v) if k == "vector" else v) for k, v in row.items()} for row in rows]
+        )
+    return json.dumps(rows, indent=2) + "\n"
 
 
 class TestNodal:

@@ -1,5 +1,6 @@
 import pytest
 
+import stratree.nodal as nodal
 import stratree.verify as verify
 from stratree.tree import CapacityError, GluedTreeSpec, SymmetricTreeSpec
 
@@ -58,3 +59,17 @@ def test_oracle_returns_the_realized_tree():
     tree, vals, vecs = verify.oracle(GLUED)
     assert tree.n == len(vals) == vecs.shape[0] == GLUED.vertex_count()
     assert tree.signed_levels is not None
+
+
+def test_one_sign_count_per_oracle_vector(monkeypatch):
+    calls = []
+    count = nodal.count_sign_graphs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(nodal, "count_sign_graphs", counted)
+    results = verify.run_all_checks(SYMMETRIC)
+    assert len(calls) == SYMMETRIC.vertex_count()
+    assert all(r.passed for r in results)
