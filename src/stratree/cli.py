@@ -20,7 +20,7 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -53,7 +53,6 @@ log = logging.getLogger("stratree")
 
 @dataclass
 class RunConfig:
-    command: str
     spec: SymmetricTreeSpec | GluedTreeSpec
     fmt: str = "json"
     tol: float = 1e-8
@@ -68,6 +67,8 @@ class RunConfig:
             raise InvalidSpecError(f"tolerance must be positive and finite, not {self.tol}")
         if self.oracle_cap < 1:
             raise InvalidSpecError("oracle cap must be >= 1")
+        if self.levels is not None and self.levels < 1:
+            raise InvalidSpecError(f"--levels must be >= 1, not {self.levels}")
 
 
 def _fmt_float(x: float) -> str:
@@ -302,38 +303,46 @@ def cmd_bench(config: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as an input error, in one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidSpecError(message)
+
+
+_OPTIONS = {
+    "format": dict(dest="fmt", choices=["json", "csv"]),
+    "tol": dict(type=float),
+    "oracle-cap": dict(type=int),
+    "basis-cap": dict(type=int),
+    "out": dict(help="output path (default stdout)"),
+    "export-matrix": dict(help="also write the Laplacian in Matrix Market format here"),
+    "levels": dict(type=int, help="repeat the children pattern up to this many levels"),
+}
+
+# name: (handler, help, the options it reads besides the spec)
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "eigenvalues with multiplicities", "format out export-matrix"),
+    "eigvecs": (cmd_eigvecs, "full eigenbasis with residual certificates", "format out basis-cap"),
+    "nodal": (cmd_nodal, "sign-graph report against the Courant bound", "format out tol oracle-cap"),
+    "verify": (cmd_verify, "run all oracle cross-checks", "format out tol oracle-cap basis-cap"),
+    "bench": (cmd_bench, "decomposition timing table", "out oracle-cap levels"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratree",
         description="Laplacian spectra of symmetric trees via tridiagonal decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("spectrum", "eigenvalues with multiplicities"),
-        ("eigvecs", "full eigenbasis with residual certificates"),
-        ("nodal", "sign-graph report against the Courant bound"),
-        ("verify", "run all oracle cross-checks"),
-        ("bench", "decomposition timing table"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
+    for name, (_, helptext, options) in _COMMANDS.items():
+        # options left out of the command line keep RunConfig's defaults
+        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
         p.add_argument("--children", help="comma-separated children-per-level list")
         p.add_argument("--spec", help="path to a JSON spec file")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-        p.add_argument("--basis-cap", type=int, default=DEFAULT_BASIS_CAP)
-        p.add_argument("--out", help="output path (default stdout)")
-        if name == "spectrum":
-            p.add_argument(
-                "--export-matrix",
-                help="also write the Laplacian in Matrix Market format here",
-            )
-        if name == "bench":
-            p.add_argument(
-                "--levels",
-                type=int,
-                help="repeat the children pattern up to this many levels",
-            )
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -341,43 +350,28 @@ _PARSER = build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.children is not None and args.spec is not None:
+    options = dict(vars(args))
+    children = options.pop("children", None)
+    path = options.pop("spec", None)
+    del options["command"]
+    if children is not None and path is not None:
         raise InvalidSpecError("give --children or --spec, not both")
-    if args.children is not None:
-        spec: SymmetricTreeSpec | GluedTreeSpec = _parse_children(args.children)
-    elif args.spec is not None:
-        spec = _load_spec_file(args.spec)
+    if children is not None:
+        spec: SymmetricTreeSpec | GluedTreeSpec = _parse_children(children)
+    elif path is not None:
+        spec = _load_spec_file(path)
     else:
         raise InvalidSpecError("a spec is required (--children or --spec)")
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        fmt=args.format,
-        tol=args.tol,
-        oracle_cap=args.oracle_cap,
-        basis_cap=args.basis_cap,
-        out=args.out,
-        export_matrix=getattr(args, "export_matrix", None),
-        levels=getattr(args, "levels", None),
-    )
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "eigvecs": cmd_eigvecs,
-    "nodal": cmd_nodal,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
+    return RunConfig(spec=spec, **options)
 
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("STRATREE_LOG", "error").upper()
     logging.basicConfig(level=getattr(logging, level, logging.ERROR))
-    args = _PARSER.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        args = _PARSER.parse_args(argv)
+        handler = _COMMANDS[args.command][0]
+        return handler(_config_from_args(args))
     except InvalidSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

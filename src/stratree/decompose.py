@@ -227,20 +227,14 @@ class EigenBasis:
         return len(self.values)
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
-        """Modified Gram-Schmidt with a pivot threshold on residual norms."""
-        q = self.vectors.astype(float).copy()
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        for i in range(self.n):
-            v = q[i]
-            if i > 0:
-                v = v - q[:i].T @ (q[:i] @ v)
-                # one reorthogonalization pass keeps the pivot test honest
-                v = v - q[:i].T @ (q[:i] @ v)
-            nv = np.linalg.norm(v)
-            if nv <= threshold:
-                return False
-            q[i] = v / nv
-        return True
+        """Pivot threshold on the unit-normalized rows' Gram-Schmidt norms.
+
+        |R_ii| of a QR of the rows (as columns) is the norm of row i's
+        component orthogonal to the rows before it.
+        """
+        q = self.vectors / np.linalg.norm(self.vectors, axis=1, keepdims=True)
+        pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
+        return len(pivots) == self.n and bool(np.all(pivots > threshold))
 
 
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:

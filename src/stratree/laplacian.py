@@ -9,7 +9,7 @@ leaving the subset still contribute (zero boundary condition outside).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class SparseSymMatrix:
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            a[i, self.indices[lo:hi]] = self.data[lo:hi]
+        a[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
         return a
 
     def row_sums(self) -> np.ndarray:
@@ -56,64 +54,49 @@ class SparseSymMatrix:
             stream.write(f"{i} {j} {val:.17g}\n")
 
 
-def _build_csr(n: int, diag: Sequence[int], edges: Sequence[tuple[int, int]]) -> SparseSymMatrix:
-    rows: list[list[tuple[int, float]]] = [[(i, float(diag[i]))] for i in range(n)]
-    for u, v in edges:
-        rows[u].append((v, -1.0))
-        rows[v].append((u, -1.0))
+def _build_csr(n: int, diag: np.ndarray, u: np.ndarray, v: np.ndarray) -> SparseSymMatrix:
+    """CSR with ``diag`` on the diagonal and -1 at (u[i], v[i]) and (v[i], u[i])."""
+    rows = np.concatenate((np.arange(n), u, v))
+    cols = np.concatenate((np.arange(n), v, u))
+    data = np.concatenate((diag.astype(float), np.full(2 * len(u), -1.0)))
+    order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, row in enumerate(rows):
-        row.sort()
-        cols.extend(j for j, _ in row)
-        vals.extend(x for _, x in row)
-        indptr[i + 1] = len(cols)
-    return SparseSymMatrix(n, indptr, np.asarray(cols, dtype=np.int64), np.asarray(vals))
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseSymMatrix(n, indptr, cols[order], data[order])
 
 
-def _edges_of(tree: RootedTree | TreeIndex) -> tuple[int, list[tuple[int, int]]]:
-    if isinstance(tree, TreeIndex):
-        edges = [
-            (p, v)
-            for v in range(tree.n)
-            if (p := tree.parent_of(v)) is not None
-        ]
-        return tree.n, edges
-    return tree.n, tree.edges()
+def _edges(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(child, parent) index arrays of every edge, and the vertex degrees."""
+    child = np.flatnonzero(parents >= 0)
+    parent = parents[child]
+    deg = np.bincount(parent, minlength=len(parents))
+    deg[child] += 1
+    return child, parent, deg
 
 
 def assemble(tree: RootedTree | TreeIndex) -> SparseSymMatrix:
     """Laplacian of a tree: degree diagonal, -1 on edges.  Row sums are 0."""
-    n, edges = _edges_of(tree)
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return _build_csr(n, deg, edges)
+    child, parent, deg = _edges(tree.parents)
+    return _build_csr(len(deg), deg, child, parent)
 
 
-def assemble_dirichlet(tree: RootedTree | TreeIndex, omega: Sequence[int]) -> SparseSymMatrix:
+def assemble_dirichlet(tree: RootedTree | TreeIndex, omega: Iterable[int]) -> SparseSymMatrix:
     """Principal submatrix of the Laplacian on the vertex subset ``omega``.
 
     Diagonal entries keep the full-tree degree; only edges with both ends
     in omega appear off the diagonal.
     """
-    n, edges = _edges_of(tree)
-    omega = sorted(set(int(v) for v in omega))
-    if not omega:
+    child, parent, deg = _edges(tree.parents)
+    n = len(deg)
+    omega = np.unique(np.fromiter(omega, dtype=np.int64))
+    if not omega.size:
         raise ValueError("omega must be nonempty")
     if omega[0] < 0 or omega[-1] >= n:
         raise IndexError(f"omega contains vertices outside [0, {n})")
-    pos = {v: i for i, v in enumerate(omega)}
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    sub_edges = [
-        (pos[u], pos[v]) for u, v in edges if u in pos and v in pos
-    ]
-    return _build_csr(len(omega), [deg[v] for v in omega], sub_edges)
+    pos = np.full(n, -1)
+    pos[omega] = np.arange(omega.size)
+    kept = (pos[child] >= 0) & (pos[parent] >= 0)
+    return _build_csr(omega.size, deg[omega], pos[child[kept]], pos[parent[kept]])
 
 
 def matvec(m: SparseSymMatrix, x: np.ndarray) -> np.ndarray:

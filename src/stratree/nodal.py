@@ -41,7 +41,7 @@ def count_sign_graphs(tree: RootedTree, f: np.ndarray, zero_tol: float = 0.0) ->
     sign = np.zeros(tree.n, dtype=np.int8)
     sign[f > zero_tol] = 1
     sign[f < -zero_tol] = -1
-    parents = np.asarray(tree.parents)
+    parents = tree.parents
     child = np.flatnonzero(parents >= 0)
     up = sign[parents[child]]
     kept = up[up == sign[child]]  # sign shared by both ends of each edge

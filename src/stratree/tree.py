@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Iterator, Sequence
+
+import numpy as np
 
 MAX_VERTICES = 2**63 - 1
 
@@ -124,6 +127,18 @@ class TreeIndex:
     def levels(self) -> int:
         return self.spec.levels
 
+    @cached_property
+    def parents(self) -> np.ndarray:
+        """Read-only parent array (-1 at the root), built on first use.
+
+        Level l's block is offsets[l-1] + rank // c(l-1).
+        """
+        blocks = [np.array([-1])]
+        for l in range(1, self.levels):
+            rank = np.arange(self.populations[l])
+            blocks.append(self.offsets[l - 1] + rank // self.spec.children[l - 1])
+        return _frozen(np.concatenate(blocks))
+
     def _check(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")
@@ -208,60 +223,62 @@ def subtree(index: TreeIndex, v: int) -> tuple[list[int], int]:
     return verts, index.level_of(v)
 
 
-@dataclass(frozen=True)
+def _frozen(values) -> np.ndarray:
+    """An int64 copy of ``values`` that cannot be written to."""
+    a = np.array(values, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class RootedTree:
-    """Generic rooted tree as a parent array (root's parent is -1).
+    """Generic rooted tree as a read-only int64 parent array (root's parent
+    is -1).
 
     Used for arbitrary inputs to sign-graph counting and for realized
-    glued trees.  ``signed_levels`` is populated for glued trees only.
+    trees of either spec kind.  ``signed_levels`` is populated for glued
+    trees only.
     """
 
-    parents: tuple[int, ...]
-    signed_levels: tuple[int, ...] | None = None
-    root: int = field(default=0)
+    parents: np.ndarray
+    signed_levels: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.parents)
+        p = np.asarray(self.parents)
+        n = p.size
         if n == 0:
             raise InvalidSpecError("a tree has at least one vertex")
-        seen_root = False
-        for v, p in enumerate(self.parents):
-            if p == -1:
-                if seen_root:
-                    raise InvalidSpecError("multiple roots")
-                seen_root = True
-            elif not 0 <= p < n:
-                raise InvalidSpecError(f"parent {p} of vertex {v} out of range")
-        if not seen_root:
-            raise InvalidSpecError("no root")
+        if p.ndim != 1 or p.dtype.kind not in "iu":
+            raise InvalidSpecError("a parent array is a flat sequence of integers")
+        bad = np.flatnonzero((p < -1) | (p >= n))
+        if bad.size:
+            raise InvalidSpecError(f"parent {p[bad[0]]} of vertex {bad[0]} out of range")
+        roots = np.flatnonzero(p == -1)
+        if roots.size != 1:
+            raise InvalidSpecError("no root" if roots.size == 0 else "multiple roots")
+        # Pointer doubling: after j rounds up[v] is v's 2^j-th ancestor, or
+        # the root, which points at itself.  Every vertex of a tree is
+        # within n - 1 steps of the root; one on a cycle never gets there.
+        root = roots[0]
+        up = np.where(p == -1, root, p)
+        hops = 1
+        while hops < n and not np.all(up == root):
+            up = up[up]
+            hops *= 2
+        stray = np.flatnonzero(up != root)
+        if stray.size:
+            raise InvalidSpecError(f"vertex {stray[0]} does not reach the root")
+        object.__setattr__(self, "parents", _frozen(p))
+        if self.signed_levels is not None:
+            object.__setattr__(self, "signed_levels", _frozen(self.signed_levels))
 
     @property
     def n(self) -> int:
         return len(self.parents)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(p, v) for v, p in enumerate(self.parents) if p != -1]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for p, v in self.edges():
-            deg[p] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for p, v in self.edges():
-            adj[p].append(v)
-            adj[v].append(p)
-        return adj
-
-    @classmethod
-    def from_index(cls, index: TreeIndex) -> "RootedTree":
-        parents = tuple(
-            -1 if (p := index.parent_of(v)) is None else p for v in range(index.n)
-        )
-        return cls(parents)
+    def degrees(self) -> np.ndarray:
+        child = self.parents >= 0
+        return np.bincount(self.parents[child], minlength=self.n) + child
 
 
 def realize_glued(spec: GluedTreeSpec) -> RootedTree:
@@ -272,18 +289,19 @@ def realize_glued(spec: GluedTreeSpec) -> RootedTree:
     """
     left = build_index(spec.left)
     right = build_index(spec.right)
-    nl = left.n
-    parents = [-1 if (p := left.parent_of(v)) is None else p for v in range(nl)]
-    levels = [left.level_of(v) for v in range(nl)]
-    for v in range(1, right.n):
-        p = right.parent_of(v)
-        parents.append(0 if p == 0 else nl - 1 + p)
-        levels.append(-right.level_of(v))
-    return RootedTree(tuple(parents), signed_levels=tuple(levels))
+    up = right.parents[1:]
+    parents = np.concatenate((left.parents, np.where(up == 0, 0, up + left.n - 1)))
+    levels = np.concatenate(
+        (
+            np.repeat(np.arange(left.levels), left.populations),
+            -np.repeat(np.arange(1, right.levels), right.populations[1:]),
+        )
+    )
+    return RootedTree(parents, signed_levels=levels)
 
 
 def realize(spec: SymmetricTreeSpec | GluedTreeSpec) -> RootedTree:
     """Explicit parent-array tree of either spec kind."""
     if isinstance(spec, GluedTreeSpec):
         return realize_glued(spec)
-    return RootedTree.from_index(build_index(spec))
+    return RootedTree(build_index(spec).parents)

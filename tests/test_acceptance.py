@@ -21,9 +21,9 @@ from stratree.laplacian import assemble
 from stratree.nodal import courant_check, zero_free_check
 from stratree.tree import (
     GluedTreeSpec,
-    RootedTree,
     SymmetricTreeSpec,
     build_index,
+    realize,
     realize_glued,
 )
 
@@ -119,7 +119,7 @@ def test_criterion_5_nodal_bounds(sweep):
     bad = 0
     checked = 0
     for spec, index, vals, vecs in sweep:
-        tree = RootedTree.from_index(index)
+        tree = realize(spec)
         for r in courant_check(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
             checked += 1
             if not r.passed:

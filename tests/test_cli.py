@@ -150,6 +150,46 @@ class TestErrors:
         code = main([command, "--children", "2", f"--tol={tol}"])
         assert_input_error(code, capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("spectrum", "--tol", "1e-6"),
+            ("spectrum", "--oracle-cap", "10"),
+            ("spectrum", "--basis-cap", "10"),
+            ("eigvecs", "--tol", "1e-6"),
+            ("eigvecs", "--oracle-cap", "10"),
+            ("nodal", "--basis-cap", "10"),
+            ("bench", "--tol", "1e-6"),
+            ("bench", "--basis-cap", "10"),
+            ("bench", "--format", "json"),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, command, flag, value):
+        code = main([command, "--children", "2", flag, value])
+        assert_input_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--children", "2", "--bogus"],
+            ["spectrum", "--children", "2", "--format", "xml"],
+            ["verify", "--children", "2", "--tol", "abc"],
+            ["bench", "--children", "2", "--levels", "0"],
+            ["bench", "--children", "2", "--levels", "-3"],
+            ["frobnicate"],
+            [],
+        ],
+        ids=[
+            "unknown_flag", "bad_format", "bad_tol", "levels_0", "levels_negative",
+            "unknown_command", "no_command",
+        ],
+    )
+    def test_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_input_error(code, captured.err)
+
 
 def run_spec_text(text):
     """Run ``spectrum --spec`` on a file holding ``text`` (str or bytes);

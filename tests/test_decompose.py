@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratree.decompose import (
+    EigenBasis,
     antisym_lift,
     counting_identity,
     decompose_spectrum,
@@ -381,6 +382,22 @@ class TestFullEigenbasis:
             for l in range(spec.levels):
                 level = f[idx.offsets[l] : idx.offsets[l + 1]]
                 assert np.all(level == level[0])
+
+
+def basis_of(vectors):
+    vectors = np.asarray(vectors, dtype=float)
+    n = len(vectors)
+    return EigenBasis(np.zeros(n), vectors, np.zeros(n, dtype=int), ["stratified"] * n, np.zeros(n))
+
+
+class TestFullRank:
+    def test_repeated_vector(self):
+        assert not basis_of([[1, 0, 0], [0, 2, 0], [0, 1, 0]]).full_rank(1e-8)
+
+    @pytest.mark.parametrize("component, expected", [(1e-9, False), (1e-7, True)])
+    def test_threshold_on_the_last_rows_new_component(self, component, expected):
+        vectors = [[1, 0, 0], [1, 1, 0], [0, 1, component]]
+        assert basis_of(vectors).full_rank(1e-8) is expected
 
 
 class TestMultiplicityLowerBound:

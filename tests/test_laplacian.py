@@ -2,9 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratree.laplacian import assemble, assemble_dirichlet, matvec
-from stratree.tree import RootedTree, SymmetricTreeSpec, build_index
+from stratree.tree import SymmetricTreeSpec, build_index, realize
+
+from strategies import symmetric_specs, trees
 
 
 def star(c):
@@ -98,12 +102,11 @@ def test_matvec_dimension_mismatch():
 def test_quadratic_form_is_edge_sum():
     idx = build_index(SymmetricTreeSpec([3, 2, 2]))
     lap = assemble(idx)
-    tree = RootedTree.from_index(idx)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(idx.n)
         quad = x @ matvec(lap, x)
-        edge_sum = sum((x[u] - x[v]) ** 2 for u, v in tree.edges())
+        edge_sum = sum((x[p] - x[v]) ** 2 for v, p in enumerate(idx.parents) if p >= 0)
         assert quad == pytest.approx(edge_sum, rel=1e-12)
 
 
@@ -122,3 +125,37 @@ def test_matrix_market_export():
         dense[i, j] = float(val)
         dense[j, i] = float(val)
     assert np.array_equal(dense, lap.to_dense())
+
+
+def laplacian_of(parents):
+    """Dense Laplacian built edge by edge from a parent array."""
+    n = len(parents)
+    a = np.zeros((n, n))
+    for v, p in enumerate(parents):
+        if p >= 0:
+            a[v, p] = a[p, v] = -1.0
+            a[v, v] += 1.0
+            a[p, p] += 1.0
+    return a
+
+
+any_tree = st.one_of(trees(), symmetric_specs.map(build_index), symmetric_specs.map(realize))
+
+
+class TestAssemblyProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(any_tree)
+    def test_matches_the_parent_array(self, tree):
+        lap = assemble(tree)
+        assert np.array_equal(lap.to_dense(), laplacian_of(tree.parents))
+        assert lap.indptr.dtype == lap.indices.dtype == np.int64
+        for i in range(lap.n):
+            cols = lap.indices[lap.indptr[i] : lap.indptr[i + 1]]
+            assert np.all(np.diff(cols) > 0) and i in cols
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(any_tree, st.data())
+    def test_dirichlet_is_principal_submatrix(self, tree, data):
+        omega = sorted(data.draw(st.sets(st.integers(0, tree.n - 1), min_size=1)))
+        sub = assemble_dirichlet(tree, omega).to_dense()
+        assert np.array_equal(sub, laplacian_of(tree.parents)[np.ix_(omega, omega)])

@@ -16,17 +16,19 @@ from stratree.nodal import (
     oracle_zero_tol,
     zero_free_check,
 )
-from stratree.tree import GluedTreeSpec, RootedTree, SymmetricTreeSpec, build_index, realize_glued
+from stratree.tree import SymmetricTreeSpec, build_index, realize
+
+from strategies import trees
 
 
 def tree_of(children):
-    return RootedTree.from_index(build_index(SymmetricTreeSpec(children)))
+    return realize(SymmetricTreeSpec(children))
 
 
 def oracle(children):
-    idx = build_index(SymmetricTreeSpec(children))
-    vals, vecs = dense_eigen(assemble(idx).to_dense())
-    return RootedTree.from_index(idx), vals, vecs
+    tree = tree_of(children)
+    vals, vecs = dense_eigen(assemble(tree).to_dense())
+    return tree, vals, vecs
 
 
 class TestCountSignGraphs:
@@ -72,20 +74,6 @@ class TestCountSignGraphs:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             count_sign_graphs(tree_of([2]), np.ones(4))
-
-
-@st.composite
-def trees(draw):
-    """A random labelled tree, or a realized glued tree."""
-    if draw(st.booleans()):
-        side = st.lists(st.integers(1, 3), max_size=3).map(SymmetricTreeSpec)
-        return realize_glued(GluedTreeSpec(draw(side), draw(side)))
-    n = draw(st.integers(1, 60))
-    order = draw(st.permutations(range(n)))  # order[0] is the root
-    parents = [-1] * n
-    for i in range(1, n):
-        parents[order[i]] = order[draw(st.integers(0, i - 1))]
-    return RootedTree(tuple(parents))
 
 
 @st.composite
@@ -219,7 +207,7 @@ class TestCommonVanishing:
     def test_vanishing_set_is_union_of_levels(self):
         # for symmetric trees common zeros come in whole levels of subtrees
         idx = build_index(SymmetricTreeSpec([3]))
-        tree = RootedTree.from_index(idx)
+        tree = realize(idx.spec)
         vals, vecs = dense_eigen(assemble(idx).to_dense())
         idxs = [i for i in range(len(vals)) if abs(vals[i] - 1.0) <= 1e-8]
         z = set(common_vanishing(tree, vecs[:, idxs].T))

@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stratree.tree import (
     CapacityError,
@@ -9,9 +11,12 @@ from stratree.tree import (
     RootedTree,
     SymmetricTreeSpec,
     build_index,
+    realize,
     realize_glued,
     subtree,
 )
+
+from strategies import symmetric_specs
 
 
 def test_single_vertex():
@@ -150,7 +155,7 @@ def test_realize_glued_empty_left_is_star():
 def test_glued_signed_levels():
     g = GluedTreeSpec(SymmetricTreeSpec([2]), SymmetricTreeSpec([3]))
     tree = realize_glued(g)
-    assert tree.signed_levels == (0, 1, 1, -1, -1, -1)
+    assert tree.signed_levels.tolist() == [0, 1, 1, -1, -1, -1]
 
 
 def test_rooted_tree_validation():
@@ -160,3 +165,40 @@ def test_rooted_tree_validation():
         RootedTree((-1, -1))
     with pytest.raises(InvalidSpecError):
         RootedTree((0, 5))
+
+
+@pytest.mark.parametrize(
+    "parents",
+    [(-1, 2, 1), (-1, 1), (-1, 2, 3, 1), (2, -1, 0, 2), (-1, 0.5)],
+    ids=["two_cycle", "self_loop", "three_cycle", "cycle_with_a_branch", "float"],
+)
+def test_rooted_tree_rejects_non_trees(parents):
+    with pytest.raises(InvalidSpecError):
+        RootedTree(parents)
+
+
+def test_rooted_tree_root_anywhere():
+    tree = RootedTree((1, -1))
+    assert tree.degrees().tolist() == [1, 1]
+    assert not hasattr(tree, "root")
+
+
+def test_parents_are_read_only_copies():
+    source = np.array([-1, 0, 0])
+    tree = RootedTree(source)
+    source[1] = 2
+    assert tree.parents.tolist() == [-1, 0, 0]
+    for t in [tree, realize(SymmetricTreeSpec([2])), build_index(SymmetricTreeSpec([2]))]:
+        assert t.parents.dtype == np.int64
+        with pytest.raises(ValueError):
+            t.parents[1] = 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(symmetric_specs)
+def test_index_parents_match_parent_of(spec):
+    idx = build_index(spec)
+    assert idx.parents.tolist() == [
+        -1 if (p := idx.parent_of(v)) is None else p for v in range(idx.n)
+    ]
+    assert realize(spec).parents.tolist() == idx.parents.tolist()
