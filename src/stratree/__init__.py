@@ -4,21 +4,17 @@ decompositions, with brute-force oracles and nodal-domain checks."""
 from .decompose import (
     EigenBasis,
     SpectralLine,
-    antisym_lift,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
     full_eigenbasis,
     level_matrix,
-    stratified_lift,
-    symmetrize,
 )
 from .eigen import DenseSym, TriDiag, dense_eigen, sturm_count, tridiag_eigen
 from .glued import GluedSpectralLine, glued_spectrum, glued_stratified_matrix
-from .laplacian import SparseSymMatrix, assemble, assemble_dirichlet, matvec
+from .laplacian import SparseSymMatrix, assemble, matvec
 from .nodal import (
     SignGraphReport,
-    common_vanishing,
     count_sign_graphs,
     courant_check,
     zero_free_check,
@@ -29,11 +25,8 @@ from .tree import (
     InvalidSpecError,
     RootedTree,
     SymmetricTreeSpec,
-    TreeIndex,
-    build_index,
     realize,
     realize_glued,
-    subtree,
 )
 
 __version__ = "0.1.0"
@@ -50,13 +43,8 @@ __all__ = [
     "SparseSymMatrix",
     "SpectralLine",
     "SymmetricTreeSpec",
-    "TreeIndex",
     "TriDiag",
-    "antisym_lift",
     "assemble",
-    "assemble_dirichlet",
-    "build_index",
-    "common_vanishing",
     "count_sign_graphs",
     "counting_identity",
     "courant_check",
@@ -70,10 +58,7 @@ __all__ = [
     "matvec",
     "realize",
     "realize_glued",
-    "stratified_lift",
     "sturm_count",
-    "subtree",
-    "symmetrize",
     "tridiag_eigen",
     "zero_free_check",
 ]

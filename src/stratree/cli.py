@@ -67,6 +67,8 @@ class RunConfig:
             raise InvalidSpecError(f"tolerance must be positive and finite, not {self.tol}")
         if self.oracle_cap < 1:
             raise InvalidSpecError("oracle cap must be >= 1")
+        if self.basis_cap < 1:
+            raise InvalidSpecError("basis cap must be >= 1")
         if self.levels is not None and self.levels < 1:
             raise InvalidSpecError(f"--levels must be >= 1, not {self.levels}")
 
@@ -170,8 +172,9 @@ def cmd_spectrum(config: RunConfig) -> int:
             for s in decompose_spectrum(config.spec)
         ]
     if config.export_matrix:
+        lap = assemble(realize(config.spec))
         with _create(config.export_matrix) as fh:
-            assemble(realize(config.spec)).to_matrix_market(fh)
+            lap.to_matrix_market(fh)
     _emit(config, _document(config, rows))
     return EXIT_OK
 

@@ -9,10 +9,12 @@ and sqrt(c(l)) beside it.  The recurrence of a subtree rooted at level l0
 is the trailing slice of T from row l0 (Rojo & Robbiano's Bethe-tree
 formula, in reversed level order), so the full eigenproblem on |V|
 vertices becomes LAPACK solves of k slices of one k-row matrix.
-Eigenfunctions that vanish at a subtree root are recovered by transporting
-a stratified Dirichlet eigenfunction between sibling subtrees and taking
-differences, which yields exactly n(l0) - n(l0-1) independent vectors per
-recurrence eigenvalue at level l0.
+Eigenfunctions that vanish at a subtree root are a stratified Dirichlet
+eigenfunction on one subtree minus its copy on a sibling subtree, which
+yields exactly n(l0) - n(l0-1) independent vectors per recurrence
+eigenvalue at level l0.  In breadth-first numbering a subtree holds one
+contiguous block of columns per level, so the eigenbasis is written as one
+constant per block.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .eigen import TriDiag, tridiag_eigen
 from .laplacian import assemble, matvec
-from .tree import CapacityError, SymmetricTreeSpec, TreeIndex, build_index
+from .tree import CapacityError, SymmetricTreeSpec, realize
 
 DEFAULT_BASIS_CAP = 100_000
 
@@ -138,82 +140,13 @@ def expanded_spectrum(lines) -> np.ndarray:
     return out
 
 
-def stratified_lift(index: TreeIndex, v: int, g: np.ndarray) -> np.ndarray:
-    """Extend per-level values on the subtree at v to a full-tree vector.
-
-    Zero outside the subtree; constant on each subtree level.  A stratified
-    eigenfunction cannot vanish at its root, so g[0]=0 is rejected.
-    """
-    g = np.asarray(g, dtype=float)
-    ranges = index.subtree_ranges(v)
-    if len(g) != len(ranges):
-        raise ValueError(f"need {len(ranges)} level values, got {len(g)}")
-    if g[0] == 0.0:
-        raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
-    f = np.zeros(index.n)
-    for val, r in zip(g, ranges):
-        f[r.start : r.stop] = val
-    return f
-
-
-def antisym_lift(index: TreeIndex, v: int, f: np.ndarray) -> list[np.ndarray]:
-    """Difference of a subtree eigenfunction with its sibling transports.
-
-    For each sibling subtree of v, copy f there (the subtrees are
-    isomorphic by construction, and identically indexed up to an offset per
-    level) and subtract.  Each result vanishes at the common parent and on
-    the rest of the tree, so it solves the full eigen-equation with the
-    same eigenvalue; the |siblings| results are linearly independent.
-    """
-    parent = index.parent_of(v)
-    if parent is None:
-        raise ValueError("antisymmetric lift needs a non-root vertex")
-    if f[v] == 0.0:
-        raise ValueError("lift requires a nonzero value at the subtree root")
-    ranges = index.subtree_ranges(v)
-    out = []
-    for sib in index.children_of(parent):
-        if sib == v:
-            continue
-        shift = sib - v
-        fp = f.copy()
-        for r in ranges:
-            # sibling subtrees occupy identically-sized contiguous blocks
-            # at every level, a fixed per-level offset apart
-            off = shift * len(r)
-            fp[r.start + off : r.stop + off] -= f[r.start : r.stop]
-        out.append(fp)
-    return out
-
-
-def symmetrize(index: TreeIndex, v: int, f: np.ndarray) -> np.ndarray:
-    """Average f over relabelings of v's children (orbit-average projection).
-
-    Equal to the full group average but computed as the mean over the
-    child-subtree transports, level by level.
-    """
-    children = index.children_of(v)
-    c = len(children)
-    if c == 0:
-        return np.asarray(f, dtype=float).copy()
-    out = np.asarray(f, dtype=float).copy()
-    for depth, r in enumerate(index.subtree_ranges(v)):
-        if depth == 0:
-            continue
-        block = out[r.start : r.stop].reshape(c, -1)
-        out[r.start : r.stop] = np.broadcast_to(
-            block.mean(axis=0), block.shape
-        ).reshape(-1)
-    return out
-
-
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
 
     ``vectors`` has one eigenvector per row, sorted by (eigenvalue,
     origin level).  ``construction`` says whether a vector is a whole-tree
-    stratified lift or an antisymmetrized sibling difference.
+    stratified vector ("stratified") or a sibling difference ("antisym").
     """
 
     values: np.ndarray
@@ -240,49 +173,70 @@ class EigenBasis:
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:
     """All |V| eigenpairs of the full Laplacian, residual-certified.
 
-    Whole-tree stratified lifts cover the root level; for every deeper
-    level l0 the stratified Dirichlet eigenfunctions of one representative
-    subtree are antisymmetrized across each of the n(l0-1) sibling groups.
+    Each vector holds one value per level on one or two subtrees, and a
+    subtree's vertices at each level are one contiguous block of columns.
+    The root level gives one whole-tree stratified vector per eigenvalue i
+    of its recurrence, with g[i, j] on level j.  Every deeper level l0
+    gives, for each parent p at level l0-1, eigenvalue i and sibling s >= 1,
+    the Dirichlet eigenfunction g[i] on the subtree of p's first child
+    minus its copy on the subtree of p's child s.
     """
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {n} exceeds the cap of {basis_cap}")
-    index = build_index(spec)
-    lap = assemble(index)
-    pops = index.populations
-
-    entries: list[tuple[float, int, str, np.ndarray]] = []
-
+    pops = spec.populations()
+    offsets = np.cumsum([0, *pops])
     t = level_matrix(spec)
-    vals, gs = stratified_levels(t, 0, want_vectors=True)
-    for lam, g in zip(vals, gs):
-        entries.append((float(lam), 0, "stratified", stratified_lift(index, 0, g)))
 
-    for l0 in range(1, spec.levels):
-        if pops[l0] - pops[l0 - 1] == 0:
+    # Per level l0: (l0, c, eigenvalues, level vectors g, and one entry per
+    # vector of parent rank p, eigenvalue position i and sibling s).  s runs
+    # over 1..c-1 below each level-(l0-1) parent, and is 0 at the root level.
+    families = []
+    for l0 in range(spec.levels):
+        c = spec.children[l0 - 1] if l0 else 1
+        sibs = np.arange(1, c) if l0 else np.zeros(1, dtype=np.int64)
+        if not sibs.size:
             continue
-        vals, gs = stratified_levels(t, l0, want_vectors=True)
-        for parent in range(index.offsets[l0 - 1], index.offsets[l0]):
-            v = index.children_of(parent)[0]
-            for lam, g in zip(vals, gs):
-                f = stratified_lift(index, v, g)
-                for fp in antisym_lift(index, v, f):
-                    entries.append((float(lam), l0, "antisym", fp))
+        vals, g = stratified_levels(t, l0, want_vectors=True)
+        if np.any(g[:, 0] == 0.0):
+            raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
+        parents = np.arange(pops[l0 - 1] if l0 else 1)
+        p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(vals)), sibs, indexing="ij"))
+        families.append((l0, c, vals, g, p, i, s))
 
-    assert len(entries) == n, f"built {len(entries)} vectors for |V|={n}"
-    entries.sort(key=lambda e: (e[0], e[1]))
-    values = np.array([e[0] for e in entries])
-    vectors = np.array([e[3] for e in entries])
-    residuals = np.array(
-        [
-            float(np.max(np.abs(matvec(lap, e[3]) - e[0] * e[3])))
-            for e in entries
-        ]
+    l0s, _, spectra, _, ps, positions, sibs = zip(*families)
+    levels = np.concatenate([np.full(len(p), l0) for l0, p in zip(l0s, ps)])
+    values = np.concatenate([vals[i] for vals, i in zip(spectra, positions)])
+    # Sorted by (value, l0); ties keep the (l0, p, i, s) order they were made in.
+    order = np.lexsort(
+        (np.concatenate(sibs), np.concatenate(positions), np.concatenate(ps), levels, values)
     )
+    assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+
+    vectors = np.zeros((n, n))
+    start = 0
+    for l0, c, vals, g, p, i, s in families:
+        rows = rank[start : start + len(p), None]
+        start += len(p)
+        for j, l in enumerate(range(l0, spec.levels)):
+            width = pops[l] // pops[l0]  # one subtree's block at level l
+            first = offsets[l] + (p * c * width)[:, None] + np.arange(width)
+            vectors[rows, first] = g[i, j][:, None]
+            if l0:
+                vectors[rows, first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
+
+    values = values[order]
+    lap = assemble(realize(spec))
+    residuals = np.array(
+        [float(np.max(np.abs(matvec(lap, f) - lam * f))) for lam, f in zip(values.tolist(), vectors)]
+    )
+    origin_levels = levels[order]
     return EigenBasis(
         values,
         vectors,
-        np.array([e[1] for e in entries]),
-        [e[2] for e in entries],
+        origin_levels,
+        ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()],
         residuals,
     )

@@ -143,34 +143,3 @@ def zero_free_check(
     position.  Pairs with zeros are reported unchecked.
     """
     return nodal_records(tree, values, vectors, cluster_tol, zero_tol)[1]
-
-
-def common_vanishing(
-    tree: RootedTree,
-    vectors: np.ndarray,
-    zero_tol_factor: float = 1e-9,
-    trials: int = 5,
-    seed: int = 0,
-) -> list[int]:
-    """Vertices where every vector in the span vanishes.
-
-    Checks the supplied eigenvectors plus a few random invertible
-    recombinations, so the answer depends on the eigenspace rather than
-    the particular basis.
-    """
-    vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vecs.shape[1] != tree.n:
-        vecs = vecs.T
-    m = vecs.shape[0]
-    mask = np.ones(tree.n, dtype=bool)
-    rng = np.random.default_rng(seed)
-    batches = [vecs]
-    for _ in range(trials):
-        a = rng.standard_normal((m, m))
-        while abs(np.linalg.det(a)) < 1e-6:
-            a = rng.standard_normal((m, m))
-        batches.append(a @ vecs)
-    for batch in batches:
-        for row in batch:
-            mask &= np.abs(row) <= zero_tol_factor * np.max(np.abs(row))
-    return [int(v) for v in np.nonzero(mask)[0]]

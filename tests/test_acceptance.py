@@ -22,7 +22,6 @@ from stratree.nodal import courant_check, zero_free_check
 from stratree.tree import (
     GluedTreeSpec,
     SymmetricTreeSpec,
-    build_index,
     realize,
     realize_glued,
 )
@@ -47,9 +46,9 @@ def sweep():
     """k <= 5, c(i) <= 4, |V| <= 400: each spec with its oracle eigenpairs."""
     out = []
     for spec in sweep_specs(4, 4, 400):
-        index = build_index(spec)
-        vals, vecs = dense_eigen(assemble(index).to_dense())
-        out.append((spec, index, vals, vecs))
+        tree = realize(spec)
+        vals, vecs = dense_eigen(assemble(tree).to_dense())
+        out.append((spec, tree, vals, vecs))
     return out
 
 
@@ -118,8 +117,7 @@ def test_criterion_4_eigenbasis_certificate(sweep):
 def test_criterion_5_nodal_bounds(sweep):
     bad = 0
     checked = 0
-    for spec, index, vals, vecs in sweep:
-        tree = realize(spec)
+    for spec, tree, vals, vecs in sweep:
         for r in courant_check(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
             checked += 1
             if not r.passed:
@@ -212,7 +210,7 @@ def test_criterion_9_stratification_structure():
     bad = 0
     total = 0
     for spec in [SymmetricTreeSpec(c) for c in ([2], [3, 2], [2, 2, 2], [4, 1, 3], [2, 3, 2, 2])]:
-        index = build_index(spec)
+        offsets = np.cumsum([0, *spec.populations()])
         basis = full_eigenbasis(spec)
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
@@ -220,7 +218,7 @@ def test_criterion_9_stratification_structure():
             total += 1
             f = basis.vectors[i]
             for l in range(spec.levels):
-                level = f[index.offsets[l] : index.offsets[l + 1]]
+                level = f[offsets[l] : offsets[l + 1]]
                 if not np.all(level == level[0]):
                     bad += 1
                     break

@@ -144,6 +144,24 @@ class TestErrors:
         assert code == 3
         assert not target.exists()
 
+    def test_unallocatable_export_matrix(self, capsys, tmp_path):
+        # 10^15 + 1 vertices: under the indexing cap, but the parent array's
+        # allocation is refused at once, before the file is created
+        target = tmp_path / "lap.mtx"
+        code = main(["spectrum", "--children", "1000000000000000", "--export-matrix", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, cap", [("eigvecs", "-5"), ("eigvecs", "0"), ("verify", "0"), ("verify", "-1")]
+    )
+    def test_bad_basis_cap(self, capsys, command, cap):
+        code = main([command, "--children", "2", "--basis-cap", cap])
+        assert_input_error(code, capsys.readouterr().err)
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("command", ["verify", "nodal"])
     def test_bad_tolerance(self, capsys, command, tol):

@@ -1,32 +1,33 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stratree.decompose as decompose
 from stratree.decompose import (
     EigenBasis,
-    antisym_lift,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
     full_eigenbasis,
     level_matrix,
     stratified_levels,
-    stratified_lift,
-    symmetrize,
 )
 from stratree.eigen import dense_eigen, sturm_count, tridiag_eigen
 from stratree.laplacian import assemble, matvec
-from stratree.tree import CapacityError, SymmetricTreeSpec, build_index
+from stratree.tree import CapacityError, SymmetricTreeSpec, realize
+
+from strategies import symmetric_specs
 
 SQRT2 = math.sqrt(2.0)
 
 
 def oracle_spectrum(spec):
-    lap = assemble(build_index(spec))
+    lap = assemble(realize(spec))
     vals, _ = dense_eigen(lap.to_dense())
     return vals
 
@@ -129,6 +130,23 @@ class TestLevelMatrixSlices:
             assert np.all(outer[:-1] <= inner + tol)
             assert np.all(inner <= outer[1:] + tol)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(symmetric_specs)
+    def test_subtree_dirichlet_spectrum_holds_the_slice(self, spec):
+        # The Dirichlet Laplacian of the first level-l0 subtree is the
+        # principal submatrix of the Laplacian on its vertices, and each
+        # eigenvalue of the level-l0 slice is one of its eigenvalues.
+        lap = assemble(realize(spec)).to_dense()
+        pops, off = spec.populations(), level_offsets(spec)
+        t = level_matrix(spec)
+        for l0 in range(spec.levels):
+            omega = np.concatenate(
+                [off[l] + np.arange(pops[l] // pops[l0]) for l in range(l0, spec.levels)]
+            )
+            dirichlet = np.linalg.eigvalsh(lap[np.ix_(omega, omega)])
+            for lam in stratified_levels(t, l0):
+                assert np.min(np.abs(dirichlet - lam)) <= 1e-9 * (1 + abs(lam))
+
     @property_settings
     @given(level_specs)
     def test_sturm_counts_between_eigenvalues(self, spec):
@@ -214,114 +232,170 @@ class TestCountingIdentity:
             assert lhs == total
 
 
-class TestStratifiedLift:
-    def test_kernel_vector(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        f = stratified_lift(idx, 0, np.array([1.0, 1.0]))
-        assert f.tolist() == [1.0, 1.0, 1.0]
+def level_offsets(spec):
+    """First vertex of each level in breadth-first numbering, then n."""
+    return np.cumsum([0, *spec.populations()])
 
-    def test_rejects_vanishing_root(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        with pytest.raises(ValueError):
-            stratified_lift(idx, 0, np.array([0.0, 1.0]))
+
+def rows_of(basis, construction):
+    return [basis.vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
+
+
+def swap_subtrees(spec, l0, a, b):
+    """Vertex permutation exchanging the subtrees of level-l0 vertices of
+    ranks a and b, level block by level block."""
+    pops, off = spec.populations(), level_offsets(spec)
+    perm = np.arange(off[-1])
+    for l in range(l0, spec.levels):
+        width = pops[l] // pops[l0]
+        ra = off[l] + a * width + np.arange(width)
+        rb = off[l] + b * width + np.arange(width)
+        perm[ra], perm[rb] = rb, ra
+    return perm
+
+
+def vanishing_at(level):
+    """A stand-in for ``stratified_levels`` whose last vector vanishes at
+    the subtree root of ``level``."""
+    solve = decompose.stratified_levels
+
+    def solved(t, root_level, want_vectors=False):
+        vals, g = solve(t, root_level, want_vectors)
+        if root_level == level:
+            g[-1, 0] = 0.0
+        return vals, g
+
+    return solved
+
+
+class TestStratifiedLift:
+    """Whole-tree stratified rows of ``full_eigenbasis``."""
+
+    def test_kernel_vector(self):
+        basis = full_eigenbasis(SymmetricTreeSpec([2]))
+        assert basis.values[0] == 0.0 and basis.construction[0] == "stratified"
+        f = basis.vectors[0]
+        assert f[0] > 0 and np.allclose(f, f[0], rtol=1e-15, atol=0)
+
+    def test_rejects_vanishing_root(self, monkeypatch):
+        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(0))
+        with pytest.raises(ValueError, match="cannot vanish at the subtree root"):
+            full_eigenbasis(SymmetricTreeSpec([2]))
 
     def test_whole_tree_lift_is_eigenfunction(self):
         spec = SymmetricTreeSpec([3, 2, 2])
-        idx = build_index(spec)
-        lap = assemble(idx)
-        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
-        for lam, g in zip(vals, gs):
-            f = stratified_lift(idx, 0, g)
+        lap = assemble(realize(spec))
+        basis = full_eigenbasis(spec)
+        strat = [i for i in range(basis.n) if basis.construction[i] == "stratified"]
+        assert len(strat) == spec.levels
+        for i in strat:
+            lam, f = basis.values[i], basis.vectors[i]
             assert np.max(np.abs(matvec(lap, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
 
     def test_constant_per_level(self):
         spec = SymmetricTreeSpec([3, 2])
-        idx = build_index(spec)
-        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
-        f = stratified_lift(idx, 0, gs[1])
-        for l in range(spec.levels):
-            level = f[idx.offsets[l] : idx.offsets[l + 1]]
-            assert np.all(level == level[0])
+        off = level_offsets(spec)
+        for f in rows_of(full_eigenbasis(spec), "stratified"):
+            for l in range(spec.levels):
+                level = f[off[l] : off[l + 1]]
+                assert np.all(level == level[0])
 
     def test_dirichlet_lift_zero_outside_subtree(self):
-        spec = SymmetricTreeSpec([3, 2])
-        idx = build_index(spec)
-        v = idx.offsets[1]
-        vals, gs = stratified_levels(level_matrix(spec), 1, want_vectors=True)
-        f = stratified_lift(idx, v, gs[0])
-        support = set(u for r in idx.subtree_ranges(v) for u in r)
-        for u in range(idx.n):
-            if u not in support:
-                assert f[u] == 0.0
+        # each antisym row lives on two sibling subtrees, as a copy and its
+        # negation, and vanishes on the rest of the tree
+        for children in ([3, 2], [2, 1, 3], [2, 3, 2]):
+            spec = SymmetricTreeSpec(children)
+            pops, off = spec.populations(), level_offsets(spec)
+            basis = full_eigenbasis(spec)
+            for f, l0 in zip(basis.vectors, basis.origin_levels.tolist()):
+                if l0 == 0:
+                    continue
+                assert not np.any(f[: off[l0]])
+                ranks = {
+                    v // (pops[l] // pops[l0])
+                    for l in range(l0, spec.levels)
+                    for v in np.flatnonzero(f[off[l] : off[l + 1]]).tolist()
+                }
+                a, b = sorted(ranks)
+                assert a // spec.children[l0 - 1] == b // spec.children[l0 - 1]
+                assert np.array_equal(f[swap_subtrees(spec, l0, a, b)], -f)
 
 
 class TestAntisymLift:
+    """Sibling-difference rows of ``full_eigenbasis``."""
+
     def test_two_leaf_star(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        f = np.array([0.0, 1.0, 0.0])
-        (out,) = antisym_lift(idx, 1, f)
+        basis = full_eigenbasis(SymmetricTreeSpec([2]))
+        (out,) = rows_of(basis, "antisym")
         assert out.tolist() == [0.0, 1.0, -1.0]
-        lap = assemble(idx)
+        lap = assemble(realize(SymmetricTreeSpec([2])))
         assert np.allclose(matvec(lap, out), out)  # eigenvalue 1
 
     def test_three_leaf_star(self):
-        idx = build_index(SymmetricTreeSpec([3]))
-        f = np.zeros(4)
-        f[1] = 1.0
-        outs = antisym_lift(idx, 1, f)
+        basis = full_eigenbasis(SymmetricTreeSpec([3]))
+        outs = rows_of(basis, "antisym")
         assert [o.tolist() for o in outs] == [
             [0.0, 1.0, -1.0, 0.0],
             [0.0, 1.0, 0.0, -1.0],
         ]
-        lap = assemble(idx)
+        lap = assemble(realize(SymmetricTreeSpec([3])))
         for o in outs:
             assert np.allclose(matvec(lap, o), o)
 
     def test_outputs_sum_to_zero_per_level(self):
         spec = SymmetricTreeSpec([3, 2, 2])
-        idx = build_index(spec)
-        v = idx.offsets[1]
-        vals, gs = stratified_levels(level_matrix(spec), 1, want_vectors=True)
-        f = stratified_lift(idx, v, gs[0])
-        for out in antisym_lift(idx, v, f):
+        off = level_offsets(spec)
+        outs = rows_of(full_eigenbasis(spec), "antisym")
+        assert len(outs) == spec.vertex_count() - spec.levels
+        for out in outs:
             for l in range(spec.levels):
-                assert np.sum(out[idx.offsets[l] : idx.offsets[l + 1]]) == pytest.approx(0.0, abs=1e-12)
+                assert np.sum(out[off[l] : off[l + 1]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_root(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        with pytest.raises(ValueError):
-            antisym_lift(idx, 0, np.ones(3))
+        # no sibling difference is built at the root level: all vanish there
+        for children in ([2], [3, 2]):
+            basis = full_eigenbasis(SymmetricTreeSpec(children))
+            for i in range(basis.n):
+                if basis.construction[i] == "antisym":
+                    assert basis.origin_levels[i] >= 1 and basis.vectors[i][0] == 0.0
 
-    def test_rejects_vanishing_at_subtree_root(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        with pytest.raises(ValueError):
-            antisym_lift(idx, 1, np.zeros(3))
+    def test_rejects_vanishing_at_subtree_root(self, monkeypatch):
+        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(1))
+        with pytest.raises(ValueError, match="cannot vanish at the subtree root"):
+            full_eigenbasis(SymmetricTreeSpec([2]))
+
+
+    def test_zero_level_value_is_positive_zero_on_both_subtrees(self, monkeypatch):
+        # the sibling block holds 0.0 - g, never -g, so a zero stays +0.0
+        solve = decompose.stratified_levels
+
+        def zero_at_level_two(t, root_level, want_vectors=False):
+            vals, g = solve(t, root_level, want_vectors)
+            if root_level == 1:
+                g[:, 1] = 0.0
+            return vals, g
+
+        monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
+        basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
+        deep = basis.vectors[basis.origin_levels == 1]
+        assert len(deep) == 2 and not np.signbit(deep[:, 3:]).any()
 
 
 class TestSymmetrize:
     def test_stratified_fixed_point(self):
+        # relabeling the root's children fixes every whole-tree stratified
+        # vector and negates the sibling differences between those children
         spec = SymmetricTreeSpec([3, 2])
-        idx = build_index(spec)
-        vals, gs = stratified_levels(level_matrix(spec), 0, want_vectors=True)
-        f = stratified_lift(idx, 0, gs[0])
-        assert np.allclose(symmetrize(idx, 0, f), f)
-
-    def test_two_leaf_average(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        f = np.array([0.0, 3.0, 5.0])
-        assert symmetrize(idx, 0, f).tolist() == [0.0, 4.0, 4.0]
-
-    def test_idempotent(self):
-        idx = build_index(SymmetricTreeSpec([3, 2]))
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal(idx.n)
-        once = symmetrize(idx, 0, f)
-        assert np.allclose(symmetrize(idx, 0, once), once)
-
-    def test_leaf_is_identity(self):
-        idx = build_index(SymmetricTreeSpec([2]))
-        f = np.array([1.0, 2.0, 3.0])
-        assert symmetrize(idx, 1, f).tolist() == f.tolist()
+        basis = full_eigenbasis(spec)
+        perm = swap_subtrees(spec, 1, 0, 1)
+        negated = 0
+        for f, kind, l0 in zip(basis.vectors, basis.construction, basis.origin_levels):
+            if kind == "stratified":
+                assert np.array_equal(f[perm], f)
+            elif l0 == 1 and f[1] and f[2]:  # child 1 minus child 2
+                assert np.array_equal(f[perm], -f)
+                negated += 1
+        assert negated == 2  # one per eigenvalue of the level-1 slice
 
 
 class TestFullEigenbasis:
@@ -371,17 +445,64 @@ class TestFullEigenbasis:
         with pytest.raises(CapacityError):
             full_eigenbasis(SymmetricTreeSpec([3, 2]), basis_cap=5)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(symmetric_specs)
+    def test_matches_the_vector_by_vector_build(self, spec):
+        basis = full_eigenbasis(spec)
+        entries = eigenbasis_by_vector(spec)
+        assert basis.values.tolist() == [e[0] for e in entries]
+        assert basis.origin_levels.tolist() == [e[1] for e in entries]
+        assert basis.vectors.tobytes() == np.array([e[2] for e in entries]).tobytes()
+
+    def test_peak_memory_is_one_basis(self):
+        # the n x n array is allocated once and every vector written in place
+        spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
+        n = spec.vertex_count()
+        tracemalloc.start()
+        try:
+            full_eigenbasis(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
     def test_stratified_vectors_exactly_constant_per_level(self):
         spec = SymmetricTreeSpec([2, 3, 2])
-        idx = build_index(spec)
+        off = level_offsets(spec)
         basis = full_eigenbasis(spec)
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
                 continue
             f = basis.vectors[i]
             for l in range(spec.levels):
-                level = f[idx.offsets[l] : idx.offsets[l + 1]]
+                level = f[off[l] : off[l + 1]]
                 assert np.all(level == level[0])
+
+
+def eigenbasis_by_vector(spec):
+    """(value, origin level, vector) of every basis vector, built one vector
+    at a time and stably sorted by (value, origin level)."""
+    pops, off = spec.populations(), level_offsets(spec)
+    t = level_matrix(spec)
+    entries = []
+    for l0 in range(spec.levels):
+        c = 1 if l0 == 0 else spec.children[l0 - 1]
+        if l0 and c == 1:
+            continue
+        vals, gs = stratified_levels(t, l0, want_vectors=True)
+        for p in range(1 if l0 == 0 else pops[l0 - 1]):
+            for lam, g in zip(vals.tolist(), gs):
+                for s in range(1) if l0 == 0 else range(1, c):
+                    f = np.zeros(off[-1])
+                    for j, l in enumerate(range(l0, spec.levels)):
+                        width = pops[l] // pops[l0]
+                        first = off[l] + p * c * width
+                        f[first : first + width] = g[j]
+                        if l0:
+                            f[first + s * width : first + (s + 1) * width] -= g[j]
+                    entries.append((lam, l0, f))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return entries
 
 
 def basis_of(vectors):

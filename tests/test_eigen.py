@@ -6,7 +6,7 @@ import pytest
 
 from stratree.eigen import DenseSym, TriDiag, dense_eigen, sturm_count, tridiag_eigen
 from stratree.laplacian import assemble
-from stratree.tree import CapacityError, SymmetricTreeSpec, build_index
+from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 
 SQRT2 = math.sqrt(2.0)
 
@@ -84,7 +84,7 @@ def test_agreement_with_dense_oracle():
 
 
 def test_dense_star_spectrum():
-    lap = assemble(build_index(SymmetricTreeSpec([2])))
+    lap = assemble(realize(SymmetricTreeSpec([2])))
     vals, vecs = dense_eigen(lap.to_dense())
     assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-10)
@@ -96,13 +96,13 @@ def test_dense_zero_matrix():
 
 
 def test_dense_four_vertex_star():
-    lap = assemble(build_index(SymmetricTreeSpec([3])))
+    lap = assemble(realize(SymmetricTreeSpec([3])))
     vals, _ = dense_eigen(lap.to_dense())
     assert np.allclose(vals, [0.0, 1.0, 1.0, 4.0], atol=1e-12)
 
 
 def test_dense_residuals():
-    lap = assemble(build_index(SymmetricTreeSpec([3, 2])))
+    lap = assemble(realize(SymmetricTreeSpec([3, 2])))
     a = lap.to_dense()
     vals, vecs = dense_eigen(a)
     n = a.shape[0]

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratree.laplacian import assemble, assemble_dirichlet, matvec
-from stratree.tree import SymmetricTreeSpec, build_index, realize
+import stratree.laplacian as laplacian
+from stratree.decompose import level_matrix
+from stratree.eigen import tridiag_eigen
+from stratree.laplacian import assemble, matvec
+from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize
 
 from strategies import symmetric_specs, trees
 
 
 def star(c):
-    return build_index(SymmetricTreeSpec([c]))
+    return realize(SymmetricTreeSpec([c]))
 
 
 def test_single_vertex_laplacian():
-    lap = assemble(build_index(SymmetricTreeSpec([])))
+    lap = assemble(realize(SymmetricTreeSpec([])))
     assert lap.n == 1
     assert lap.to_dense().tolist() == [[0.0]]
 
@@ -29,61 +32,49 @@ def test_star_k12():
 
 
 def test_path_of_stars_degrees():
-    lap = assemble(build_index(SymmetricTreeSpec([2, 1])))
+    lap = assemble(realize(SymmetricTreeSpec([2, 1])))
     assert np.array_equal(np.diag(lap.to_dense()), [2, 2, 2, 1, 1])
 
 
 def test_row_sums_vanish():
     for children in [[], [3], [2, 2], [3, 2, 2]]:
-        lap = assemble(build_index(SymmetricTreeSpec(children)))
-        assert np.all(lap.row_sums() == 0.0)
+        lap = assemble(realize(SymmetricTreeSpec(children)))
+        assert np.all(lap.to_dense().sum(axis=1) == 0.0)
 
 
 def test_symmetry():
-    lap = assemble(build_index(SymmetricTreeSpec([3, 2])))
+    lap = assemble(realize(SymmetricTreeSpec([3, 2])))
     dense = lap.to_dense()
     assert np.array_equal(dense, dense.T)
 
 
-def test_dirichlet_full_omega_is_laplacian():
-    idx = build_index(SymmetricTreeSpec([3, 2]))
-    full = assemble(idx).to_dense()
-    dir_full = assemble_dirichlet(idx, range(idx.n)).to_dense()
-    assert np.array_equal(full, dir_full)
-
-
 def test_dirichlet_single_leaf():
-    lap = assemble_dirichlet(star(2), [1])
-    assert lap.to_dense().tolist() == [[1.0]]
+    # a leaf's Dirichlet Laplacian is its degree, as in the leaf-level slice
+    sub = assemble(star(2)).to_dense()[1:2, 1:2]
+    assert sub.tolist() == [[1.0]]
+    assert level_matrix(SymmetricTreeSpec([2])).trailing(1).to_dense().tolist() == [[1.0]]
 
 
 def test_dirichlet_subtree_keeps_parent_edge_degree():
-    idx = build_index(SymmetricTreeSpec([2, 2]))
-    # first level-1 subtree: vertices {1, 3, 4}
-    lap = assemble_dirichlet(idx, [1, 3, 4])
-    assert np.array_equal(np.diag(lap.to_dense()), [3, 1, 1])
-
-
-def test_dirichlet_is_principal_submatrix():
-    idx = build_index(SymmetricTreeSpec([3, 2]))
-    full = assemble(idx).to_dense()
-    omega = [0, 2, 5, 6, 9]
-    sub = assemble_dirichlet(idx, omega).to_dense()
-    assert np.array_equal(sub, full[np.ix_(omega, omega)])
-
-
-def test_dirichlet_rejects_empty():
-    with pytest.raises(ValueError):
-        assemble_dirichlet(star(2), [])
+    # The Dirichlet Laplacian of the first level-1 subtree {1, 3, 4} is a
+    # principal submatrix: vertex 1 keeps its parent edge in its degree, and
+    # the subtree's level recurrence (the level-1 slice) is in its spectrum.
+    spec = SymmetricTreeSpec([2, 2])
+    omega = [1, 3, 4]
+    sub = assemble(realize(spec)).to_dense()[np.ix_(omega, omega)]
+    assert np.array_equal(np.diag(sub), [3, 1, 1])
+    dirichlet = np.linalg.eigvalsh(sub)
+    for lam in tridiag_eigen(level_matrix(spec).trailing(1)):
+        assert np.min(np.abs(dirichlet - lam)) <= 1e-12
 
 
 def test_matvec_ones_is_zero():
-    lap = assemble(build_index(SymmetricTreeSpec([3, 2])))
+    lap = assemble(realize(SymmetricTreeSpec([3, 2])))
     assert np.array_equal(matvec(lap, np.ones(lap.n)), np.zeros(lap.n))
 
 
 def test_matvec_single_vertex():
-    lap = assemble(build_index(SymmetricTreeSpec([])))
+    lap = assemble(realize(SymmetricTreeSpec([])))
     assert matvec(lap, np.array([5.0])).tolist() == [0.0]
 
 
@@ -100,7 +91,7 @@ def test_matvec_dimension_mismatch():
 
 
 def test_quadratic_form_is_edge_sum():
-    idx = build_index(SymmetricTreeSpec([3, 2, 2]))
+    idx = realize(SymmetricTreeSpec([3, 2, 2]))
     lap = assemble(idx)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -127,6 +118,21 @@ def test_matrix_market_export():
     assert np.array_equal(dense, lap.to_dense())
 
 
+def matrix_market_by_entry(lap):
+    """The Matrix Market text of ``lap``, built one CSR entry at a time."""
+    entries = []
+    for i in range(lap.n):
+        lo, hi = lap.indptr[i], lap.indptr[i + 1]
+        for j, val in zip(lap.indices[lo:hi], lap.data[lo:hi]):
+            if j <= i:
+                entries.append((i + 1, j + 1, val))
+    text = "%%MatrixMarket matrix coordinate real symmetric\n"
+    text += f"{lap.n} {lap.n} {len(entries)}\n"
+    for i, j, val in entries:
+        text += f"{i} {j} {val:.17g}\n"
+    return text
+
+
 def laplacian_of(parents):
     """Dense Laplacian built edge by edge from a parent array."""
     n = len(parents)
@@ -139,7 +145,7 @@ def laplacian_of(parents):
     return a
 
 
-any_tree = st.one_of(trees(), symmetric_specs.map(build_index), symmetric_specs.map(realize))
+any_tree = st.one_of(trees(), symmetric_specs.map(realize))
 
 
 class TestAssemblyProperties:
@@ -153,9 +159,26 @@ class TestAssemblyProperties:
             cols = lap.indices[lap.indptr[i] : lap.indptr[i + 1]]
             assert np.all(np.diff(cols) > 0) and i in cols
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(any_tree, st.data())
-    def test_dirichlet_is_principal_submatrix(self, tree, data):
-        omega = sorted(data.draw(st.sets(st.integers(0, tree.n - 1), min_size=1)))
-        sub = assemble_dirichlet(tree, omega).to_dense()
-        assert np.array_equal(sub, laplacian_of(tree.parents)[np.ix_(omega, omega)])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(any_tree)
+    def test_matrix_market_matches_the_entry_loop(self, tree):
+        lap = assemble(tree)
+        buf = io.StringIO()
+        lap.to_matrix_market(buf)
+        assert buf.getvalue() == matrix_market_by_entry(lap)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymmetricTreeSpec([3, 2, 2]),
+        GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3])),
+    ],
+    ids=["symmetric", "glued"],
+)
+def test_matrix_market_in_several_writes(monkeypatch, spec):
+    monkeypatch.setattr(laplacian, "_LINES_PER_WRITE", 4)
+    lap = assemble(realize(spec))
+    buf = io.StringIO()
+    lap.to_matrix_market(buf)
+    assert buf.getvalue() == matrix_market_by_entry(lap)

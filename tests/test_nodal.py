@@ -10,13 +10,12 @@ from stratree.eigen import dense_eigen
 from stratree.laplacian import assemble
 from stratree.nodal import (
     cluster_spectrum,
-    common_vanishing,
     count_sign_graphs,
     courant_check,
     oracle_zero_tol,
     zero_free_check,
 )
-from stratree.tree import SymmetricTreeSpec, build_index, realize
+from stratree.tree import SymmetricTreeSpec, realize
 
 from strategies import trees
 
@@ -178,42 +177,58 @@ class TestZeroFree:
         assert all(r.passed for r in zero_free_check(tree, vals, vecs) if r.checked)
 
 
+def common_zeros(vectors, zero_tol_factor=1e-9):
+    """Vertices where every row of ``vectors`` vanishes, each row at its own
+    scale.  A vertex is a common zero of a span exactly when it is one of
+    any basis of it."""
+    vecs = np.atleast_2d(vectors)
+    small = np.abs(vecs) <= zero_tol_factor * np.max(np.abs(vecs), axis=1, keepdims=True)
+    return np.flatnonzero(np.all(small, axis=0)).tolist()
+
+
+def eigenspace(vals, vecs, value, tol=1e-8):
+    """Oracle eigenvectors of ``value``, one per row."""
+    return vecs[:, np.abs(vals - value) <= tol].T
+
+
 class TestCommonVanishing:
     def test_star_single_vector(self):
-        tree = tree_of([2])
-        z = common_vanishing(tree, np.array([[0.0, 1.0, -1.0]]))
-        assert z == [0]
+        assert common_zeros(np.array([[0.0, 1.0, -1.0]])) == [0]
 
     def test_multiplicity_two_star(self):
         tree, vals, vecs = oracle([3])
-        idxs = [i for i in range(len(vals)) if abs(vals[i] - 1.0) <= 1e-8]
-        assert len(idxs) == 2
-        z = common_vanishing(tree, vecs[:, idxs].T)
-        assert z == [0]
+        span = eigenspace(vals, vecs, 1.0)
+        assert len(span) == 2
+        assert common_zeros(span) == [0]
 
     def test_invariant_under_recombination(self):
         tree, vals, vecs = oracle([3, 2])
-        idxs = [i for i in range(len(vals)) if abs(vals[i] - 1.0) <= 1e-8]
-        span = vecs[:, idxs].T
-        z1 = common_vanishing(tree, span, seed=0)
-        z2 = common_vanishing(tree, span, seed=99)
-        assert z1 == z2
+        span = eigenspace(vals, vecs, 1.0)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            a = rng.standard_normal((len(span), len(span)))
+            assert common_zeros(a @ span) == common_zeros(span)
 
     def test_kernel_has_no_zeros(self):
         tree, vals, vecs = oracle([2, 2])
-        z = common_vanishing(tree, vecs[:, :1].T)
-        assert z == []
+        assert common_zeros(vecs[:, :1].T) == []
 
     def test_vanishing_set_is_union_of_levels(self):
-        # for symmetric trees common zeros come in whole levels of subtrees
-        idx = build_index(SymmetricTreeSpec([3]))
-        tree = realize(idx.spec)
-        vals, vecs = dense_eigen(assemble(idx).to_dense())
-        idxs = [i for i in range(len(vals)) if abs(vals[i] - 1.0) <= 1e-8]
-        z = set(common_vanishing(tree, vecs[:, idxs].T))
-        for l in range(idx.levels):
-            level = set(range(idx.offsets[l], idx.offsets[l + 1]))
-            assert level <= z or not (level & z)
+        # The paper's lemma: on a symmetric tree the common zeros of an
+        # eigenspace are whole levels, and an eigenspace whose value comes
+        # from subtree root levels l0 and deeper vanishes above level l0.
+        for children in [[3], [3, 2], [2, 2, 2], [2, 1, 3]]:
+            spec = SymmetricTreeSpec(children)
+            off = np.cumsum([0, *spec.populations()])
+            tree, vals, vecs = oracle(children)
+            lines = decompose_spectrum(spec)
+            for value in sorted({s.value for s in lines}):
+                z = set(common_zeros(eigenspace(vals, vecs, value)))
+                for l in range(spec.levels):
+                    level = set(range(off[l], off[l + 1]))
+                    assert level <= z or not (level & z)
+                l0 = min(s.origin_level for s in lines if abs(s.value - value) <= 1e-8)
+                assert set(range(off[l0])) <= z
 
 
 def test_oracle_zero_tol_scale():
