@@ -215,7 +215,10 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    vectors = np.zeros((n, n))
+    try:
+        vectors = np.zeros((n, n))
+    except MemoryError:
+        raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
     start = 0
     for l0, c, vals, g, p, i, s in families:
         rows = rank[start : start + len(p), None]

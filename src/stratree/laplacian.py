@@ -11,7 +11,7 @@ from typing import IO
 
 import numpy as np
 
-from .tree import RootedTree
+from .tree import CapacityError, RootedTree
 
 # Matrix Market entries formatted per write, which bounds the text held at once
 _LINES_PER_WRITE = 1 << 16
@@ -34,7 +34,11 @@ class SparseSymMatrix:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
+        """The n x n array; one that cannot be allocated is a ``CapacityError``."""
+        try:
+            a = np.zeros((self.n, self.n))
+        except MemoryError:
+            raise CapacityError(f"a dense {self.n}x{self.n} matrix does not fit in memory") from None
         a[self._rows(), self.indices] = self.data
         return a
 

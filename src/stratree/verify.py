@@ -50,7 +50,7 @@ def oracle(
     if n > cap:
         raise CapacityError(f"|V|={n} exceeds the oracle cap {cap}")
     tree = realize(spec)
-    vals, vecs = dense_eigen(assemble(tree).to_dense(), cap=cap)
+    vals, vecs = dense_eigen(assemble(tree).to_dense(), tree, cap=cap)
     return tree, vals, vecs
 
 

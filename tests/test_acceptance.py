@@ -47,7 +47,7 @@ def sweep():
     out = []
     for spec in sweep_specs(4, 4, 400):
         tree = realize(spec)
-        vals, vecs = dense_eigen(assemble(tree).to_dense())
+        vals, vecs = dense_eigen(assemble(tree).to_dense(), tree)
         out.append((spec, tree, vals, vecs))
     return out
 
@@ -156,7 +156,8 @@ def test_criterion_7_glued_equivalence():
                 continue
             pairs += 1
             fast = expanded_spectrum(glued_spectrum(gspec))
-            vals, _ = dense_eigen(assemble(realize_glued(gspec)).to_dense())
+            tree = realize_glued(gspec)
+            vals, _ = dense_eigen(assemble(tree).to_dense(), tree)
             worst = max(worst, float(np.max(np.abs(fast - vals))))
     # star-gluing sanity: left=[a], right=[b] is the star on a+b leaves
     star_worst = 0.0

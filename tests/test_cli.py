@@ -155,6 +155,26 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "nodal", "eigvecs"])
+    def test_unallocatable_dense_array(self, capsys, monkeypatch, tmp_path, command):
+        # The n x n array (the oracle's matrix, or the basis) is refused as
+        # if memory had run out, so nothing that large is really asked for.
+        n = SymmetricTreeSpec([2, 2]).vertex_count()
+        zeros = np.zeros
+
+        def refuse_square(shape, *args, **kwargs):
+            if shape == (n, n):
+                raise MemoryError(f"Unable to allocate {8 * n * n} bytes")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse_square)
+        target = tmp_path / "out.json"
+        code = main([command, "--children", "2,2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "command, cap", [("eigvecs", "-5"), ("eigvecs", "0"), ("verify", "0"), ("verify", "-1")]
     )

@@ -3,12 +3,34 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from stratree.eigen import DenseSym, TriDiag, dense_eigen, sturm_count, tridiag_eigen
+from stratree.eigen import (
+    DenseSym,
+    TriDiag,
+    _breadth_first,
+    _purify_degenerate,
+    _tree_solve,
+    dense_eigen,
+    sturm_count,
+    tridiag_eigen,
+)
 from stratree.laplacian import assemble
-from stratree.tree import CapacityError, SymmetricTreeSpec, realize
+from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
+
+from strategies import trees
 
 SQRT2 = math.sqrt(2.0)
+
+
+def path(n):
+    """The tree of a tridiagonal: vertex i's parent is i - 1."""
+    return RootedTree(np.arange(-1, n - 1))
+
+
+def laplacian(spec):
+    tree = realize(spec)
+    return tree, assemble(tree).to_dense()
 
 
 def test_one_by_one():
@@ -79,32 +101,31 @@ def test_agreement_with_dense_oracle():
         m = int(rng.integers(1, 20))
         t = TriDiag(rng.standard_normal(m), np.abs(rng.standard_normal(max(m - 1, 0))) + 0.05)
         vals = tridiag_eigen(t)
-        dense_vals, _ = dense_eigen(t.to_dense())
+        dense_vals, _ = dense_eigen(t.to_dense(), path(m))
         assert np.allclose(vals, dense_vals, atol=1e-9)
 
 
 def test_dense_star_spectrum():
-    lap = assemble(realize(SymmetricTreeSpec([2])))
-    vals, vecs = dense_eigen(lap.to_dense())
+    tree, a = laplacian(SymmetricTreeSpec([2]))
+    vals, vecs = dense_eigen(a, tree)
     assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
 def test_dense_zero_matrix():
-    vals, _ = dense_eigen(np.zeros((4, 4)))
+    vals, _ = dense_eigen(np.zeros((4, 4)), path(4))
     assert np.array_equal(vals, np.zeros(4))
 
 
 def test_dense_four_vertex_star():
-    lap = assemble(realize(SymmetricTreeSpec([3])))
-    vals, _ = dense_eigen(lap.to_dense())
+    tree, a = laplacian(SymmetricTreeSpec([3]))
+    vals, _ = dense_eigen(a, tree)
     assert np.allclose(vals, [0.0, 1.0, 1.0, 4.0], atol=1e-12)
 
 
 def test_dense_residuals():
-    lap = assemble(realize(SymmetricTreeSpec([3, 2])))
-    a = lap.to_dense()
-    vals, vecs = dense_eigen(a)
+    tree, a = laplacian(SymmetricTreeSpec([3, 2]))
+    vals, vecs = dense_eigen(a, tree)
     n = a.shape[0]
     norm = np.max(np.sum(np.abs(a), axis=1))
     for i in range(n):
@@ -114,15 +135,16 @@ def test_dense_residuals():
 
 def test_dense_cap_refusal():
     with pytest.raises(CapacityError):
-        dense_eigen(np.zeros((5, 5)), cap=4)
+        dense_eigen(np.zeros((5, 5)), path(5), cap=4)
 
 
 def test_dense_cap_refused_before_copying():
     a = np.zeros((1500, 1500))
+    tree = path(1500)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            dense_eigen(a, cap=1000)
+            dense_eigen(a, tree, cap=1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -132,3 +154,96 @@ def test_dense_cap_refused_before_copying():
 def test_dense_sym_requires_square():
     with pytest.raises(ValueError):
         DenseSym(np.zeros((2, 3)))
+
+
+def dense_purified(a, tol=1e-8):
+    """(start, stop, basis) per repeated eigenvalue of ``a``, purified by
+    one dense shifted solve per cluster: the reference for the tree solve."""
+    vals, vecs = np.linalg.eigh(a)
+    n = len(vals)
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    out, start = [], 0
+    for i in range(1, n + 1):
+        if i < n and vals[i] - vals[i - 1] <= tol:
+            continue
+        if i - start > 1:
+            shift = float(np.mean(vals[start:i])) + 1e-12 * scale
+            q, _ = np.linalg.qr(np.linalg.solve(a - shift * np.eye(n), vecs[:, start:i]))
+            out.append((start, i, q))
+        start = i
+    return out
+
+
+PURIFIED = [
+    SymmetricTreeSpec([3, 2, 2]),
+    SymmetricTreeSpec([4, 4, 3, 2, 2, 2]),
+    GluedTreeSpec(SymmetricTreeSpec([3, 3, 2]), SymmetricTreeSpec([2, 2, 2, 2])),
+]
+
+
+@pytest.mark.parametrize("spec", PURIFIED, ids=["3,2,2", "4,4,3,2,2,2", "glued"])
+def test_tree_solve_spans_the_dense_solve_cluster(spec):
+    tree, a = laplacian(spec)
+    vals, vecs = dense_eigen(a, tree)
+    clusters = dense_purified(a)
+    assert clusters
+    for start, stop, q in clusters:
+        ours = vecs[:, start:stop]
+        # sine of the largest principal angle between the two spans
+        assert np.linalg.norm(ours - q @ (q.T @ ours), 2) <= 1e-10
+    norm = np.linalg.norm(a, 2)
+    assert np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)) <= 1e-12 * norm
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(tree.n))) <= 1e-12 * norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_tree_solve_matches_a_dense_solve_on_any_numbering(tree):
+    # shifts below the Laplacian's spectrum keep both solves well conditioned
+    a = assemble(tree).to_dense()
+    weight = np.where(tree.parents >= 0, -1.0, 0.0)
+    shifts, owner = np.array([-0.5, -1.5]), np.array([0, 1, 1])
+    b = np.random.default_rng(tree.n).standard_normal((tree.n, 3))
+    order, up, starts = _breadth_first(tree)
+    assert sorted(order.tolist()) == list(range(tree.n))
+    x = np.empty_like(b)
+    x[order] = _tree_solve(up, starts, np.diagonal(a)[order], weight[order], shifts, owner, b[order])
+    for j, shift in enumerate(shifts[owner]):
+        expected = np.linalg.solve(a - shift * np.eye(tree.n), b[:, j])
+        assert np.allclose(x[:, j], expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_zero_pivot_still_gives_an_orthonormal_eigenspace():
+    # star on 3 leaves: eigenvalue 1 twice.  Leaf 1's diagonal is moved by
+    # ~1e-12 to the cluster's shift, so its pivot is exactly 0.
+    tree, a = laplacian(SymmetricTreeSpec([3]))
+    vals, vecs = np.linalg.eigh(a)
+    shift = float(np.mean(vals[1:3])) + 1e-12 * float(np.max(np.abs(vals)))
+    diag = np.diagonal(a).copy()
+    diag[1] = shift
+    weight = np.array([0.0, -1.0, -1.0, -1.0])
+    out = _purify_degenerate(tree, diag, weight, vals, vecs.copy(), 1e-8)
+    cluster = out[:, 1:3]
+    assert np.all(np.isfinite(cluster))
+    assert not np.array_equal(cluster, vecs[:, 1:3])  # the solve's vectors, not LAPACK's
+    assert np.allclose(cluster.T @ cluster, np.eye(2), atol=1e-12)
+    assert np.max(np.abs(a @ cluster - cluster)) <= 1e-10
+
+
+def test_no_dense_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    tree, a = laplacian(SymmetricTreeSpec([4, 3, 2]))
+    vals, vecs = dense_eigen(a, tree)
+    assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(a, 2)
+
+
+def test_matrix_off_the_tree_is_refused():
+    tree, a = laplacian(SymmetricTreeSpec([2, 2]))
+    a[3, 4] = a[4, 3] = -1.0  # two leaves of one parent, not an edge
+    with pytest.raises(ValueError):
+        dense_eigen(a, tree)
+    with pytest.raises(ValueError):
+        dense_eigen(np.eye(3), path(4))

@@ -13,7 +13,8 @@ def gspec(left, right):
 
 
 def oracle(spec):
-    vals, _ = dense_eigen(assemble(realize_glued(spec)).to_dense())
+    tree = realize_glued(spec)
+    vals, _ = dense_eigen(assemble(tree).to_dense(), tree)
     return vals
 
 

@@ -26,7 +26,7 @@ def tree_of(children):
 
 def oracle(children):
     tree = tree_of(children)
-    vals, vecs = dense_eigen(assemble(tree).to_dense())
+    vals, vecs = dense_eigen(assemble(tree).to_dense(), tree)
     return tree, vals, vecs
 
 
