@@ -219,22 +219,27 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
         vectors = np.zeros((n, n))
     except MemoryError:
         raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
+    lap = assemble(realize(spec))
+    residuals = np.empty(n)
     start = 0
     for l0, c, vals, g, p, i, s in families:
-        rows = rank[start : start + len(p), None]
+        rows = rank[start : start + len(p)]
         start += len(p)
         for j, l in enumerate(range(l0, spec.levels)):
             width = pops[l] // pops[l0]  # one subtree's block at level l
             first = offsets[l] + (p * c * width)[:, None] + np.arange(width)
-            vectors[rows, first] = g[i, j][:, None]
+            vectors[rows[:, None], first] = g[i, j][:, None]
             if l0:
-                vectors[rows, first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
+                vectors[rows[:, None], first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
+        # One residual per eigenvalue i, taken on its p = 0, s = 1 member:
+        # the others hold the same level values on congruent subtrees (every
+        # vertex of a level has the same row layout) or their exact negation,
+        # so their residuals are bitwise the same.
+        reps = vectors[rows[(p == 0) & (s == s[0])]]
+        res = [float(np.max(np.abs(matvec(lap, f) - lam * f))) for lam, f in zip(vals.tolist(), reps)]
+        residuals[rows] = np.array(res)[i]
 
     values = values[order]
-    lap = assemble(realize(spec))
-    residuals = np.array(
-        [float(np.max(np.abs(matvec(lap, f) - lam * f))) for lam, f in zip(values.tolist(), vectors)]
-    )
     origin_levels = levels[order]
     return EigenBasis(
         values,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nodal import cluster_spectrum
 from .tree import CapacityError, RootedTree
 
 DEFAULT_ORACLE_CAP = 2000
@@ -224,8 +225,7 @@ def _purify_degenerate(
     keeps LAPACK's vectors.
     """
     n = len(vals)
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
-    clusters = [(lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()) if hi - lo > 1]
+    clusters = [(lo, lo + size) for lo, size in cluster_spectrum(vals, tol) if size > 1]
     if not clusters:
         return vecs
     scale = max(float(np.max(np.abs(vals))), 1.0)

@@ -18,54 +18,64 @@ from .tree import RootedTree
 
 @dataclass(frozen=True)
 class SignGraphReport:
-    positive_count: int
-    negative_count: int
-    zero_count: int
+    """Counts of one function (ints) or of each column of several (arrays)."""
+
+    positive_count: int | np.ndarray
+    negative_count: int | np.ndarray
+    zero_count: int | np.ndarray
 
     @property
-    def total(self) -> int:
+    def total(self) -> int | np.ndarray:
         return self.positive_count + self.negative_count
 
 
-def count_sign_graphs(tree: RootedTree, f: np.ndarray, zero_tol: float = 0.0) -> SignGraphReport:
+def count_sign_graphs(
+    tree: RootedTree, f: np.ndarray, zero_tol: float | np.ndarray = 0.0
+) -> SignGraphReport:
     """Count positive/negative sign graphs and vanishing coordinates.
 
-    ``zero_tol`` is an absolute threshold below which entries count as
-    zero.  The default 0.0 uses the exact float sign, appropriate for
-    vectors built by copy/difference of transported values; oracle
-    eigenvectors should pass ``oracle_zero_tol(f)`` instead.
+    ``f`` is one function of shape (n,) or m functions as the columns of an
+    (n, m) array, all counted in one pass; the counts are then arrays of
+    length m.  ``zero_tol`` is an absolute threshold below which entries
+    count as zero, one for all columns or one per column.  The default 0.0
+    uses the exact float sign, appropriate for vectors built by
+    copy/difference of transported values; oracle eigenvectors should pass
+    ``oracle_zero_tol(f)`` instead.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (tree.n,):
-        raise ValueError(f"function of length {f.shape} on a {tree.n}-vertex tree")
-    sign = np.zeros(tree.n, dtype=np.int8)
-    sign[f > zero_tol] = 1
-    sign[f < -zero_tol] = -1
+    if f.ndim not in (1, 2) or f.shape[0] != tree.n:
+        raise ValueError(f"function of shape {f.shape} on a {tree.n}-vertex tree")
+    cols = f.reshape(tree.n, -1)
+    tol = np.asarray(zero_tol, dtype=float)
+    sign = np.zeros(cols.shape, dtype=np.int8)
+    sign[cols > tol] = 1
+    sign[cols < -tol] = -1
     parents = tree.parents
     child = np.flatnonzero(parents >= 0)
-    up = sign[parents[child]]
-    kept = up[up == sign[child]]  # sign shared by both ends of each edge
-    pos = int(np.count_nonzero(sign == 1) - np.count_nonzero(kept == 1))
-    neg = int(np.count_nonzero(sign == -1) - np.count_nonzero(kept == -1))
-    zero = tree.n - int(np.count_nonzero(sign))
+    edge = sign[parents[child]] + sign[child]  # +-2 where both ends share a sign
+    pos = np.count_nonzero(sign == 1, axis=0) - np.count_nonzero(edge == 2, axis=0)
+    neg = np.count_nonzero(sign == -1, axis=0) - np.count_nonzero(edge == -2, axis=0)
+    zero = tree.n - np.count_nonzero(sign, axis=0)
+    if f.ndim == 1:
+        return SignGraphReport(int(pos[0]), int(neg[0]), int(zero[0]))
     return SignGraphReport(pos, neg, zero)
 
 
-def oracle_zero_tol(f: np.ndarray) -> float:
-    """Zero threshold for floating eigenvectors from the dense oracle."""
-    return 1e-9 * float(np.max(np.abs(f)))
+def oracle_zero_tol(f: np.ndarray) -> float | np.ndarray:
+    """Zero threshold for floating eigenvectors from the dense oracle, one
+    per column of an (n, m) array.  max|f| is taken as max(max f, -min f),
+    which is exact and allocates no array the size of ``f``."""
+    return 1e-9 * np.maximum(np.max(f, axis=0), -np.min(f, axis=0))
 
 
 def cluster_spectrum(values: np.ndarray, tol: float = 1e-8) -> list[tuple[int, int]]:
-    """(start, size) runs of numerically-equal eigenvalues, sorted input."""
+    """(start, size) runs of numerically-equal eigenvalues, sorted input.
+
+    A run ends wherever the next value is more than ``tol`` above it.
+    """
     values = np.asarray(values, dtype=float)
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            clusters.append((start, i - start))
-            start = i
-    return clusters
+    edges = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 @dataclass(frozen=True)
@@ -88,28 +98,22 @@ def nodal_records(
     zero_tol: float | None = None,
 ) -> tuple[list[NodalRecord], list[NodalRecord]]:
     """The ``courant_check`` and ``zero_free_check`` records together, from
-    one sign-graph count per eigenvector."""
+    one sign-graph count of all eigenvectors."""
+    tol = oracle_zero_tol(vectors) if zero_tol is None else zero_tol
+    rep = count_sign_graphs(tree, vectors, tol)
+    totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
     courant, zero_free = [], []
     for start, size in cluster_spectrum(values, cluster_tol):
         bound = start + size  # (start+1) + size - 1
         for i in range(start, start + size):
-            f = vectors[:, i]
-            tol = oracle_zero_tol(f) if zero_tol is None else zero_tol
-            rep = count_sign_graphs(tree, f, tol)
             value = float(values[i])
             courant.append(
-                NodalRecord(
-                    value, start + 1, size, rep.total, rep.zero_count,
-                    bound, rep.total <= bound,
-                )
+                NodalRecord(value, start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound)
             )
-            checked = rep.zero_count == 0
-            ok = not checked or (size == 1 and rep.total == start + 1)
+            checked = zeros[i] == 0
+            ok = not checked or (size == 1 and totals[i] == start + 1)
             zero_free.append(
-                NodalRecord(
-                    value, start + 1, size, rep.total, rep.zero_count,
-                    start + 1, ok, checked,
-                )
+                NodalRecord(value, start + 1, size, totals[i], zeros[i], start + 1, ok, checked)
             )
     return courant, zero_free
 

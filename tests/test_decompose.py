@@ -454,6 +454,18 @@ class TestFullEigenbasis:
         assert basis.origin_levels.tolist() == [e[1] for e in entries]
         assert basis.vectors.tobytes() == np.array([e[2] for e in entries]).tobytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(symmetric_specs)
+    def test_family_residuals_match_the_per_vector_loop(self, spec):
+        assert_residuals_per_vector(spec)
+
+    @pytest.mark.parametrize(
+        # levels of c >= 9 children have rows that reduceat sums pairwise
+        "children", [[3, 1, 4, 1, 3, 2, 4, 3], [9, 3, 2], [2, 20, 3], [12, 2, 2, 2]]
+    )
+    def test_family_residuals_match_the_per_vector_loop_on_wide_levels(self, children):
+        assert_residuals_per_vector(SymmetricTreeSpec(children))
+
     def test_peak_memory_is_one_basis(self):
         # the n x n array is allocated once and every vector written in place
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
@@ -477,6 +489,17 @@ class TestFullEigenbasis:
             for l in range(spec.levels):
                 level = f[off[l] : off[l + 1]]
                 assert np.all(level == level[0])
+
+
+def assert_residuals_per_vector(spec):
+    """The basis's residuals are bitwise those of one matvec per vector."""
+    basis = full_eigenbasis(spec)
+    lap = assemble(realize(spec))
+    loop = [
+        float(np.max(np.abs(matvec(lap, f) - lam * f)))
+        for lam, f in zip(basis.values.tolist(), basis.vectors)
+    ]
+    assert basis.residuals.tobytes() == np.array(loop).tobytes()
 
 
 def eigenbasis_by_vector(spec):

@@ -120,6 +120,60 @@ class TestSignGraphProperties:
         )
 
 
+@st.composite
+def signed_columns(draw):
+    """A tree, an (n, m) array and a scalar or per-column zero threshold.
+
+    Entries include exact zeros and values at and just beside each
+    column's threshold, on either side of zero."""
+    tree = draw(trees())
+    m = draw(st.integers(1, 5))
+    tols = draw(st.lists(st.sampled_from([0.0, 1e-9, 0.25]), min_size=m, max_size=m))
+    cols = []
+    for tol in tols:
+        near = [tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)]
+        values = st.sampled_from([0.0, -0.0, 1.0, -2.5, *near, *(-x for x in near)])
+        cols.append(draw(st.lists(values, min_size=tree.n, max_size=tree.n)))
+    zero_tol = np.array(tols) if draw(st.booleans()) else tols[0]
+    return tree, np.array(cols).T, zero_tol
+
+
+class TestBatchedCounts:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(signed_columns())
+    def test_columns_match_one_dimensional_counts(self, case):
+        tree, f, zero_tol = case
+        rep = count_sign_graphs(tree, f, zero_tol)
+        tols = np.broadcast_to(zero_tol, f.shape[1:])
+        one = [count_sign_graphs(tree, f[:, j], float(tols[j])) for j in range(f.shape[1])]
+        assert rep.positive_count.tolist() == [r.positive_count for r in one]
+        assert rep.negative_count.tolist() == [r.negative_count for r in one]
+        assert rep.zero_count.tolist() == [r.zero_count for r in one]
+        assert rep.total.tolist() == [r.total for r in one]
+
+    def test_one_dimensional_counts_are_ints(self):
+        rep = count_sign_graphs(tree_of([2]), np.array([0.0, 1.0, -1.0]))
+        assert all(type(x) is int for x in (rep.positive_count, rep.negative_count, rep.zero_count))
+
+    def test_oracle_tolerance_per_column(self):
+        tree, vals, vecs = oracle([3, 2])
+        assert oracle_zero_tol(vecs).tolist() == [oracle_zero_tol(v) for v in vecs.T]
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 2, 1)])
+    def test_shape_mismatch(self, shape):
+        with pytest.raises(ValueError):
+            count_sign_graphs(tree_of([2]), np.ones(shape))
+
+
+def clusters_by_loop(values, tol):
+    clusters, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            clusters.append((start, i - start))
+            start = i
+    return clusters
+
+
 class TestClusterSpectrum:
     def test_runs(self):
         vals = np.array([0.0, 1.0, 1.0 + 5e-9, 2.0])
@@ -127,6 +181,17 @@ class TestClusterSpectrum:
 
     def test_empty(self):
         assert cluster_spectrum(np.array([])) == []
+
+    def test_gap_of_exactly_tol_stays_in_the_run(self):
+        assert cluster_spectrum(np.array([0.0, 0.125, 0.375]), 0.125) == [(0, 2), (2, 1)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.1875, 1.0]), max_size=30))
+    def test_matches_the_loop(self, gaps):
+        # dyadic gaps add up exactly, so some differences equal tol exactly
+        values = np.cumsum([0.0, *gaps])
+        for tol in (0.0625, 0.125):
+            assert cluster_spectrum(values, tol) == clusters_by_loop(values, tol)
 
 
 class TestCourant:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import stratree.nodal as nodal
@@ -65,11 +66,12 @@ def test_one_sign_count_per_oracle_vector(monkeypatch):
     calls = []
     count = nodal.count_sign_graphs
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return count(*args, **kwargs)
+    def counted(tree, f, *args, **kwargs):
+        calls.append(np.shape(f))
+        return count(tree, f, *args, **kwargs)
 
     monkeypatch.setattr(nodal, "count_sign_graphs", counted)
     results = verify.run_all_checks(SYMMETRIC)
-    assert len(calls) == SYMMETRIC.vertex_count()
+    n = SYMMETRIC.vertex_count()
+    assert calls == [(n, n)]  # every oracle vector, in one batched call
     assert all(r.passed for r in results)
