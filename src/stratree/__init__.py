@@ -10,7 +10,7 @@ from .decompose import (
     full_eigenbasis,
     level_matrix,
 )
-from .eigen import DenseSym, TriDiag, dense_eigen, sturm_count, tridiag_eigen
+from .eigen import TriDiag, dense_eigen, sturm_count, tridiag_eigen
 from .glued import GluedSpectralLine, glued_spectrum, glued_stratified_matrix
 from .laplacian import SparseSymMatrix, assemble, matvec
 from .nodal import (
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "DenseSym",
     "EigenBasis",
     "GluedSpectralLine",
     "GluedTreeSpec",

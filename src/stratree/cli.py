@@ -30,7 +30,6 @@ from .decompose import (
     decompose_spectrum,
     full_eigenbasis,
 )
-from .eigen import DEFAULT_ORACLE_CAP
 from .glued import glued_spectrum
 from .laplacian import assemble
 from .nodal import courant_check
@@ -41,7 +40,7 @@ from .tree import (
     SymmetricTreeSpec,
     realize,
 )
-from .verify import oracle, run_all_checks
+from .verify import DEFAULT_ORACLE_CAP, oracle, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

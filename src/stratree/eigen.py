@@ -1,14 +1,14 @@
 """Eigensolvers: LAPACK for symmetric tridiagonals, Sturm counts as an
-independent check on them, and a dense symmetric solver used as the
-brute-force oracle.
+independent check on them, and a dense solve of a tree's Laplacian used as
+the brute-force oracle.
 
 The tridiagonals are the small level matrices of the decomposition, so a
 dense LAPACK solve of each costs little; ``sturm_count`` is kept apart from
 that route so the test suite can check LAPACK's eigenvalue counts with it.
 
-The oracle's matrix lives on a tree's edges.  Its repeated eigenvalues are
-sharpened by inverse iteration, and a tree matrix minus a shift factors
-from the leaves to the root with no fill-in (Parter 1961; Jacobs &
+The oracle's repeated eigenvalues are sharpened by inverse iteration.  A
+tree Laplacian (degrees on the diagonal, -1 on every edge) minus a shift
+factors from the leaves to the root with no fill-in (Parter 1961; Jacobs &
 Trevisan, "Locating the eigenvalues of trees", 2011).  So every cluster is
 solved in one batched O(n) pass per vector, next to the O(n^3) ``eigh``.
 """
@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laplacian import assemble
 from .nodal import cluster_spectrum
 from .tree import CapacityError, RootedTree
 
-DEFAULT_ORACLE_CAP = 2000
+# eigenvalues this close are one cluster, purified together
+CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,29 +102,16 @@ def tridiag_eigen(t: TriDiag, want_vectors: bool = False):
 
     Returns the eigenvalue array, or ``(values, vectors)`` with orthonormal
     eigenvector columns when ``want_vectors`` is set.  With nonzero
-    off-diagonals the eigenvalues are simple.
+    off-diagonals the eigenvalues are simple.  A matrix too large to
+    densify or to solve is a ``CapacityError``.
     """
-    a = t.to_dense()
-    if want_vectors:
-        return np.linalg.eigh(a)
-    return np.linalg.eigvalsh(a)
-
-
-@dataclass(frozen=True)
-class DenseSym:
-    """Dense symmetric matrix, the oracle-side representation."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        object.__setattr__(self, "a", 0.5 * (a + a.T))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+    try:
+        a = t.to_dense()
+        if want_vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a)
+    except MemoryError:
+        raise CapacityError(f"a dense {t.m}x{t.m} tridiagonal does not fit in memory") from None
 
 
 def _breadth_first(tree: RootedTree) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -154,7 +143,6 @@ def _tree_solve(
     up: np.ndarray,
     starts: list[int],
     diag: np.ndarray,
-    weight: np.ndarray,
     shifts: np.ndarray,
     owner: np.ndarray,
     x: np.ndarray,
@@ -162,9 +150,9 @@ def _tree_solve(
     """Solve (A - shifts[owner[j]] I) y = x[:, j] for every column j of x,
     writing y over x, and return x.
 
-    A is symmetric with ``diag`` on its diagonal and ``weight[v]`` on the
-    edge from v to its parent ``up[v]``; vertices are in breadth-first
-    positions with depth d at ``starts[d]:starts[d + 1]``, as
+    A is symmetric with ``diag`` on its diagonal and -1 on the edge from v
+    to its parent ``up[v]``, as in a Laplacian; vertices are in
+    breadth-first positions with depth d at ``starts[d]:starts[d + 1]``, as
     ``_breadth_first`` gives them.  Gaussian elimination from the leaves
     to the root has no fill-in on a tree: a vertex's pivot and right-hand
     side take one term from each child.  Each depth is eliminated in one
@@ -173,9 +161,8 @@ def _tree_solve(
     and per column.  A pivot below eps * max|A| in magnitude is set to
     that size, keeping its sign (0 counts as positive).
     """
-    floor = np.finfo(float).eps * max(float(np.max(np.abs(diag))), float(np.max(np.abs(weight))))
+    floor = np.finfo(float).eps * max(float(np.max(np.abs(diag))), 1.0)
     pivots = diag[:, None] - shifts[None, :]
-    w = weight[:, None]
 
     def settle(rows: slice) -> None:
         d = pivots[rows]
@@ -187,17 +174,15 @@ def _tree_solve(
         settle(slice(lo, hi))
         parent = up[lo:hi]
         heads = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
-        ratio = w[lo:hi] / pivots[lo:hi]
-        pivots[parent[heads]] -= np.add.reduceat(w[lo:hi] * ratio, heads, axis=0)
+        ratio = -1.0 / pivots[lo:hi]
+        pivots[parent[heads]] -= np.add.reduceat(-ratio, heads, axis=0)
         terms = ratio[:, owner]
         terms *= x[lo:hi]
         x[parent[heads]] -= np.add.reduceat(terms, heads, axis=0)
     settle(slice(0, 1))
     x[0] /= pivots[0, owner]
     for lo, hi in below_root:
-        terms = x[up[lo:hi]]
-        terms *= w[lo:hi]
-        x[lo:hi] -= terms
+        x[lo:hi] += x[up[lo:hi]]
         x[lo:hi] /= pivots[lo:hi][:, owner]
     return x
 
@@ -205,27 +190,25 @@ def _tree_solve(
 def _purify_degenerate(
     tree: RootedTree,
     diag: np.ndarray,
-    weight: np.ndarray,
     vals: np.ndarray,
     vecs: np.ndarray,
-    tol: float,
 ) -> np.ndarray:
     """Sharpen eigenvectors of repeated eigenvalues by inverse iteration.
 
-    When a degenerate cluster sits close (but outside ``tol``) to another
-    eigenvalue, LAPACK vectors bleed across the small gap by roughly
+    When a degenerate cluster sits close (but outside ``CLUSTER_TOL``) to
+    another eigenvalue, LAPACK vectors bleed across the small gap by roughly
     eps/gap, which pollutes coordinates that vanish in exact arithmetic.
     One shifted solve per cluster amplifies the cluster space and kills
     that bleed; QR restores orthonormality within the cluster.
 
-    The matrix is given by its tree: ``diag`` and ``weight[v]``, the entry
-    between v and its parent.  All clusters are solved at once by
-    ``_tree_solve``, so purifying m vectors costs O(n * m), not a dense
-    O(n^3) factorization per cluster.  A cluster whose solve is not finite
-    keeps LAPACK's vectors.
+    The matrix is given by its tree: ``diag`` on the diagonal and -1 on
+    every edge.  All clusters are solved at once by ``_tree_solve``, so
+    purifying m vectors costs O(n * m), not a dense O(n^3) factorization
+    per cluster.  A cluster whose solve is not finite keeps LAPACK's
+    vectors.
     """
     n = len(vals)
-    clusters = [(lo, lo + size) for lo, size in cluster_spectrum(vals, tol) if size > 1]
+    clusters = [(lo, lo + size) for lo, size in cluster_spectrum(vals, CLUSTER_TOL) if size > 1]
     if not clusters:
         return vecs
     scale = max(float(np.max(np.abs(vals))), 1.0)
@@ -234,9 +217,7 @@ def _purify_degenerate(
     cols = np.concatenate([np.arange(lo, hi) for lo, hi in clusters])
     owner = np.repeat(np.arange(len(clusters)), sizes)
     order, up, starts = _breadth_first(tree)
-    solved = _tree_solve(
-        up, starts, diag[order], weight[order], shifts, owner, vecs[np.ix_(order, cols)]
-    )
+    solved = _tree_solve(up, starts, diag[order], shifts, owner, vecs[np.ix_(order, cols)])
     for (lo, hi), block in zip(clusters, np.split(solved, np.cumsum(sizes)[:-1], axis=1)):
         w = np.empty_like(block)
         w[order] = block
@@ -272,36 +253,14 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> np.ndarray:
     return best
 
 
-def dense_eigen(
-    m: DenseSym | np.ndarray,
-    tree: RootedTree,
-    cap: int = DEFAULT_ORACLE_CAP,
-    cluster_tol: float = 1e-8,
-):
-    """Brute-force eigendecomposition of a matrix on ``tree``'s edges,
-    refused above the size cap.
+def dense_eigen(tree: RootedTree):
+    """Brute-force eigendecomposition of ``tree``'s Laplacian.
 
-    The cap is checked on the input's shape, before the symmetrized copy is
-    made.  The symmetrized matrix may be nonzero only on the diagonal and
-    on the tree's edges (a tridiagonal is a path, ``RootedTree(np.arange(-1,
-    n - 1))``); anything else is a ``ValueError``.  Returns nondecreasing
-    eigenvalues and an orthonormal eigenvector matrix (columns);
-    eigenvectors of clustered eigenvalues are refined so they span the
-    cluster eigenspace to working precision.
+    Returns nondecreasing eigenvalues and an orthonormal eigenvector matrix
+    (columns); eigenvectors of eigenvalues within ``CLUSTER_TOL`` of each
+    other are refined so they span the cluster eigenspace to working
+    precision.  A matrix that cannot be allocated is a ``CapacityError``.
     """
-    shape = np.shape(m.a if isinstance(m, DenseSym) else m)
-    if shape and shape[0] > cap:
-        raise CapacityError(f"dense solve of size {shape[0]} exceeds the cap of {cap}")
-    if not isinstance(m, DenseSym):
-        m = DenseSym(np.asarray(m))
-    if m.n != tree.n:
-        raise ValueError(f"matrix of size {m.n} on a {tree.n}-vertex tree")
-    child = np.flatnonzero(tree.parents >= 0)
-    weight = np.zeros(m.n)
-    weight[child] = m.a[child, tree.parents[child]]
-    diag = m.a.diagonal()
-    if np.count_nonzero(m.a) - np.count_nonzero(diag) != 2 * np.count_nonzero(weight):
-        raise ValueError("the matrix has a nonzero entry off the tree's edges")
-    vals, vecs = np.linalg.eigh(m.a)
-    vecs = _purify_degenerate(tree, diag, weight, vals, vecs, cluster_tol)
-    return vals, vecs
+    a = assemble(tree).to_dense()
+    vals, vecs = np.linalg.eigh(a)
+    return vals, _purify_degenerate(tree, a.diagonal(), vals, vecs)

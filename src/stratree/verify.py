@@ -20,15 +20,15 @@ from .decompose import (
     expanded_spectrum,
     full_eigenbasis,
 )
-from .eigen import DEFAULT_ORACLE_CAP, dense_eigen
+from .eigen import dense_eigen
 from .glued import glued_spectrum
-from .laplacian import assemble
 from .nodal import nodal_records
 from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 SPECTRUM_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 RANK_THRESHOLD = 1e-8
+DEFAULT_ORACLE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def oracle(
     if n > cap:
         raise CapacityError(f"|V|={n} exceeds the oracle cap {cap}")
     tree = realize(spec)
-    vals, vecs = dense_eigen(assemble(tree).to_dense(), tree, cap=cap)
+    vals, vecs = dense_eigen(tree)
     return tree, vals, vecs
 
 

@@ -17,7 +17,6 @@ from stratree.decompose import (
 )
 from stratree.eigen import dense_eigen
 from stratree.glued import glued_spectrum
-from stratree.laplacian import assemble
 from stratree.nodal import courant_check, zero_free_check
 from stratree.tree import (
     GluedTreeSpec,
@@ -47,7 +46,7 @@ def sweep():
     out = []
     for spec in sweep_specs(4, 4, 400):
         tree = realize(spec)
-        vals, vecs = dense_eigen(assemble(tree).to_dense(), tree)
+        vals, vecs = dense_eigen(tree)
         out.append((spec, tree, vals, vecs))
     return out
 
@@ -157,7 +156,7 @@ def test_criterion_7_glued_equivalence():
             pairs += 1
             fast = expanded_spectrum(glued_spectrum(gspec))
             tree = realize_glued(gspec)
-            vals, _ = dense_eigen(assemble(tree).to_dense(), tree)
+            vals, _ = dense_eigen(tree)
             worst = max(worst, float(np.max(np.abs(fast - vals))))
     # star-gluing sanity: left=[a], right=[b] is the star on a+b leaves
     star_worst = 0.0

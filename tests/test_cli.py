@@ -175,6 +175,26 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.parametrize("route", ["spectrum", "glued", "bench"])
+    def test_unallocatable_level_matrix(self, capsys, tmp_path, route):
+        # a path of 300,000 levels: its one 300,000-row level matrix would
+        # take 720 GB dense, so the allocation is refused at once rather
+        # than committed lazily and solved in O(k^3)
+        deep = [1] * 300_000
+        if route == "bench":
+            argv = ["bench", "--children", "1", "--levels", str(len(deep) + 1)]
+        elif route == "glued":
+            path = tmp_path / "deep.json"
+            path.write_text(json.dumps({"left": deep, "right": [1]}))
+            argv = ["spectrum", "--spec", str(path)]
+        else:
+            argv = ["spectrum", "--children", ",".join(map(str, deep))]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, cap", [("eigvecs", "-5"), ("eigvecs", "0"), ("verify", "0"), ("verify", "-1")]
     )

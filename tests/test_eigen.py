@@ -1,12 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from stratree.eigen import (
-    DenseSym,
     TriDiag,
     _breadth_first,
     _purify_degenerate,
@@ -16,16 +14,11 @@ from stratree.eigen import (
     tridiag_eigen,
 )
 from stratree.laplacian import assemble
-from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
+from stratree.tree import GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 from strategies import trees
 
 SQRT2 = math.sqrt(2.0)
-
-
-def path(n):
-    """The tree of a tridiagonal: vertex i's parent is i - 1."""
-    return RootedTree(np.arange(-1, n - 1))
 
 
 def laplacian(spec):
@@ -96,64 +89,36 @@ def test_interlacing_of_leading_submatrix():
 
 
 def test_agreement_with_dense_oracle():
+    # the Sturm recurrence, independent of LAPACK, puts exactly i of its
+    # eigenvalues below the midpoint of each consecutive pair i, i + 1
     rng = np.random.default_rng(17)
     for _ in range(8):
         m = int(rng.integers(1, 20))
         t = TriDiag(rng.standard_normal(m), np.abs(rng.standard_normal(max(m - 1, 0))) + 0.05)
         vals = tridiag_eigen(t)
-        dense_vals, _ = dense_eigen(t.to_dense(), path(m))
-        assert np.allclose(vals, dense_vals, atol=1e-9)
+        mids = 0.5 * (vals[:-1] + vals[1:])
+        assert sturm_count(t, mids).tolist() == list(range(1, m))
 
 
 def test_dense_star_spectrum():
-    tree, a = laplacian(SymmetricTreeSpec([2]))
-    vals, vecs = dense_eigen(a, tree)
+    vals, vecs = dense_eigen(realize(SymmetricTreeSpec([2])))
     assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-10)
 
 
-def test_dense_zero_matrix():
-    vals, _ = dense_eigen(np.zeros((4, 4)), path(4))
-    assert np.array_equal(vals, np.zeros(4))
-
-
 def test_dense_four_vertex_star():
-    tree, a = laplacian(SymmetricTreeSpec([3]))
-    vals, _ = dense_eigen(a, tree)
+    vals, _ = dense_eigen(realize(SymmetricTreeSpec([3])))
     assert np.allclose(vals, [0.0, 1.0, 1.0, 4.0], atol=1e-12)
 
 
 def test_dense_residuals():
     tree, a = laplacian(SymmetricTreeSpec([3, 2]))
-    vals, vecs = dense_eigen(a, tree)
+    vals, vecs = dense_eigen(tree)
     n = a.shape[0]
     norm = np.max(np.sum(np.abs(a), axis=1))
     for i in range(n):
         res = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
         assert res <= 1e-10 * n * norm
-
-
-def test_dense_cap_refusal():
-    with pytest.raises(CapacityError):
-        dense_eigen(np.zeros((5, 5)), path(5), cap=4)
-
-
-def test_dense_cap_refused_before_copying():
-    a = np.zeros((1500, 1500))
-    tree = path(1500)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            dense_eigen(a, tree, cap=1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_dense_sym_requires_square():
-    with pytest.raises(ValueError):
-        DenseSym(np.zeros((2, 3)))
 
 
 def dense_purified(a, tol=1e-8):
@@ -184,7 +149,7 @@ PURIFIED = [
 @pytest.mark.parametrize("spec", PURIFIED, ids=["3,2,2", "4,4,3,2,2,2", "glued"])
 def test_tree_solve_spans_the_dense_solve_cluster(spec):
     tree, a = laplacian(spec)
-    vals, vecs = dense_eigen(a, tree)
+    vals, vecs = dense_eigen(tree)
     clusters = dense_purified(a)
     assert clusters
     for start, stop, q in clusters:
@@ -201,13 +166,12 @@ def test_tree_solve_spans_the_dense_solve_cluster(spec):
 def test_tree_solve_matches_a_dense_solve_on_any_numbering(tree):
     # shifts below the Laplacian's spectrum keep both solves well conditioned
     a = assemble(tree).to_dense()
-    weight = np.where(tree.parents >= 0, -1.0, 0.0)
     shifts, owner = np.array([-0.5, -1.5]), np.array([0, 1, 1])
     b = np.random.default_rng(tree.n).standard_normal((tree.n, 3))
     order, up, starts = _breadth_first(tree)
     assert sorted(order.tolist()) == list(range(tree.n))
     x = np.empty_like(b)
-    x[order] = _tree_solve(up, starts, np.diagonal(a)[order], weight[order], shifts, owner, b[order])
+    x[order] = _tree_solve(up, starts, np.diagonal(a)[order], shifts, owner, b[order])
     for j, shift in enumerate(shifts[owner]):
         expected = np.linalg.solve(a - shift * np.eye(tree.n), b[:, j])
         assert np.allclose(x[:, j], expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
@@ -221,8 +185,7 @@ def test_zero_pivot_still_gives_an_orthonormal_eigenspace():
     shift = float(np.mean(vals[1:3])) + 1e-12 * float(np.max(np.abs(vals)))
     diag = np.diagonal(a).copy()
     diag[1] = shift
-    weight = np.array([0.0, -1.0, -1.0, -1.0])
-    out = _purify_degenerate(tree, diag, weight, vals, vecs.copy(), 1e-8)
+    out = _purify_degenerate(tree, diag, vals, vecs.copy())
     cluster = out[:, 1:3]
     assert np.all(np.isfinite(cluster))
     assert not np.array_equal(cluster, vecs[:, 1:3])  # the solve's vectors, not LAPACK's
@@ -236,14 +199,29 @@ def test_no_dense_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
     tree, a = laplacian(SymmetricTreeSpec([4, 3, 2]))
-    vals, vecs = dense_eigen(a, tree)
+    vals, vecs = dense_eigen(tree)
     assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(a, 2)
 
 
-def test_matrix_off_the_tree_is_refused():
-    tree, a = laplacian(SymmetricTreeSpec([2, 2]))
-    a[3, 4] = a[4, 3] = -1.0  # two leaves of one parent, not an edge
-    with pytest.raises(ValueError):
-        dense_eigen(a, tree)
-    with pytest.raises(ValueError):
-        dense_eigen(np.eye(3), path(4))
+def parent_array_laplacian(tree):
+    """The Laplacian written out from the parent array, apart from ``assemble``."""
+    a = np.zeros((tree.n, tree.n))
+    for v, p in enumerate(tree.parents.tolist()):
+        if p >= 0:
+            a[v, p] = a[p, v] = -1.0
+            a[v, v] += 1.0
+            a[p, p] += 1.0
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+@example(RootedTree((-1,)))
+def test_dense_eigen_on_any_numbering(tree):
+    a = parent_array_laplacian(tree)
+    vals, vecs = dense_eigen(tree)
+    norm = np.linalg.norm(a, 2)
+    assert np.all(np.diff(vals) >= 0)
+    assert abs(vals[0]) <= 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(tree.n))) <= 1e-12
+    assert np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)) <= 1e-12 * norm

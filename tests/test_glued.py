@@ -4,7 +4,6 @@ import pytest
 from stratree.decompose import decompose_spectrum, expanded_spectrum
 from stratree.eigen import dense_eigen, tridiag_eigen
 from stratree.glued import glued_spectrum, glued_stratified_matrix
-from stratree.laplacian import assemble
 from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize_glued
 
 
@@ -14,7 +13,7 @@ def gspec(left, right):
 
 def oracle(spec):
     tree = realize_glued(spec)
-    vals, _ = dense_eigen(assemble(tree).to_dense(), tree)
+    vals, _ = dense_eigen(tree)
     return vals
 
 

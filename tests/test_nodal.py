@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stratree.decompose import decompose_spectrum
 from stratree.eigen import dense_eigen
-from stratree.laplacian import assemble
 from stratree.nodal import (
     cluster_spectrum,
     count_sign_graphs,
@@ -26,7 +25,7 @@ def tree_of(children):
 
 def oracle(children):
     tree = tree_of(children)
-    vals, vecs = dense_eigen(assemble(tree).to_dense(), tree)
+    vals, vecs = dense_eigen(tree)
     return tree, vals, vecs
 
 

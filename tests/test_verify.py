@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ def dense_calls(monkeypatch):
     solve = verify.dense_eigen
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0].n)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(verify, "dense_eigen", counted)
@@ -38,7 +40,7 @@ def dense_calls(monkeypatch):
 def test_one_dense_solve_per_spec(dense_calls, spec, rows):
     results = verify.run_all_checks(spec)
     n = spec.vertex_count()
-    assert dense_calls == [(n, n)]
+    assert dense_calls == [n]
     assert [r.name for r in results] == rows
     assert all(r.passed for r in results)
 
@@ -54,6 +56,20 @@ def test_oracle_refuses_an_unrealizable_tree_at_once():
     # 10^30 vertices: refused from the spec's count, never materialized
     with pytest.raises(CapacityError):
         verify.oracle(SymmetricTreeSpec([10] * 30))
+
+
+def test_oracle_cap_refused_before_copying(dense_calls):
+    # |V| = 1500: its dense Laplacian would take 18 MB
+    spec = SymmetricTreeSpec([1499])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            verify.oracle(spec, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dense_calls == []
 
 
 def test_oracle_returns_the_realized_tree():
