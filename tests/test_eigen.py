@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from stratree.eigen import (
     sturm_count,
     tridiag_eigen,
 )
+import stratree.verify as verify
 from stratree.laplacian import assemble
-from stratree.tree import GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
+from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 from strategies import trees
 
@@ -119,6 +121,45 @@ def test_dense_residuals():
     for i in range(n):
         res = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
         assert res <= 1e-10 * n * norm
+
+
+def counted_dense_solves(monkeypatch):
+    calls = []
+    solve = verify.dense_eigen
+
+    def counted(tree):
+        calls.append(tree.n)
+        return solve(tree)
+
+    monkeypatch.setattr(verify, "dense_eigen", counted)
+    return calls
+
+
+# The dense solve's vertex cap is checked by ``verify.oracle`` from the spec's count.
+def test_dense_cap_refusal(monkeypatch):
+    calls = counted_dense_solves(monkeypatch)
+    star = SymmetricTreeSpec([4])
+    with pytest.raises(CapacityError):
+        verify.oracle(star, cap=4)
+    assert calls == []
+    tree, vals, _ = verify.oracle(star, cap=5)
+    assert calls == [5] and tree.n == 5
+    assert np.allclose(vals, [0.0, 1.0, 1.0, 1.0, 5.0], atol=1e-12)
+
+
+def test_dense_cap_refused_before_copying(monkeypatch):
+    # |V| = 1500: its dense Laplacian would take 18 MB
+    calls = counted_dense_solves(monkeypatch)
+    spec = SymmetricTreeSpec([1499])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            verify.oracle(spec, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert calls == []
 
 
 def dense_purified(a, tol=1e-8):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -56,20 +54,6 @@ def test_oracle_refuses_an_unrealizable_tree_at_once():
     # 10^30 vertices: refused from the spec's count, never materialized
     with pytest.raises(CapacityError):
         verify.oracle(SymmetricTreeSpec([10] * 30))
-
-
-def test_oracle_cap_refused_before_copying(dense_calls):
-    # |V| = 1500: its dense Laplacian would take 18 MB
-    spec = SymmetricTreeSpec([1499])
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            verify.oracle(spec, cap=1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert dense_calls == []
 
 
 def test_oracle_returns_the_realized_tree():
