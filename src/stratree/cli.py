@@ -22,8 +22,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
-import numpy as np
-
 from .decompose import (
     DEFAULT_BASIS_CAP,
     EigenBasis,
@@ -178,52 +176,69 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _vector_texts(vectors: np.ndarray, sep: str) -> Iterator[str]:
-    """Each row of ``vectors`` as JSON numbers joined by ``sep``.
-
-    Each distinct bit pattern is formatted once, by ``json.dumps``, so the
-    text matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and
-    Infinity are spelled its way).  Eigenbasis rows hold few distinct
-    values: lifts are constant per level, sibling differences are ±g or 0.
-    """
-    bits = np.ascontiguousarray(vectors, dtype=np.float64).view(np.uint64)
-    flat = np.sort(bits, axis=None)
-    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    texts = np.array([json.dumps(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    for row in bits:
-        yield sep.join(texts[np.searchsorted(distinct, row)].tolist())
-
-
 _EIGVECS_JSON_ROW = (
     '  {{\n    "lambda": {},\n    "origin_level": {},\n    "construction": {},'
-    '\n    "residual": {},\n    "vector": [\n      {}\n    ]\n  }}'
+    '\n    "residual": {},\n    "vector": [\n      '
 )
+
+
+def _row_pieces(basis: EigenBasis, sep: str) -> Iterator[tuple[tuple[int, int], list[str]]]:
+    """Each row of ``basis`` as its (family, position) and the pieces of its
+    JSON numbers joined by ``sep``.
+
+    Each level value g[i, j] and its negation 0.0 - g[i, j] is formatted
+    once, by ``json.dumps``, so the text matches the JSON encoder's (0.0
+    and -0.0 stay apart; NaN and Infinity are spelled its way).  A row is
+    then a few runs of one number each: ``text + sep`` repeated, with the
+    last number written without ``sep``.
+    """
+    zero = json.dumps(0.0) + sep
+    texts = [
+        [
+            [zero, *(json.dumps(x) + sep for x in row), *(json.dumps(x) + sep for x in neg)]
+            for row, neg in zip(fam.g.tolist(), (0.0 - fam.g).tolist())
+        ]
+        for fam in basis.families
+    ]
+    for f, p, i, s in basis.members.tolist():
+        cells = texts[f][i]
+        *body, (last, count) = basis.runs(f, p, s)
+        pieces = [cells[entry] * width for entry, width in body]
+        pieces.append(cells[last] * (count - 1))
+        pieces.append(cells[last][: -len(sep)])
+        yield (f, i), pieces
 
 
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     """Write ``basis`` one row at a time, in the layout of
     ``json.dumps(rows, indent=2)`` or of ``_rows_to_csv`` with the vector
-    column as compact JSON."""
-    fields = zip(
+    column as compact JSON.  The fields before the vector are formatted
+    once per (family, position), which they depend on alone."""
+    heads: dict[tuple[int, int], object] = {}
+    rows = zip(
         basis.values.tolist(),
         basis.origin_levels.tolist(),
         basis.construction,
         basis.residuals.tolist(),
+        _row_pieces(basis, ", " if fmt == "csv" else ",\n      "),
     )
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-        for (lam, level, kind, res), vec in zip(fields, _vector_texts(basis.vectors, ", ")):
-            writer.writerow([_fmt_float(lam), level, kind, _fmt_float(res), f"[{vec}]"])
+        for lam, level, kind, res, (key, pieces) in rows:
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = [_fmt_float(lam), level, kind, _fmt_float(res)]
+            writer.writerow([*head, "".join(["[", *pieces, "]"])])
         return
     sep = "[\n"
-    for (lam, level, kind, res), vec in zip(fields, _vector_texts(basis.vectors, ",\n      ")):
-        fh.write(sep)
-        fh.write(
-            _EIGVECS_JSON_ROW.format(
-                json.dumps(lam), level, json.dumps(kind), json.dumps(res), vec
+    for lam, level, kind, res, (key, pieces) in rows:
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = _EIGVECS_JSON_ROW.format(
+                json.dumps(lam), level, json.dumps(kind), json.dumps(res)
             )
-        )
+        fh.write("".join([sep, head, *pieces, "\n    ]\n  }"]))
         sep = ",\n"
     fh.write("\n]\n")
 

@@ -13,13 +13,19 @@ Eigenfunctions that vanish at a subtree root are a stratified Dirichlet
 eigenfunction on one subtree minus its copy on a sibling subtree, which
 yields exactly n(l0) - n(l0-1) independent vectors per recurrence
 eigenvalue at level l0.  In breadth-first numbering a subtree holds one
-contiguous block of columns per level, so the eigenbasis is written as one
-constant per block.
+contiguous block of columns per level, so every eigenvector is one
+constant per block.  The eigenbasis is therefore held implicitly, as each
+level family's values g and one (family, parent, position, sibling) entry
+per vector: O(k^3) numbers plus O(|V|) entries, not |V|^2.  A row is
+produced as runs of equal entries (``EigenBasis.runs``) when it is
+written, and ``EigenBasis.to_dense`` builds the |V| x |V| array only for
+the rank check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,24 +146,95 @@ def expanded_spectrum(lines) -> np.ndarray:
     return out
 
 
+class LevelFamily(NamedTuple):
+    """The basis vectors built from the recurrence rooted at level ``level``.
+
+    ``children`` is the number of sibling subtrees below each parent at
+    level ``level - 1`` (1 at the root level), and row i of ``g`` holds
+    eigenvalue ``values[i]``'s value on each level from ``level`` down.
+    """
+
+    level: int
+    children: int
+    values: np.ndarray
+    g: np.ndarray
+
+
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
 
-    ``vectors`` has one eigenvector per row, sorted by (eigenvalue,
-    origin level).  ``construction`` says whether a vector is a whole-tree
-    stratified vector ("stratified") or a sibling difference ("antisym").
+    The rows are sorted by (eigenvalue, origin level) and held implicitly:
+    ``members[r]`` is the (family, parent rank p, position i, sibling s) of
+    row r.  Its vector is g[i] of ``families[family]`` on the subtree of
+    p's first child minus its copy on the subtree of p's child s, or g[i]
+    on the whole tree at the root level (where p = s = 0).
+    ``construction`` says whether a vector is a whole-tree stratified
+    vector ("stratified") or a sibling difference ("antisym").  A row's
+    value, origin level and residual depend only on its family and i.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
     origin_levels: np.ndarray
     construction: list[str]
     residuals: np.ndarray
+    populations: tuple[int, ...]
+    families: tuple[LevelFamily, ...]
+    members: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    def runs(self, family: int, p: int, s: int) -> list[tuple[int, int]]:
+        """The rows of ``family`` with parent rank p and sibling s, as runs
+        of equal entries in column order.
+
+        A run is (entry, count), where the entry indexes the row's values
+        (0.0, g[i, 0], ..., g[i, m-1], 0.0 - g[i, 0], ..., 0.0 - g[i, m-1])
+        and m is the family's level count.  Runs of zeros are merged across
+        levels.
+        """
+        l0, c, _, _ = self.families[family]
+        pops = self.populations
+        m = len(pops) - l0
+        out = []
+        zeros = sum(pops[:l0])
+        for j, pop in enumerate(pops[l0:]):
+            width = pop // pops[l0]  # one subtree's block at this level
+            zeros += p * c * width
+            if zeros:
+                out.append((0, zeros))
+            out.append((1 + j, width))
+            zeros = pop - (p + 1) * c * width
+            if l0:
+                if s > 1:
+                    out.append((0, (s - 1) * width))
+                out.append((1 + m + j, width))
+                zeros += (c - 1 - s) * width
+        if zeros:
+            out.append((0, zeros))
+        return out
+
+    def scales(self) -> np.ndarray:
+        """The largest magnitude in each row, read from the level values."""
+        return _per_row([np.max(np.abs(fam.g), axis=1) for fam in self.families], self.members)
+
+    def to_dense(self) -> np.ndarray:
+        """The basis as an n x n array, one vector per row.
+
+        An array that cannot be allocated is a ``CapacityError``.
+        """
+        n = self.n
+        try:
+            vectors = np.zeros((n, n))
+        except MemoryError:
+            raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
+        for f, fam in enumerate(self.families):
+            rows = np.flatnonzero(self.members[:, 0] == f)
+            _, p, i, s = self.members[rows].T
+            _lay(vectors, rows, self.populations, fam, p, i, s)
+        return vectors
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Pivot threshold on the unit-normalized rows' Gram-Schmidt norms.
@@ -165,86 +242,103 @@ class EigenBasis:
         |R_ii| of a QR of the rows (as columns) is the norm of row i's
         component orthogonal to the rows before it.
         """
-        q = self.vectors / np.linalg.norm(self.vectors, axis=1, keepdims=True)
+        q = self.to_dense()
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
         pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
         return len(pivots) == self.n and bool(np.all(pivots > threshold))
+
+
+def _per_row(per_family: list[np.ndarray], members: np.ndarray) -> np.ndarray:
+    """``per_family[f][i]`` for the (family f, position i) of every row."""
+    starts = np.cumsum([0, *map(len, per_family)])[:-1]
+    return np.concatenate(per_family)[starts[members[:, 0]] + members[:, 2]]
+
+
+def _lay(out: np.ndarray, rows: np.ndarray, pops, fam: LevelFamily, p, i, s) -> None:
+    """Write the vectors of ``fam``'s members (p, i, s) into ``out[rows]``.
+
+    A subtree's vertices at each level are one contiguous block of
+    columns, so each vector is one constant per block: g[i, j] on the
+    subtree of p's first child at level l0 + j, and 0.0 - g[i, j] (never
+    -g, so a zero stays +0.0) on the subtree of p's child s.
+    """
+    l0, c, _, g = fam
+    offsets = np.cumsum([0, *pops])
+    for j, l in enumerate(range(l0, len(pops))):
+        width = pops[l] // pops[l0]
+        first = offsets[l] + (p * c * width)[:, None] + np.arange(width)
+        out[rows[:, None], first] = g[i, j][:, None]
+        if l0:
+            out[rows[:, None], first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
 
 
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:
     """All |V| eigenpairs of the full Laplacian, residual-certified.
 
-    Each vector holds one value per level on one or two subtrees, and a
-    subtree's vertices at each level are one contiguous block of columns.
     The root level gives one whole-tree stratified vector per eigenvalue i
     of its recurrence, with g[i, j] on level j.  Every deeper level l0
     gives, for each parent p at level l0-1, eigenvalue i and sibling s >= 1,
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
-    minus its copy on the subtree of p's child s.
+    minus its copy on the subtree of p's child s.  The basis is held as
+    those level values and one (family, p, i, s) entry per vector; no
+    |V| x |V| array is built (``EigenBasis.to_dense`` builds one).
     """
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {n} exceeds the cap of {basis_cap}")
     pops = spec.populations()
-    offsets = np.cumsum([0, *pops])
     t = level_matrix(spec)
 
-    # Per level l0: (l0, c, eigenvalues, level vectors g, and one entry per
-    # vector of parent rank p, eigenvalue position i and sibling s).  s runs
-    # over 1..c-1 below each level-(l0-1) parent, and is 0 at the root level.
-    families = []
-    for l0 in range(spec.levels):
-        c = spec.children[l0 - 1] if l0 else 1
-        sibs = np.arange(1, c) if l0 else np.zeros(1, dtype=np.int64)
-        if not sibs.size:
-            continue
-        vals, g = stratified_levels(t, l0, want_vectors=True)
-        if np.any(g[:, 0] == 0.0):
-            raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
-        parents = np.arange(pops[l0 - 1] if l0 else 1)
-        p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(vals)), sibs, indexing="ij"))
-        families.append((l0, c, vals, g, p, i, s))
-
-    l0s, _, spectra, _, ps, positions, sibs = zip(*families)
-    levels = np.concatenate([np.full(len(p), l0) for l0, p in zip(l0s, ps)])
-    values = np.concatenate([vals[i] for vals, i in zip(spectra, positions)])
-    # Sorted by (value, l0); ties keep the (l0, p, i, s) order they were made in.
-    order = np.lexsort(
-        (np.concatenate(sibs), np.concatenate(positions), np.concatenate(ps), levels, values)
-    )
-    assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-
+    # s runs over 1..c-1 below each level-(l0-1) parent, and is 0 at the
+    # root level; the entries of a family are made in (p, i, s) order.
+    families, members = [], []
     try:
-        vectors = np.zeros((n, n))
+        for l0 in range(spec.levels):
+            c = spec.children[l0 - 1] if l0 else 1
+            sibs = np.arange(1, c) if l0 else np.zeros(1, dtype=np.int64)
+            if not sibs.size:
+                continue
+            vals, g = stratified_levels(t, l0, want_vectors=True)
+            if np.any(g[:, 0] == 0.0):
+                raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
+            parents = np.arange(pops[l0 - 1] if l0 else 1)
+            p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(vals)), sibs, indexing="ij"))
+            members.append(np.stack((np.full(len(p), len(families)), p, i, s), axis=1))
+            families.append(LevelFamily(l0, c, vals, g))
+        members = np.concatenate(members)
     except MemoryError:
-        raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
+        raise CapacityError(f"the row table of a basis of {n} vectors does not fit in memory") from None
+
+    _, p, i, s = members.T
+    levels = np.array([fam.level for fam in families])[members[:, 0]]
+    values = _per_row([fam.values for fam in families], members)
+    # Sorted by (value, l0); ties keep the (l0, p, i, s) order they were made in.
+    order = np.lexsort((s, i, p, levels, values))
+    assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
+    members = members[order]
+
     lap = assemble(realize(spec))
     residuals = np.empty(n)
-    start = 0
-    for l0, c, vals, g, p, i, s in families:
-        rows = rank[start : start + len(p)]
-        start += len(p)
-        for j, l in enumerate(range(l0, spec.levels)):
-            width = pops[l] // pops[l0]  # one subtree's block at level l
-            first = offsets[l] + (p * c * width)[:, None] + np.arange(width)
-            vectors[rows[:, None], first] = g[i, j][:, None]
-            if l0:
-                vectors[rows[:, None], first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
-        # One residual per eigenvalue i, taken on its p = 0, s = 1 member:
-        # the others hold the same level values on congruent subtrees (every
-        # vertex of a level has the same row layout) or their exact negation,
-        # so their residuals are bitwise the same.
-        reps = vectors[rows[(p == 0) & (s == s[0])]]
-        res = [float(np.max(np.abs(matvec(lap, f) - lam * f))) for lam, f in zip(vals.tolist(), reps)]
-        residuals[rows] = np.array(res)[i]
+    for f, fam in enumerate(families):
+        # One residual per eigenvalue i, taken on its p = 0, s = first
+        # sibling member: the others hold the same level values on congruent
+        # subtrees (every vertex of a level has the same row layout) or their
+        # exact negation, so their residuals are bitwise the same.
+        m = len(fam.values)
+        reps = np.zeros((m, n))
+        first = np.full(m, 1 if fam.level else 0)
+        _lay(reps, np.arange(m), pops, fam, np.zeros(m, dtype=np.int64), np.arange(m), first)
+        res = [float(np.max(np.abs(matvec(lap, v) - lam * v))) for lam, v in zip(fam.values.tolist(), reps)]
+        rows = members[:, 0] == f
+        residuals[rows] = np.array(res)[members[rows, 2]]
 
-    values = values[order]
     origin_levels = levels[order]
     return EigenBasis(
-        values,
-        vectors,
+        values[order],
         origin_levels,
         ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()],
         residuals,
+        tuple(pops),
+        tuple(families),
+        members,
     )

@@ -262,5 +262,7 @@ def dense_eigen(tree: RootedTree):
     precision.  A matrix that cannot be allocated is a ``CapacityError``.
     """
     a = assemble(tree).to_dense()
+    diag = a.diagonal().copy()
     vals, vecs = np.linalg.eigh(a)
-    return vals, _purify_degenerate(tree, a.diagonal(), vals, vecs)
+    del a  # purification needs only the diagonal, not the n x n matrix
+    return vals, _purify_degenerate(tree, diag, vals, vecs)

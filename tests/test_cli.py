@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import stratree.cli as cli
 from stratree.cli import main
-from stratree.decompose import EigenBasis, full_eigenbasis
+from stratree.decompose import full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
 
@@ -157,9 +159,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["verify", "nodal", "eigvecs"])
     def test_unallocatable_dense_array(self, capsys, monkeypatch, tmp_path, command):
-        # The n x n array (the oracle's matrix, or the basis) is refused as
-        # if memory had run out, so nothing that large is really asked for.
-        n = SymmetricTreeSpec([2, 2]).vertex_count()
+        # An n x n array is refused as if memory had run out, so nothing that
+        # large is really asked for.  The oracle's matrix is a resource error;
+        # eigvecs never asks for one and writes its basis all the same.
+        spec = SymmetricTreeSpec([2, 2])
+        n = spec.vertex_count()
+        expected = encoded_eigvecs(full_eigenbasis(spec), "json")
         zeros = np.zeros
 
         def refuse_square(shape, *args, **kwargs):
@@ -170,6 +175,21 @@ class TestErrors:
         monkeypatch.setattr(np, "zeros", refuse_square)
         target = tmp_path / "out.json"
         code = main([command, "--children", "2,2", "--out", str(target)])
+        captured = capsys.readouterr()
+        if command == "eigvecs":
+            assert code == 0 and captured.err == ""
+            assert target.read_text() == expected
+            return
+        assert code == 3
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not target.exists()
+
+    def test_unallocatable_basis_rows(self, capsys, tmp_path):
+        # 10^15 + 1 vertices under a raised cap: the table of its rows is
+        # refused at once, before the output is created
+        target = tmp_path / "basis.json"
+        argv = ["eigvecs", "--children", "1000000000000000", "--basis-cap", str(10**16)]
+        code = main([*argv, "--out", str(target)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -371,53 +391,80 @@ class TestEigvecs:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_signed_zeros_and_neighbouring_floats(self, capsys, monkeypatch, fmt):
+        # the level values, eigenvalues and residuals of the [3, 2] basis
+        # replaced by floats whose texts must stay apart
         x = 0.1
-        vectors = np.array(
-            [
-                [0.0, -0.0, x, np.nextafter(x, 1.0)],
-                [-0.0, np.nextafter(x, 1.0), x, 0.0],
-                [np.nan, np.inf, -np.inf, -x],
-                [5e-324, -5e-324, 1e300, -0.0],
-            ]
+        up = np.nextafter(x, 1.0)
+        basis = full_eigenbasis(SymmetricTreeSpec([3, 2]))
+        level_values = (
+            [[0.0, -0.0, x], [up, -0.0, x], [np.nan, np.inf, -np.inf]],
+            [[5e-324, -5e-324], [1e300, -x]],
+            [[-0.0]],
         )
-        basis = EigenBasis(
-            np.array([-0.0, 0.0, x, np.nextafter(x, 1.0)]),
-            vectors,
-            np.array([0, 1, 1, 2]),
-            ["stratified", "antisym", "antisym", "antisym"],
-            np.array([0.0, 1e-17, np.nextafter(1e-17, 1.0), 5e-324]),
+        heads = ([-0.0, 0.0, x], [up, np.inf], [5e-324])
+        residuals = ([0.0, 1e-17, np.nextafter(1e-17, 1.0)], [5e-324, 0.0], [-0.0])
+        families = tuple(
+            fam._replace(values=np.array(v), g=np.array(g))
+            for fam, v, g in zip(basis.families, heads, level_values)
+        )
+        f, i = basis.members[:, 0].tolist(), basis.members[:, 2].tolist()
+        basis = dataclasses.replace(
+            basis,
+            values=np.array([heads[a][b] for a, b in zip(f, i)]),
+            residuals=np.array([residuals[a][b] for a, b in zip(f, i)]),
+            families=families,
         )
         monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
-        code, out = run(capsys, "eigvecs", "--children", "3", "--format", fmt)
+        code, out = run(capsys, "eigvecs", "--children", "3,2", "--format", fmt)
         assert code == 0
         assert out == encoded_eigvecs(basis, fmt)
         if fmt == "json":
-            assert out.count("-0.0") == 4
+            cells = np.concatenate([basis.to_dense().ravel(), basis.values, basis.residuals])
+            assert out.count("-0.0") == np.sum((cells == 0.0) & np.signbit(cells)) > 0
 
     def test_streams_without_the_whole_document(self, tmp_path):
-        # |V| = 448: the basis itself is 1.6 MB; the whole indented JSON
-        # document and its chunk list peaked at 25 MB
-        n = SymmetricTreeSpec([3, 4, 2, 1, 4, 3]).vertex_count()
+        # |V| = 1291: the basis is never an n x n array (13 MB), and the
+        # indented JSON document (19 MB) is never held whole
+        n = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3]).vertex_count()
         tracemalloc.start()
         try:
-            code = main(["eigvecs", "--children", "3,4,2,1,4,3", "--out", str(tmp_path / "b.json")])
+            code = main(["eigvecs", "--children", "3,1,4,1,3,2,4,3", "--out", str(tmp_path / "b.json")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 8 * n * n * 8
+        assert peak < 8 * n * n
 
+
+def golden_eigvecs():
+    """(children, format, SHA-256) of each line of ``data/eigvecs.sha256``,
+    a ``sha256sum`` file whose names are ``eigvecs-<children>.<format>``."""
+    path = os.path.join(os.path.dirname(__file__), "data", "eigvecs.sha256")
+    with open(path) as fh:
+        for line in fh:
+            digest, name = line.split()
+            children, fmt = name.removeprefix("eigvecs-").rsplit(".", 1)
+            yield pytest.param(children, fmt, digest, id=name)
+
+
+@pytest.mark.parametrize("children, fmt, digest", golden_eigvecs())
+def test_eigvecs_golden_bytes(tmp_path, children, fmt, digest):
+    # recorded before the basis was held as level blocks, from the n x n array
+    target = tmp_path / "out"
+    assert main(["eigvecs", "--children", children, "--format", fmt, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 def encoded_eigvecs(basis, fmt):
     """``eigvecs`` output built with the json and csv encoders from the
     whole list of rows: the reference the streaming writer must match."""
+    vectors = basis.to_dense()
     rows = [
         {
             "lambda": float(basis.values[i]),
             "origin_level": int(basis.origin_levels[i]),
             "construction": basis.construction[i],
             "residual": float(basis.residuals[i]),
-            "vector": [float(x) for x in basis.vectors[i]],
+            "vector": vectors[i].tolist(),
         }
         for i in range(basis.n)
     ]

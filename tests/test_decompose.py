@@ -238,7 +238,8 @@ def level_offsets(spec):
 
 
 def rows_of(basis, construction):
-    return [basis.vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
+    vectors = basis.to_dense()
+    return [vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
 
 
 def swap_subtrees(spec, l0, a, b):
@@ -274,7 +275,7 @@ class TestStratifiedLift:
     def test_kernel_vector(self):
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
         assert basis.values[0] == 0.0 and basis.construction[0] == "stratified"
-        f = basis.vectors[0]
+        f = basis.to_dense()[0]
         assert f[0] > 0 and np.allclose(f, f[0], rtol=1e-15, atol=0)
 
     def test_rejects_vanishing_root(self, monkeypatch):
@@ -286,10 +287,11 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec([3, 2, 2])
         lap = assemble(realize(spec))
         basis = full_eigenbasis(spec)
+        vectors = basis.to_dense()
         strat = [i for i in range(basis.n) if basis.construction[i] == "stratified"]
         assert len(strat) == spec.levels
         for i in strat:
-            lam, f = basis.values[i], basis.vectors[i]
+            lam, f = basis.values[i], vectors[i]
             assert np.max(np.abs(matvec(lap, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
 
     def test_constant_per_level(self):
@@ -307,7 +309,7 @@ class TestStratifiedLift:
             spec = SymmetricTreeSpec(children)
             pops, off = spec.populations(), level_offsets(spec)
             basis = full_eigenbasis(spec)
-            for f, l0 in zip(basis.vectors, basis.origin_levels.tolist()):
+            for f, l0 in zip(basis.to_dense(), basis.origin_levels.tolist()):
                 if l0 == 0:
                     continue
                 assert not np.any(f[: off[l0]])
@@ -355,9 +357,10 @@ class TestAntisymLift:
         # no sibling difference is built at the root level: all vanish there
         for children in ([2], [3, 2]):
             basis = full_eigenbasis(SymmetricTreeSpec(children))
+            vectors = basis.to_dense()
             for i in range(basis.n):
                 if basis.construction[i] == "antisym":
-                    assert basis.origin_levels[i] >= 1 and basis.vectors[i][0] == 0.0
+                    assert basis.origin_levels[i] >= 1 and vectors[i][0] == 0.0
 
     def test_rejects_vanishing_at_subtree_root(self, monkeypatch):
         monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(1))
@@ -377,7 +380,7 @@ class TestAntisymLift:
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        deep = basis.vectors[basis.origin_levels == 1]
+        deep = basis.to_dense()[basis.origin_levels == 1]
         assert len(deep) == 2 and not np.signbit(deep[:, 3:]).any()
 
 
@@ -389,7 +392,7 @@ class TestSymmetrize:
         basis = full_eigenbasis(spec)
         perm = swap_subtrees(spec, 1, 0, 1)
         negated = 0
-        for f, kind, l0 in zip(basis.vectors, basis.construction, basis.origin_levels):
+        for f, kind, l0 in zip(basis.to_dense(), basis.construction, basis.origin_levels):
             if kind == "stratified":
                 assert np.array_equal(f[perm], f)
             elif l0 == 1 and f[1] and f[2]:  # child 1 minus child 2
@@ -404,14 +407,14 @@ class TestFullEigenbasis:
         assert basis.n == 3
         assert np.allclose(np.sort(basis.values), [0.0, 1.0, 3.0], atol=1e-10)
         i = int(np.argmin(np.abs(basis.values - 1.0)))
-        v = basis.vectors[i]
+        v = basis.to_dense()[i]
         assert v[0] == 0.0 and v[1] == -v[2]
 
     def test_single_vertex(self):
         basis = full_eigenbasis(SymmetricTreeSpec([]))
         assert basis.n == 1
         assert basis.values.tolist() == [0.0]
-        assert basis.vectors.tolist() == [[1.0]]
+        assert basis.to_dense().tolist() == [[1.0]]
 
     def test_matches_decomposition_multiset(self):
         spec = SymmetricTreeSpec([3, 2])
@@ -425,9 +428,15 @@ class TestFullEigenbasis:
             spec = SymmetricTreeSpec(children)
             basis = full_eigenbasis(spec)
             assert basis.n == spec.vertex_count()
-            scales = np.max(np.abs(basis.vectors), axis=1)
+            scales = np.max(np.abs(basis.to_dense()), axis=1)
             assert np.all(basis.residuals <= 1e-9 * scales)
             assert basis.full_rank(1e-8)
+
+    def test_scales_are_the_dense_rows_peaks(self):
+        for children in [[], [2], [3, 2], [2, 1, 3], [3, 1, 4, 1]]:
+            basis = full_eigenbasis(SymmetricTreeSpec(children))
+            dense = np.max(np.abs(basis.to_dense()), axis=1)
+            assert basis.scales().tobytes() == dense.tobytes()
 
     def test_construction_tags(self):
         basis = full_eigenbasis(SymmetricTreeSpec([3, 2]))
@@ -452,7 +461,7 @@ class TestFullEigenbasis:
         entries = eigenbasis_by_vector(spec)
         assert basis.values.tolist() == [e[0] for e in entries]
         assert basis.origin_levels.tolist() == [e[1] for e in entries]
-        assert basis.vectors.tobytes() == np.array([e[2] for e in entries]).tobytes()
+        assert basis.to_dense().tobytes() == np.array([e[2] for e in entries]).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
@@ -467,7 +476,8 @@ class TestFullEigenbasis:
         assert_residuals_per_vector(SymmetricTreeSpec(children))
 
     def test_peak_memory_is_one_basis(self):
-        # the n x n array is allocated once and every vector written in place
+        # no n x n array: the basis is its level values and one row table,
+        # and a family's residuals are taken on k - l0 vectors of length n
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
         n = spec.vertex_count()
         tracemalloc.start()
@@ -476,16 +486,17 @@ class TestFullEigenbasis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert peak < 0.25 * 8 * n * n
 
     def test_stratified_vectors_exactly_constant_per_level(self):
         spec = SymmetricTreeSpec([2, 3, 2])
         off = level_offsets(spec)
         basis = full_eigenbasis(spec)
+        vectors = basis.to_dense()
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
                 continue
-            f = basis.vectors[i]
+            f = vectors[i]
             for l in range(spec.levels):
                 level = f[off[l] : off[l + 1]]
                 assert np.all(level == level[0])
@@ -497,7 +508,7 @@ def assert_residuals_per_vector(spec):
     lap = assemble(realize(spec))
     loop = [
         float(np.max(np.abs(matvec(lap, f) - lam * f)))
-        for lam, f in zip(basis.values.tolist(), basis.vectors)
+        for lam, f in zip(basis.values.tolist(), basis.to_dense())
     ]
     assert basis.residuals.tobytes() == np.array(loop).tobytes()
 
@@ -528,20 +539,22 @@ def eigenbasis_by_vector(spec):
     return entries
 
 
-def basis_of(vectors):
+def rank_of(monkeypatch, vectors, threshold):
+    """``full_rank`` of a basis whose rows are ``vectors``."""
     vectors = np.asarray(vectors, dtype=float)
-    n = len(vectors)
-    return EigenBasis(np.zeros(n), vectors, np.zeros(n, dtype=int), ["stratified"] * n, np.zeros(n))
+    basis = full_eigenbasis(SymmetricTreeSpec([len(vectors) - 1]))  # a star of len(vectors) vertices
+    monkeypatch.setattr(EigenBasis, "to_dense", lambda self: vectors.copy())
+    return basis.full_rank(threshold)
 
 
 class TestFullRank:
-    def test_repeated_vector(self):
-        assert not basis_of([[1, 0, 0], [0, 2, 0], [0, 1, 0]]).full_rank(1e-8)
+    def test_repeated_vector(self, monkeypatch):
+        assert not rank_of(monkeypatch, [[1, 0, 0], [0, 2, 0], [0, 1, 0]], 1e-8)
 
     @pytest.mark.parametrize("component, expected", [(1e-9, False), (1e-7, True)])
-    def test_threshold_on_the_last_rows_new_component(self, component, expected):
+    def test_threshold_on_the_last_rows_new_component(self, monkeypatch, component, expected):
         vectors = [[1, 0, 0], [1, 1, 0], [0, 1, component]]
-        assert basis_of(vectors).full_rank(1e-8) is expected
+        assert rank_of(monkeypatch, vectors, 1e-8) is expected
 
 
 class TestMultiplicityLowerBound:

@@ -162,6 +162,20 @@ def test_dense_cap_refused_before_copying(monkeypatch):
     assert calls == []
 
 
+
+def test_oracle_drops_the_dense_laplacian_before_purifying():
+    # purification reads only the Laplacian's diagonal, so the n x n matrix
+    # is released after eigh; held through purification it peaked at 5.0x
+    spec = SymmetricTreeSpec([2] * 10)
+    n = spec.vertex_count()
+    tracemalloc.start()
+    try:
+        verify.oracle(spec, cap=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n * n
+
 def dense_purified(a, tol=1e-8):
     """(start, stop, basis) per repeated eigenvalue of ``a``, purified by
     one dense shifted solve per cluster: the reference for the tree solve."""
