@@ -24,6 +24,7 @@ from typing import NoReturn, TextIO
 
 from .decompose import (
     DEFAULT_BASIS_CAP,
+    BlockVectors,
     EigenBasis,
     decompose_spectrum,
     full_eigenbasis,
@@ -182,62 +183,56 @@ _EIGVECS_JSON_ROW = (
 )
 
 
-def _row_pieces(basis: EigenBasis, sep: str) -> Iterator[tuple[tuple[int, int], list[str]]]:
-    """Each row of ``basis`` as its (family, position) and the pieces of its
-    JSON numbers joined by ``sep``.
+def _row_pieces(vectors: BlockVectors, sep: str) -> Iterator[tuple[bool, list[str]]]:
+    """Each row of ``vectors`` as the pieces of its JSON numbers joined by
+    ``sep``, flagged when its (family, position) is not the row before's.
 
-    Each level value g[i, j] and its negation 0.0 - g[i, j] is formatted
-    once, by ``json.dumps``, so the text matches the JSON encoder's (0.0
-    and -0.0 stay apart; NaN and Infinity are spelled its way).  A row is
-    then a few runs of one number each: ``text + sep`` repeated, with the
-    last number written without ``sep``.
+    The rows of one (family, position) share their entries and lie
+    together in the sorted order, so each entry (a level value g[i, j], its
+    negation or zero) is formatted once per such run, by ``json.dumps``;
+    the text matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and
+    Infinity are spelled its way).  A row is then a few runs of one number
+    each: ``text + sep`` repeated, with the last number written without
+    ``sep``.
     """
-    zero = json.dumps(0.0) + sep
-    texts = [
-        [
-            [zero, *(json.dumps(x) + sep for x in row), *(json.dumps(x) + sep for x in neg)]
-            for row, neg in zip(fam.g.tolist(), (0.0 - fam.g).tolist())
-        ]
-        for fam in basis.families
-    ]
-    for f, p, i, s in basis.members.tolist():
-        cells = texts[f][i]
-        *body, (last, count) = basis.runs(f, p, s)
+    key = None
+    for f, p, i, s in vectors.members.tolist():
+        new = (f, i) != key
+        if new:
+            key = (f, i)
+            cells = [json.dumps(x) + sep for x in vectors.entries(f, i).tolist()]
+        *body, (last, count) = vectors.runs(f, p, s)
         pieces = [cells[entry] * width for entry, width in body]
         pieces.append(cells[last] * (count - 1))
         pieces.append(cells[last][: -len(sep)])
-        yield (f, i), pieces
+        yield new, pieces
 
 
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     """Write ``basis`` one row at a time, in the layout of
     ``json.dumps(rows, indent=2)`` or of ``_rows_to_csv`` with the vector
-    column as compact JSON.  The fields before the vector are formatted
-    once per (family, position), which they depend on alone."""
-    heads: dict[tuple[int, int], object] = {}
+    column as compact JSON.  The fields before the vector depend only on
+    the row's (family, position), so they are formatted once per run of
+    its rows."""
     rows = zip(
         basis.values.tolist(),
         basis.origin_levels.tolist(),
         basis.construction,
         basis.residuals.tolist(),
-        _row_pieces(basis, ", " if fmt == "csv" else ",\n      "),
+        _row_pieces(basis.vectors, ", " if fmt == "csv" else ",\n      "),
     )
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-        for lam, level, kind, res, (key, pieces) in rows:
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = [_fmt_float(lam), level, kind, _fmt_float(res)]
+        for lam, level, kind, res, (new, pieces) in rows:
+            if new:
+                head = [_fmt_float(lam), level, kind, _fmt_float(res)]
             writer.writerow([*head, "".join(["[", *pieces, "]"])])
         return
     sep = "[\n"
-    for lam, level, kind, res, (key, pieces) in rows:
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = _EIGVECS_JSON_ROW.format(
-                json.dumps(lam), level, json.dumps(kind), json.dumps(res)
-            )
+    for lam, level, kind, res, (new, pieces) in rows:
+        if new:
+            head = _EIGVECS_JSON_ROW.format(json.dumps(lam), level, json.dumps(kind), json.dumps(res))
         fh.write("".join([sep, head, *pieces, "\n    ]\n  }"]))
         sep = ",\n"
     fh.write("\n]\n")

@@ -14,12 +14,12 @@ eigenfunction on one subtree minus its copy on a sibling subtree, which
 yields exactly n(l0) - n(l0-1) independent vectors per recurrence
 eigenvalue at level l0.  In breadth-first numbering a subtree holds one
 contiguous block of columns per level, so every eigenvector is one
-constant per block.  The eigenbasis is therefore held implicitly, as each
-level family's values g and one (family, parent, position, sibling) entry
-per vector: O(k^3) numbers plus O(|V|) entries, not |V|^2.  A row is
-produced as runs of equal entries (``EigenBasis.runs``) when it is
-written, and ``EigenBasis.to_dense`` builds the |V| x |V| array only for
-the rank check.
+constant per block.  The eigenbasis is therefore held implicitly
+(``BlockVectors``), as each level family's values g and one (family,
+parent, position, sibling) entry per vector: O(k^3) numbers plus O(|V|)
+entries, not |V|^2.  A row is produced as runs of equal entries
+(``BlockVectors.runs``) when it is written, and ``BlockVectors.to_dense``
+builds the |V| x |V| array only for the rank check.
 """
 
 from __future__ import annotations
@@ -161,30 +161,48 @@ class LevelFamily(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EigenBasis:
-    """Complete eigenbasis of the full Laplacian with residual certificates.
+class BlockVectors:
+    """The vectors of an eigenbasis, held as their level values.
 
-    The rows are sorted by (eigenvalue, origin level) and held implicitly:
     ``members[r]`` is the (family, parent rank p, position i, sibling s) of
     row r.  Its vector is g[i] of ``families[family]`` on the subtree of
     p's first child minus its copy on the subtree of p's child s, or g[i]
     on the whole tree at the root level (where p = s = 0).
-    ``construction`` says whether a vector is a whole-tree stratified
-    vector ("stratified") or a sibling difference ("antisym").  A row's
-    value, origin level and residual depend only on its family and i.
     """
 
-    values: np.ndarray
-    origin_levels: np.ndarray
-    construction: list[str]
-    residuals: np.ndarray
     populations: tuple[int, ...]
     families: tuple[LevelFamily, ...]
     members: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.values)
+    def nbytes(self) -> int:
+        """Bytes of the arrays that hold the vectors: the level values and
+        the row table."""
+        return sum(fam.g.nbytes for fam in self.families) + self.members.nbytes
+
+    def blocks(self, family: int, p, s) -> list[tuple]:
+        """The nonzero blocks of the rows of ``family`` with parent rank p
+        and sibling s, in column order, as (first column, width, level j,
+        negated).
+
+        A subtree holds one contiguous block of columns per level, so a row
+        is g[i, j] on p's first child's block at the family's level j and,
+        below the root level, 0.0 - g[i, j] on p's child s's block.  p and s
+        may be arrays of one shape, and the first columns are then arrays of
+        that shape.
+        """
+        l0, c, _, _ = self.families[family]
+        pops = self.populations
+        out = []
+        offset = sum(pops[:l0])
+        for j, pop in enumerate(pops[l0:]):
+            width = pop // pops[l0]  # one subtree's block at this level
+            first = offset + p * c * width
+            out.append((first, width, j, False))
+            if l0:
+                out.append((first + s * width, width, j, True))
+            offset += pop
+        return out
 
     def runs(self, family: int, p: int, s: int) -> list[tuple[int, int]]:
         """The rows of ``family`` with parent rank p and sibling s, as runs
@@ -192,49 +210,75 @@ class EigenBasis:
 
         A run is (entry, count), where the entry indexes the row's values
         (0.0, g[i, 0], ..., g[i, m-1], 0.0 - g[i, 0], ..., 0.0 - g[i, m-1])
-        and m is the family's level count.  Runs of zeros are merged across
-        levels.
+        and m is the family's level count; ``entries`` gives those values.
+        Runs of zeros are merged across levels.
         """
-        l0, c, _, _ = self.families[family]
-        pops = self.populations
-        m = len(pops) - l0
-        out = []
-        zeros = sum(pops[:l0])
-        for j, pop in enumerate(pops[l0:]):
-            width = pop // pops[l0]  # one subtree's block at this level
-            zeros += p * c * width
-            if zeros:
-                out.append((0, zeros))
-            out.append((1 + j, width))
-            zeros = pop - (p + 1) * c * width
-            if l0:
-                if s > 1:
-                    out.append((0, (s - 1) * width))
-                out.append((1 + m + j, width))
-                zeros += (c - 1 - s) * width
-        if zeros:
-            out.append((0, zeros))
+        m = len(self.families[family].values)
+        out, end = [], 0
+        for first, width, j, negated in self.blocks(family, p, s):
+            if first > end:
+                out.append((0, first - end))
+            out.append((1 + j + m * negated, width))
+            end = first + width
+        if end < len(self.members):
+            out.append((0, len(self.members) - end))
         return out
+
+    def entries(self, family: int, i: int) -> np.ndarray:
+        """The values that ``runs`` indexes for position i of ``family``:
+        0.0, g[i] and 0.0 - g[i] (never -g, so a zero stays +0.0)."""
+        g = self.families[family].g[i]
+        return np.concatenate(([0.0], g, 0.0 - g))
+
+    def columns(self, family: int, p: int, s: int) -> np.ndarray:
+        """The entry of each column of the rows of ``family`` with parent
+        rank p and sibling s: row i is ``entries(family, i)[columns]``."""
+        entry, count = np.array(self.runs(family, p, s)).T
+        return entry.repeat(count)
 
     def scales(self) -> np.ndarray:
         """The largest magnitude in each row, read from the level values."""
         return _per_row([np.max(np.abs(fam.g), axis=1) for fam in self.families], self.members)
 
     def to_dense(self) -> np.ndarray:
-        """The basis as an n x n array, one vector per row.
+        """The vectors as an n x n array, one per row.
 
         An array that cannot be allocated is a ``CapacityError``.
         """
-        n = self.n
+        n = len(self.members)
         try:
-            vectors = np.zeros((n, n))
+            out = np.zeros((n, n))
         except MemoryError:
             raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
         for f, fam in enumerate(self.families):
             rows = np.flatnonzero(self.members[:, 0] == f)
             _, p, i, s = self.members[rows].T
-            _lay(vectors, rows, self.populations, fam, p, i, s)
-        return vectors
+            for first, width, j, negated in self.blocks(f, p, s):
+                v = 0.0 - fam.g[i, j] if negated else fam.g[i, j]
+                out[rows[:, None], first[:, None] + np.arange(width)] = v[:, None]
+        return out
+
+
+@dataclass(frozen=True)
+class EigenBasis:
+    """Complete eigenbasis of the full Laplacian with residual certificates.
+
+    The rows are sorted by (eigenvalue, origin level); ``vectors`` holds
+    them implicitly.  ``construction`` says whether a vector is a
+    whole-tree stratified vector ("stratified") or a sibling difference
+    ("antisym").  A row's value, origin level and residual depend only on
+    its family and position.
+    """
+
+    values: np.ndarray
+    origin_levels: np.ndarray
+    construction: list[str]
+    residuals: np.ndarray
+    vectors: BlockVectors
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Pivot threshold on the unit-normalized rows' Gram-Schmidt norms.
@@ -242,7 +286,7 @@ class EigenBasis:
         |R_ii| of a QR of the rows (as columns) is the norm of row i's
         component orthogonal to the rows before it.
         """
-        q = self.to_dense()
+        q = self.vectors.to_dense()
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
         return len(pivots) == self.n and bool(np.all(pivots > threshold))
@@ -254,24 +298,6 @@ def _per_row(per_family: list[np.ndarray], members: np.ndarray) -> np.ndarray:
     return np.concatenate(per_family)[starts[members[:, 0]] + members[:, 2]]
 
 
-def _lay(out: np.ndarray, rows: np.ndarray, pops, fam: LevelFamily, p, i, s) -> None:
-    """Write the vectors of ``fam``'s members (p, i, s) into ``out[rows]``.
-
-    A subtree's vertices at each level are one contiguous block of
-    columns, so each vector is one constant per block: g[i, j] on the
-    subtree of p's first child at level l0 + j, and 0.0 - g[i, j] (never
-    -g, so a zero stays +0.0) on the subtree of p's child s.
-    """
-    l0, c, _, g = fam
-    offsets = np.cumsum([0, *pops])
-    for j, l in enumerate(range(l0, len(pops))):
-        width = pops[l] // pops[l0]
-        first = offsets[l] + (p * c * width)[:, None] + np.arange(width)
-        out[rows[:, None], first] = g[i, j][:, None]
-        if l0:
-            out[rows[:, None], first + (s * width)[:, None]] = 0.0 - g[i, j][:, None]
-
-
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:
     """All |V| eigenpairs of the full Laplacian, residual-certified.
 
@@ -281,7 +307,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
     those level values and one (family, p, i, s) entry per vector; no
-    |V| x |V| array is built (``EigenBasis.to_dense`` builds one).
+    |V| x |V| array is built (``BlockVectors.to_dense`` builds one).
     """
     n = spec.vertex_count()
     if n > basis_cap:
@@ -315,8 +341,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     # Sorted by (value, l0); ties keep the (l0, p, i, s) order they were made in.
     order = np.lexsort((s, i, p, levels, values))
     assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
-    members = members[order]
-
+    vectors = BlockVectors(tuple(pops), tuple(families), members[order])
     lap = assemble(realize(spec))
     residuals = np.empty(n)
     for f, fam in enumerate(families):
@@ -324,13 +349,13 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
         # sibling member: the others hold the same level values on congruent
         # subtrees (every vertex of a level has the same row layout) or their
         # exact negation, so their residuals are bitwise the same.
-        m = len(fam.values)
-        reps = np.zeros((m, n))
-        first = np.full(m, 1 if fam.level else 0)
-        _lay(reps, np.arange(m), pops, fam, np.zeros(m, dtype=np.int64), np.arange(m), first)
-        res = [float(np.max(np.abs(matvec(lap, v) - lam * v))) for lam, v in zip(fam.values.tolist(), reps)]
-        rows = members[:, 0] == f
-        residuals[rows] = np.array(res)[members[rows, 2]]
+        cols = vectors.columns(f, 0, 1 if fam.level else 0)
+        res = []
+        for i, lam in enumerate(fam.values.tolist()):
+            v = vectors.entries(f, i)[cols]
+            res.append(float(np.max(np.abs(matvec(lap, v) - lam * v))))
+        rows = vectors.members[:, 0] == f
+        residuals[rows] = np.array(res)[vectors.members[rows, 2]]
 
     origin_levels = levels[order]
     return EigenBasis(
@@ -338,7 +363,5 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
         origin_levels,
         ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()],
         residuals,
-        tuple(pops),
-        tuple(families),
-        members,
+        vectors,
     )

@@ -68,7 +68,7 @@ def check_counting(*specs: SymmetricTreeSpec) -> CheckResult:
 def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = 100_000) -> CheckResult:
     """Residual certificates plus full rank of the constructed basis."""
     basis = full_eigenbasis(spec, basis_cap=basis_cap)
-    scales = basis.scales()
+    scales = basis.vectors.scales()
     rel = float(np.max(basis.residuals / scales)) if basis.n else 0.0
     ok = rel <= RESIDUAL_TOL and basis.n == spec.vertex_count() and basis.full_rank(RANK_THRESHOLD)
     return CheckResult("eigenbasis_certificate", ok, rel)

@@ -101,7 +101,7 @@ def test_criterion_4_eigenbasis_certificate(sweep):
         if basis.n != spec.vertex_count():
             ok = False
             continue
-        scales = np.max(np.abs(basis.to_dense()), axis=1)
+        scales = np.max(np.abs(basis.vectors.to_dense()), axis=1)
         rel = float(np.max(basis.residuals / scales))
         worst = max(worst, rel)
         if rel > RESIDUAL_TOL or not basis.full_rank(RANK_THRESHOLD):
@@ -212,7 +212,7 @@ def test_criterion_9_stratification_structure():
     for spec in [SymmetricTreeSpec(c) for c in ([2], [3, 2], [2, 2, 2], [4, 1, 3], [2, 3, 2, 2])]:
         offsets = np.cumsum([0, *spec.populations()])
         basis = full_eigenbasis(spec)
-        vectors = basis.to_dense()
+        vectors = basis.vectors.to_dense()
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
                 continue

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import stratree.decompose as decompose
 from stratree.decompose import (
-    EigenBasis,
+    BlockVectors,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
@@ -238,7 +238,7 @@ def level_offsets(spec):
 
 
 def rows_of(basis, construction):
-    vectors = basis.to_dense()
+    vectors = basis.vectors.to_dense()
     return [vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
 
 
@@ -275,7 +275,7 @@ class TestStratifiedLift:
     def test_kernel_vector(self):
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
         assert basis.values[0] == 0.0 and basis.construction[0] == "stratified"
-        f = basis.to_dense()[0]
+        f = basis.vectors.to_dense()[0]
         assert f[0] > 0 and np.allclose(f, f[0], rtol=1e-15, atol=0)
 
     def test_rejects_vanishing_root(self, monkeypatch):
@@ -287,7 +287,7 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec([3, 2, 2])
         lap = assemble(realize(spec))
         basis = full_eigenbasis(spec)
-        vectors = basis.to_dense()
+        vectors = basis.vectors.to_dense()
         strat = [i for i in range(basis.n) if basis.construction[i] == "stratified"]
         assert len(strat) == spec.levels
         for i in strat:
@@ -309,7 +309,7 @@ class TestStratifiedLift:
             spec = SymmetricTreeSpec(children)
             pops, off = spec.populations(), level_offsets(spec)
             basis = full_eigenbasis(spec)
-            for f, l0 in zip(basis.to_dense(), basis.origin_levels.tolist()):
+            for f, l0 in zip(basis.vectors.to_dense(), basis.origin_levels.tolist()):
                 if l0 == 0:
                     continue
                 assert not np.any(f[: off[l0]])
@@ -357,7 +357,7 @@ class TestAntisymLift:
         # no sibling difference is built at the root level: all vanish there
         for children in ([2], [3, 2]):
             basis = full_eigenbasis(SymmetricTreeSpec(children))
-            vectors = basis.to_dense()
+            vectors = basis.vectors.to_dense()
             for i in range(basis.n):
                 if basis.construction[i] == "antisym":
                     assert basis.origin_levels[i] >= 1 and vectors[i][0] == 0.0
@@ -380,7 +380,7 @@ class TestAntisymLift:
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        deep = basis.to_dense()[basis.origin_levels == 1]
+        deep = basis.vectors.to_dense()[basis.origin_levels == 1]
         assert len(deep) == 2 and not np.signbit(deep[:, 3:]).any()
 
 
@@ -392,7 +392,7 @@ class TestSymmetrize:
         basis = full_eigenbasis(spec)
         perm = swap_subtrees(spec, 1, 0, 1)
         negated = 0
-        for f, kind, l0 in zip(basis.to_dense(), basis.construction, basis.origin_levels):
+        for f, kind, l0 in zip(basis.vectors.to_dense(), basis.construction, basis.origin_levels):
             if kind == "stratified":
                 assert np.array_equal(f[perm], f)
             elif l0 == 1 and f[1] and f[2]:  # child 1 minus child 2
@@ -407,14 +407,14 @@ class TestFullEigenbasis:
         assert basis.n == 3
         assert np.allclose(np.sort(basis.values), [0.0, 1.0, 3.0], atol=1e-10)
         i = int(np.argmin(np.abs(basis.values - 1.0)))
-        v = basis.to_dense()[i]
+        v = basis.vectors.to_dense()[i]
         assert v[0] == 0.0 and v[1] == -v[2]
 
     def test_single_vertex(self):
         basis = full_eigenbasis(SymmetricTreeSpec([]))
         assert basis.n == 1
         assert basis.values.tolist() == [0.0]
-        assert basis.to_dense().tolist() == [[1.0]]
+        assert basis.vectors.to_dense().tolist() == [[1.0]]
 
     def test_matches_decomposition_multiset(self):
         spec = SymmetricTreeSpec([3, 2])
@@ -428,15 +428,15 @@ class TestFullEigenbasis:
             spec = SymmetricTreeSpec(children)
             basis = full_eigenbasis(spec)
             assert basis.n == spec.vertex_count()
-            scales = np.max(np.abs(basis.to_dense()), axis=1)
+            scales = np.max(np.abs(basis.vectors.to_dense()), axis=1)
             assert np.all(basis.residuals <= 1e-9 * scales)
             assert basis.full_rank(1e-8)
 
     def test_scales_are_the_dense_rows_peaks(self):
         for children in [[], [2], [3, 2], [2, 1, 3], [3, 1, 4, 1]]:
             basis = full_eigenbasis(SymmetricTreeSpec(children))
-            dense = np.max(np.abs(basis.to_dense()), axis=1)
-            assert basis.scales().tobytes() == dense.tobytes()
+            dense = np.max(np.abs(basis.vectors.to_dense()), axis=1)
+            assert basis.vectors.scales().tobytes() == dense.tobytes()
 
     def test_construction_tags(self):
         basis = full_eigenbasis(SymmetricTreeSpec([3, 2]))
@@ -461,7 +461,7 @@ class TestFullEigenbasis:
         entries = eigenbasis_by_vector(spec)
         assert basis.values.tolist() == [e[0] for e in entries]
         assert basis.origin_levels.tolist() == [e[1] for e in entries]
-        assert basis.to_dense().tobytes() == np.array([e[2] for e in entries]).tobytes()
+        assert basis.vectors.to_dense().tobytes() == np.array([e[2] for e in entries]).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
@@ -477,7 +477,8 @@ class TestFullEigenbasis:
 
     def test_peak_memory_is_one_basis(self):
         # no n x n array: the basis is its level values and one row table,
-        # and a family's residuals are taken on k - l0 vectors of length n
+        # and a family's residuals are taken on one vector of length n at a
+        # time
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
         n = spec.vertex_count()
         tracemalloc.start()
@@ -492,7 +493,7 @@ class TestFullEigenbasis:
         spec = SymmetricTreeSpec([2, 3, 2])
         off = level_offsets(spec)
         basis = full_eigenbasis(spec)
-        vectors = basis.to_dense()
+        vectors = basis.vectors.to_dense()
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
                 continue
@@ -508,7 +509,7 @@ def assert_residuals_per_vector(spec):
     lap = assemble(realize(spec))
     loop = [
         float(np.max(np.abs(matvec(lap, f) - lam * f)))
-        for lam, f in zip(basis.values.tolist(), basis.to_dense())
+        for lam, f in zip(basis.values.tolist(), basis.vectors.to_dense())
     ]
     assert basis.residuals.tobytes() == np.array(loop).tobytes()
 
@@ -543,7 +544,7 @@ def rank_of(monkeypatch, vectors, threshold):
     """``full_rank`` of a basis whose rows are ``vectors``."""
     vectors = np.asarray(vectors, dtype=float)
     basis = full_eigenbasis(SymmetricTreeSpec([len(vectors) - 1]))  # a star of len(vectors) vertices
-    monkeypatch.setattr(EigenBasis, "to_dense", lambda self: vectors.copy())
+    monkeypatch.setattr(BlockVectors, "to_dense", lambda self: vectors.copy())
     return basis.full_rank(threshold)
 
 

@@ -162,7 +162,6 @@ def test_dense_cap_refused_before_copying(monkeypatch):
     assert calls == []
 
 
-
 def test_oracle_drops_the_dense_laplacian_before_purifying():
     # purification reads only the Laplacian's diagonal, so the n x n matrix
     # is released after eigh; held through purification it peaked at 5.0x
@@ -175,6 +174,7 @@ def test_oracle_drops_the_dense_laplacian_before_purifying():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 8 * n * n
+
 
 def dense_purified(a, tol=1e-8):
     """(start, stop, basis) per repeated eigenvalue of ``a``, purified by
