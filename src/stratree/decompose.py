@@ -17,9 +17,9 @@ contiguous block of columns per level, so every eigenvector is one
 constant per block.  The eigenbasis is therefore held implicitly
 (``BlockVectors``), as each level family's values g and one (family,
 parent, position, sibling) entry per vector: O(k^3) numbers plus O(|V|)
-entries, not |V|^2.  A row is produced as runs of equal entries
-(``BlockVectors.runs``) when it is written, and ``BlockVectors.to_dense``
-builds the |V| x |V| array only for the rank check.
+entries, not |V|^2.  A row is written as runs of equal entries
+(``BlockVectors.runs``), and the basis's rank is certified from the level
+families (``EigenBasis.full_rank``): no |V| x |V| array is built.
 """
 
 from __future__ import annotations
@@ -149,13 +149,11 @@ def expanded_spectrum(lines) -> np.ndarray:
 class LevelFamily(NamedTuple):
     """The basis vectors built from the recurrence rooted at level ``level``.
 
-    ``children`` is the number of sibling subtrees below each parent at
-    level ``level - 1`` (1 at the root level), and row i of ``g`` holds
-    eigenvalue ``values[i]``'s value on each level from ``level`` down.
+    Row i of ``g`` holds eigenvalue ``values[i]``'s value on each level from
+    ``level`` down.
     """
 
     level: int
-    children: int
     values: np.ndarray
     g: np.ndarray
 
@@ -191,13 +189,12 @@ class BlockVectors:
         may be arrays of one shape, and the first columns are then arrays of
         that shape.
         """
-        l0, c, _, _ = self.families[family]
-        pops = self.populations
+        l0, pops = self.families[family].level, self.populations
         out = []
         offset = sum(pops[:l0])
         for j, pop in enumerate(pops[l0:]):
             width = pop // pops[l0]  # one subtree's block at this level
-            first = offset + p * c * width
+            first = offset + p * (pop // pops[l0 - 1] if l0 else 0)  # p's children's blocks
             out.append((first, width, j, False))
             if l0:
                 out.append((first + s * width, width, j, True))
@@ -230,33 +227,9 @@ class BlockVectors:
         g = self.families[family].g[i]
         return np.concatenate(([0.0], g, 0.0 - g))
 
-    def columns(self, family: int, p: int, s: int) -> np.ndarray:
-        """The entry of each column of the rows of ``family`` with parent
-        rank p and sibling s: row i is ``entries(family, i)[columns]``."""
-        entry, count = np.array(self.runs(family, p, s)).T
-        return entry.repeat(count)
-
     def scales(self) -> np.ndarray:
         """The largest magnitude in each row, read from the level values."""
         return _per_row([np.max(np.abs(fam.g), axis=1) for fam in self.families], self.members)
-
-    def to_dense(self) -> np.ndarray:
-        """The vectors as an n x n array, one per row.
-
-        An array that cannot be allocated is a ``CapacityError``.
-        """
-        n = len(self.members)
-        try:
-            out = np.zeros((n, n))
-        except MemoryError:
-            raise CapacityError(f"a basis of {n} vectors of length {n} does not fit in memory") from None
-        for f, fam in enumerate(self.families):
-            rows = np.flatnonzero(self.members[:, 0] == f)
-            _, p, i, s = self.members[rows].T
-            for first, width, j, negated in self.blocks(f, p, s):
-                v = 0.0 - fam.g[i, j] if negated else fam.g[i, j]
-                out[rows[:, None], first[:, None] + np.arange(width)] = v[:, None]
-        return out
 
 
 @dataclass(frozen=True)
@@ -281,15 +254,51 @@ class EigenBasis:
         return len(self.values)
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
-        """Pivot threshold on the unit-normalized rows' Gram-Schmidt norms.
+        """Whether the rows are independent, certified from the level families.
 
-        |R_ii| of a QR of the rows (as columns) is the norm of row i's
-        component orthogonal to the rows before it.
+        The certificate relies on the column layout that ``BlockVectors.blocks``
+        codes, which the tests pin against a vector-by-vector build.  Under
+        it, rows of different families are exactly orthogonal (a family-l0
+        row sums to zero over the sibling subtrees below its parent, and a
+        shallower row is level-constant on them), rows under different
+        parents have disjoint supports, and the c - 1 sibling differences of
+        one (family, p, i) have the Gram |g_i|_w^2 (I + J).
+        So the rows are independent when (a) ``members`` holds |V| rows, each
+        (family, p, i, s) once, of families at distinct levels l0 filling
+        p < n(l0-1), i < k-l0 and 1 <= s < c (p = s = 0 at the root), and
+        (b) each family's Gram (g w) g^T, w_j = n(l0+j)/n(l0), normalized to
+        a unit diagonal, has its least eigenvalue above ``threshold``.
+
+        This is no looser than a pivot threshold on a QR of the
+        unit-normalized rows: their Gram is block diagonal with blocks
+        G_f (x) (I + J)/2, so its least eigenvalue is at least
+        min_f lambda_min(G_f)/2, and every QR pivot is at least
+        sqrt(threshold/2), 7e-5 at 1e-8.
         """
-        q = self.vectors.to_dense()
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
-        return len(pivots) == self.n and bool(np.all(pivots > threshold))
+        pops, fams, members = self.vectors.populations, self.vectors.families, self.vectors.members
+        rows = [_family_rows(pops, f, fam.level) for f, fam in enumerate(fams)]
+        if (
+            len({fam.level for fam in fams}) < len(fams)
+            or not self.n == len(members) == sum(pops)
+            or not np.array_equal(members[np.lexsort(members.T[::-1])], np.concatenate(rows))
+        ):
+            return False
+        for fam in fams:
+            l0 = fam.level
+            gram = (fam.g * (np.array(pops[l0:]) / pops[l0])) @ fam.g.T
+            d = np.sqrt(np.diagonal(gram))
+            if not (np.all(d > 0) and np.linalg.eigvalsh(gram / d / d[:, None])[0] > threshold):
+                return False
+        return True
+
+
+def _family_rows(pops, family: int, l0: int) -> np.ndarray:
+    """The (family, p, i, s) rows of the family at level l0, in order:
+    p < n(l0-1), i < k-l0 and 1 <= s < c(l0-1), or p = s = 0 at the root."""
+    parents = np.arange(pops[l0 - 1] if l0 else 1)
+    sibs = np.arange(1, pops[l0] // pops[l0 - 1]) if l0 else np.zeros(1, dtype=np.int64)
+    p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(pops) - l0), sibs, indexing="ij"))
+    return np.stack((np.full(len(p), family), p, i, s), axis=1)
 
 
 def _per_row(per_family: list[np.ndarray], members: np.ndarray) -> np.ndarray:
@@ -307,7 +316,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
     those level values and one (family, p, i, s) entry per vector; no
-    |V| x |V| array is built (``BlockVectors.to_dense`` builds one).
+    |V| x |V| array is built.
     """
     n = spec.vertex_count()
     if n > basis_cap:
@@ -315,22 +324,16 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     pops = spec.populations()
     t = level_matrix(spec)
 
-    # s runs over 1..c-1 below each level-(l0-1) parent, and is 0 at the
-    # root level; the entries of a family are made in (p, i, s) order.
     families, members = [], []
     try:
         for l0 in range(spec.levels):
-            c = spec.children[l0 - 1] if l0 else 1
-            sibs = np.arange(1, c) if l0 else np.zeros(1, dtype=np.int64)
-            if not sibs.size:
+            if l0 and spec.children[l0 - 1] == 1:
                 continue
             vals, g = stratified_levels(t, l0, want_vectors=True)
             if np.any(g[:, 0] == 0.0):
                 raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
-            parents = np.arange(pops[l0 - 1] if l0 else 1)
-            p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(vals)), sibs, indexing="ij"))
-            members.append(np.stack((np.full(len(p), len(families)), p, i, s), axis=1))
-            families.append(LevelFamily(l0, c, vals, g))
+            members.append(_family_rows(pops, len(families), l0))
+            families.append(LevelFamily(l0, vals, g))
         members = np.concatenate(members)
     except MemoryError:
         raise CapacityError(f"the row table of a basis of {n} vectors does not fit in memory") from None
@@ -343,25 +346,25 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
     vectors = BlockVectors(tuple(pops), tuple(families), members[order])
     lap = assemble(realize(spec))
-    residuals = np.empty(n)
+    residuals = []
     for f, fam in enumerate(families):
         # One residual per eigenvalue i, taken on its p = 0, s = first
         # sibling member: the others hold the same level values on congruent
         # subtrees (every vertex of a level has the same row layout) or their
         # exact negation, so their residuals are bitwise the same.
-        cols = vectors.columns(f, 0, 1 if fam.level else 0)
+        entry, count = np.array(vectors.runs(f, 0, 1 if fam.level else 0)).T
+        cols = entry.repeat(count)  # the entry of each column
         res = []
         for i, lam in enumerate(fam.values.tolist()):
             v = vectors.entries(f, i)[cols]
             res.append(float(np.max(np.abs(matvec(lap, v) - lam * v))))
-        rows = vectors.members[:, 0] == f
-        residuals[rows] = np.array(res)[vectors.members[rows, 2]]
+        residuals.append(np.array(res))
 
     origin_levels = levels[order]
     return EigenBasis(
         values[order],
         origin_levels,
         ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()],
-        residuals,
+        _per_row(residuals, vectors.members),
         vectors,
     )

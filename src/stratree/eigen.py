@@ -69,13 +69,6 @@ class TriDiag:
             a[idx + 1, idx] = self.off
         return a
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.m > 1:
-            y[:-1] += self.off * x[1:]
-            y[1:] += self.off * x[:-1]
-        return y
-
 
 def sturm_count(t: TriDiag, x) -> np.ndarray | int:
     """Number of eigenvalues of ``t`` strictly below each probe in ``x``.
@@ -237,9 +230,9 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> np.ndarray:
     eigenspace, so retry random rotations until every entry is clearly
     zero or clearly not.  The tree solve leaves such entries in about half
     as many clusters as a dense solve did, but not in none, so the retries
-    stay.
+    stay.  The generator is made at the first retry.
     """
-    rng = np.random.default_rng(seed)
+    rng = None
     best, best_bad = q, np.inf
     for _ in range(10):
         rel = np.abs(q) / np.max(np.abs(q), axis=0)
@@ -248,6 +241,7 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> np.ndarray:
             best, best_bad = q, bad
         if bad == 0:
             return q
+        rng = rng or np.random.default_rng(seed)
         rot, _ = np.linalg.qr(rng.standard_normal((q.shape[1], q.shape[1])))
         q = q @ rot
     return best

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import (
+    DEFAULT_BASIS_CAP,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
@@ -65,7 +66,7 @@ def check_counting(*specs: SymmetricTreeSpec) -> CheckResult:
     return CheckResult("counting_identity", dev == 0, float(dev))
 
 
-def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = 100_000) -> CheckResult:
+def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> CheckResult:
     """Residual certificates plus full rank of the constructed basis."""
     basis = full_eigenbasis(spec, basis_cap=basis_cap)
     scales = basis.vectors.scales()
@@ -106,7 +107,7 @@ def run_all_checks(
     spec: SymmetricTreeSpec | GluedTreeSpec,
     tol: float = SPECTRUM_TOL,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    basis_cap: int = 100_000,
+    basis_cap: int = DEFAULT_BASIS_CAP,
 ) -> list[CheckResult]:
     """The full verification battery for one spec, on one oracle solve.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import stratree.decompose as decompose
 from stratree.decompose import (
-    BlockVectors,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
@@ -21,6 +21,7 @@ from stratree.eigen import dense_eigen, sturm_count, tridiag_eigen
 from stratree.laplacian import assemble, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 
+from reference import dense_rows, qr_full_rank
 from strategies import symmetric_specs
 
 SQRT2 = math.sqrt(2.0)
@@ -238,7 +239,7 @@ def level_offsets(spec):
 
 
 def rows_of(basis, construction):
-    vectors = basis.vectors.to_dense()
+    vectors = dense_rows(basis.vectors)
     return [vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
 
 
@@ -275,7 +276,7 @@ class TestStratifiedLift:
     def test_kernel_vector(self):
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
         assert basis.values[0] == 0.0 and basis.construction[0] == "stratified"
-        f = basis.vectors.to_dense()[0]
+        f = dense_rows(basis.vectors)[0]
         assert f[0] > 0 and np.allclose(f, f[0], rtol=1e-15, atol=0)
 
     def test_rejects_vanishing_root(self, monkeypatch):
@@ -287,7 +288,7 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec([3, 2, 2])
         lap = assemble(realize(spec))
         basis = full_eigenbasis(spec)
-        vectors = basis.vectors.to_dense()
+        vectors = dense_rows(basis.vectors)
         strat = [i for i in range(basis.n) if basis.construction[i] == "stratified"]
         assert len(strat) == spec.levels
         for i in strat:
@@ -309,7 +310,7 @@ class TestStratifiedLift:
             spec = SymmetricTreeSpec(children)
             pops, off = spec.populations(), level_offsets(spec)
             basis = full_eigenbasis(spec)
-            for f, l0 in zip(basis.vectors.to_dense(), basis.origin_levels.tolist()):
+            for f, l0 in zip(dense_rows(basis.vectors), basis.origin_levels.tolist()):
                 if l0 == 0:
                     continue
                 assert not np.any(f[: off[l0]])
@@ -357,7 +358,7 @@ class TestAntisymLift:
         # no sibling difference is built at the root level: all vanish there
         for children in ([2], [3, 2]):
             basis = full_eigenbasis(SymmetricTreeSpec(children))
-            vectors = basis.vectors.to_dense()
+            vectors = dense_rows(basis.vectors)
             for i in range(basis.n):
                 if basis.construction[i] == "antisym":
                     assert basis.origin_levels[i] >= 1 and vectors[i][0] == 0.0
@@ -380,7 +381,7 @@ class TestAntisymLift:
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        deep = basis.vectors.to_dense()[basis.origin_levels == 1]
+        deep = dense_rows(basis.vectors)[basis.origin_levels == 1]
         assert len(deep) == 2 and not np.signbit(deep[:, 3:]).any()
 
 
@@ -392,7 +393,7 @@ class TestSymmetrize:
         basis = full_eigenbasis(spec)
         perm = swap_subtrees(spec, 1, 0, 1)
         negated = 0
-        for f, kind, l0 in zip(basis.vectors.to_dense(), basis.construction, basis.origin_levels):
+        for f, kind, l0 in zip(dense_rows(basis.vectors), basis.construction, basis.origin_levels):
             if kind == "stratified":
                 assert np.array_equal(f[perm], f)
             elif l0 == 1 and f[1] and f[2]:  # child 1 minus child 2
@@ -407,14 +408,14 @@ class TestFullEigenbasis:
         assert basis.n == 3
         assert np.allclose(np.sort(basis.values), [0.0, 1.0, 3.0], atol=1e-10)
         i = int(np.argmin(np.abs(basis.values - 1.0)))
-        v = basis.vectors.to_dense()[i]
+        v = dense_rows(basis.vectors)[i]
         assert v[0] == 0.0 and v[1] == -v[2]
 
     def test_single_vertex(self):
         basis = full_eigenbasis(SymmetricTreeSpec([]))
         assert basis.n == 1
         assert basis.values.tolist() == [0.0]
-        assert basis.vectors.to_dense().tolist() == [[1.0]]
+        assert dense_rows(basis.vectors).tolist() == [[1.0]]
 
     def test_matches_decomposition_multiset(self):
         spec = SymmetricTreeSpec([3, 2])
@@ -428,14 +429,14 @@ class TestFullEigenbasis:
             spec = SymmetricTreeSpec(children)
             basis = full_eigenbasis(spec)
             assert basis.n == spec.vertex_count()
-            scales = np.max(np.abs(basis.vectors.to_dense()), axis=1)
+            scales = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
             assert np.all(basis.residuals <= 1e-9 * scales)
             assert basis.full_rank(1e-8)
 
     def test_scales_are_the_dense_rows_peaks(self):
         for children in [[], [2], [3, 2], [2, 1, 3], [3, 1, 4, 1]]:
             basis = full_eigenbasis(SymmetricTreeSpec(children))
-            dense = np.max(np.abs(basis.vectors.to_dense()), axis=1)
+            dense = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
             assert basis.vectors.scales().tobytes() == dense.tobytes()
 
     def test_construction_tags(self):
@@ -461,7 +462,7 @@ class TestFullEigenbasis:
         entries = eigenbasis_by_vector(spec)
         assert basis.values.tolist() == [e[0] for e in entries]
         assert basis.origin_levels.tolist() == [e[1] for e in entries]
-        assert basis.vectors.to_dense().tobytes() == np.array([e[2] for e in entries]).tobytes()
+        assert dense_rows(basis.vectors).tobytes() == np.array([e[2] for e in entries]).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
@@ -493,7 +494,7 @@ class TestFullEigenbasis:
         spec = SymmetricTreeSpec([2, 3, 2])
         off = level_offsets(spec)
         basis = full_eigenbasis(spec)
-        vectors = basis.vectors.to_dense()
+        vectors = dense_rows(basis.vectors)
         for i in range(basis.n):
             if basis.construction[i] != "stratified":
                 continue
@@ -509,7 +510,7 @@ def assert_residuals_per_vector(spec):
     lap = assemble(realize(spec))
     loop = [
         float(np.max(np.abs(matvec(lap, f) - lam * f)))
-        for lam, f in zip(basis.values.tolist(), basis.vectors.to_dense())
+        for lam, f in zip(basis.values.tolist(), dense_rows(basis.vectors))
     ]
     assert basis.residuals.tobytes() == np.array(loop).tobytes()
 
@@ -540,22 +541,92 @@ def eigenbasis_by_vector(spec):
     return entries
 
 
-def rank_of(monkeypatch, vectors, threshold):
-    """``full_rank`` of a basis whose rows are ``vectors``."""
-    vectors = np.asarray(vectors, dtype=float)
-    basis = full_eigenbasis(SymmetricTreeSpec([len(vectors) - 1]))  # a star of len(vectors) vertices
-    monkeypatch.setattr(BlockVectors, "to_dense", lambda self: vectors.copy())
-    return basis.full_rank(threshold)
+def with_vectors(basis, **fields):
+    """``basis`` with fields of its ``BlockVectors`` replaced."""
+    return dataclasses.replace(basis, vectors=dataclasses.replace(basis.vectors, **fields))
+
+
+def with_g(basis, f, g):
+    """``basis`` with the level values of family f replaced by ``g``."""
+    families = list(basis.vectors.families)
+    families[f] = families[f]._replace(g=g)
+    return with_vectors(basis, families=tuple(families))
+
+
+def both_ranks(basis, threshold=1e-8):
+    """The certificate's verdict and the QR reference's on the dense rows."""
+    return basis.full_rank(threshold), qr_full_rank(dense_rows(basis.vectors), threshold)
 
 
 class TestFullRank:
-    def test_repeated_vector(self, monkeypatch):
-        assert not rank_of(monkeypatch, [[1, 0, 0], [0, 2, 0], [0, 1, 0]], 1e-8)
+    # [3, 2, 2]: family 1 is the level-1 family, with 3 positions
+    SPEC = SymmetricTreeSpec([3, 2, 2])
+
+    def test_repeated_vector(self):
+        basis = full_eigenbasis(self.SPEC)
+        g = basis.vectors.families[1].g.copy()
+        g[2] = g[0]
+        assert both_ranks(with_g(basis, 1, g)) == (False, False)
 
     @pytest.mark.parametrize("component, expected", [(1e-9, False), (1e-7, True)])
-    def test_threshold_on_the_last_rows_new_component(self, monkeypatch, component, expected):
+    def test_threshold_on_the_last_rows_new_component(self, component, expected):
+        # the QR reference thresholds a row's component orthogonal to the
+        # rows before it, not its Gram's eigenvalues
         vectors = [[1, 0, 0], [1, 1, 0], [0, 1, component]]
-        assert rank_of(monkeypatch, vectors, 1e-8) is expected
+        assert qr_full_rank(vectors, 1e-8) is expected
+
+    @pytest.mark.parametrize("weight, expected", [(1e-12, False), (0.5, True)])
+    def test_row_pushed_towards_another_s_span(self, weight, expected):
+        # g[1] = g[0] + weight * g[1]: within 1e-12 of g[0]'s span, or a
+        # clearly independent (if no longer orthogonal) row
+        basis = full_eigenbasis(self.SPEC)
+        g = basis.vectors.families[1].g.copy()
+        g[1] = g[0] + weight * g[1]
+        assert both_ranks(with_g(basis, 1, g)) == (expected, expected)
+
+    def test_vanishing_row(self):
+        # a zero row has no unit-diagonal normalization: refused, not a
+        # LAPACK error
+        basis = full_eigenbasis(self.SPEC)
+        g = basis.vectors.families[1].g.copy()
+        g[1] = 0.0
+        assert not with_g(basis, 1, g).full_rank()
+
+    def test_repeated_member_row(self):
+        basis = full_eigenbasis(self.SPEC)
+        members = basis.vectors.members.copy()
+        members[5] = members[4]
+        assert both_ranks(with_vectors(basis, members=members)) == (False, False)
+
+    def test_member_row_out_of_range(self):
+        # a sibling s = c lies under the next parent: a row table of the
+        # right size, but not the layout the certificate assumes
+        basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
+        members = basis.vectors.members.copy()
+        row = np.flatnonzero((members[:, 0] == 2) & (members[:, 1] == 0))[0]
+        members[row, 3] = 2
+        assert basis.full_rank() and not with_vectors(basis, members=members).full_rank()
+
+    def test_two_families_at_one_level(self):
+        # [2, 2] with its level-2 family replaced by a copy of the level-1
+        # family: a row table of the right size that holds each row twice
+        basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
+        members = basis.vectors.members.copy()
+        members[members[:, 0] == 2, 1:] = [[0, 0, 1], [0, 1, 1]]
+        families = basis.vectors.families
+        broken = with_vectors(basis, families=(*families[:2], families[1]), members=members)
+        assert both_ranks(broken) == (False, False)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(symmetric_specs)
+    def test_matches_the_qr_reference(self, spec):
+        basis = full_eigenbasis(spec)
+        assert both_ranks(basis) == (True, True)
+        if spec.levels > 1:
+            # the root family with a repeated row
+            g = basis.vectors.families[0].g.copy()
+            g[-1] = g[0]
+            assert both_ranks(with_g(basis, 0, g)) == (False, False)
 
 
 class TestMultiplicityLowerBound:

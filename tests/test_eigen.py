@@ -14,6 +14,7 @@ from stratree.eigen import (
     sturm_count,
     tridiag_eigen,
 )
+import stratree.eigen as eigen
 import stratree.verify as verify
 from stratree.laplacian import assemble
 from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
@@ -26,6 +27,15 @@ SQRT2 = math.sqrt(2.0)
 def laplacian(spec):
     tree = realize(spec)
     return tree, assemble(tree).to_dense()
+
+
+def tridiag_matvec(t, x):
+    """``t @ x`` from the diagonals, without densifying ``t``."""
+    y = t.diag * x
+    if t.m > 1:
+        y[:-1] += t.off * x[1:]
+        y[1:] += t.off * x[:-1]
+    return y
 
 
 def test_one_by_one():
@@ -63,7 +73,7 @@ def test_residuals_and_orthonormality():
         vals, vecs = tridiag_eigen(t, want_vectors=True)
         scale = t.norm_inf()
         for i in range(m):
-            res = np.linalg.norm(t.matvec(vecs[:, i]) - vals[i] * vecs[:, i])
+            res = np.linalg.norm(tridiag_matvec(t, vecs[:, i]) - vals[i] * vecs[:, i])
             assert res <= 1e-12 * max(scale, 1.0)
         assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-10)
 
@@ -246,6 +256,25 @@ def test_zero_pivot_still_gives_an_orthonormal_eigenspace():
     assert not np.array_equal(cluster, vecs[:, 1:3])  # the solve's vectors, not LAPACK's
     assert np.allclose(cluster.T @ cluster, np.eye(2), atol=1e-12)
     assert np.max(np.abs(a @ cluster - cluster)) <= 1e-10
+
+
+def test_no_generator_without_a_retry(monkeypatch):
+    # [3, 2] has three clusters, none with an ambiguous near-zero entry
+    rotated, made = [], []
+    avoid, make = eigen._avoid_fuzzy_zeros, np.random.default_rng
+
+    def counted_avoid(q, seed):
+        rotated.append(q.shape)
+        return avoid(q, seed)
+
+    def counted_make(*args, **kwargs):
+        made.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "_avoid_fuzzy_zeros", counted_avoid)
+    monkeypatch.setattr(np.random, "default_rng", counted_make)
+    dense_eigen(realize(SymmetricTreeSpec([3, 2])))
+    assert len(rotated) == 3 and made == []
 
 
 def test_no_dense_solve(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,18 @@ def test_one_sign_count_per_oracle_vector(monkeypatch):
     n = SYMMETRIC.vertex_count()
     assert calls == [(n, n)]  # every oracle vector, in one batched call
     assert all(r.passed for r in results)
+
+
+def test_eigenbasis_row_holds_no_n_by_n_array():
+    # |V| = 1291 in wide families: the rank is certified from each family's
+    # (k - l0) x (k - l0) Gram, so the row peaks far below one n x n array
+    spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
+    n = spec.vertex_count()
+    tracemalloc.start()
+    try:
+        result = verify.check_eigenbasis(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 0.25 * 8 * n * n
