@@ -1,7 +1,7 @@
 """Command-line front end: spectrum, eigvecs, nodal, verify and bench.
 
 Specs come either inline (``--children 3,2``) or from a JSON file holding
-``{"children": [...]}`` for a symmetric tree or ``{"left": [...],
+exactly ``{"children": [...]}`` for a symmetric tree or ``{"left": [...],
 "right": [...]}`` for a glued one.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 resource/cap error.
 """
@@ -22,13 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
-from .decompose import (
-    DEFAULT_BASIS_CAP,
-    BlockVectors,
-    EigenBasis,
-    decompose_spectrum,
-    full_eigenbasis,
-)
+from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
 from .glued import glued_spectrum
 from .laplacian import assemble
 from .nodal import courant_check
@@ -100,11 +94,13 @@ def _load_spec_file(path: str) -> SymmetricTreeSpec | GluedTreeSpec:
             raise InvalidSpecError(f'"{key}" must be a JSON list of children counts')
         return SymmetricTreeSpec(doc[key])
 
-    if "children" in doc:
+    if doc.keys() == {"children"}:
         return side("children")
-    if "left" in doc and "right" in doc:
+    if doc.keys() == {"left", "right"}:
         return GluedTreeSpec(side("left"), side("right"))
-    raise InvalidSpecError('spec file needs "children" or "left"/"right"')
+    raise InvalidSpecError(
+        f'spec file needs exactly "children" or exactly "left" and "right", not {sorted(doc)}'
+    )
 
 
 def _create(path: str) -> TextIO:
@@ -183,59 +179,49 @@ _EIGVECS_JSON_ROW = (
 )
 
 
-def _row_pieces(vectors: BlockVectors, sep: str) -> Iterator[tuple[bool, list[str]]]:
-    """Each row of ``vectors`` as the pieces of its JSON numbers joined by
-    ``sep``, flagged when its (family, position) is not the row before's.
-
-    The rows of one (family, position) share their entries and lie
-    together in the sorted order, so each entry (a level value g[i, j], its
-    negation or zero) is formatted once per such run, by ``json.dumps``;
-    the text matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and
-    Infinity are spelled its way).  A row is then a few runs of one number
-    each: ``text + sep`` repeated, with the last number written without
-    ``sep``.
-    """
-    key = None
-    for f, p, i, s in vectors.members.tolist():
-        new = (f, i) != key
-        if new:
-            key = (f, i)
-            cells = [json.dumps(x) + sep for x in vectors.entries(f, i).tolist()]
-        *body, (last, count) = vectors.runs(f, p, s)
-        pieces = [cells[entry] * width for entry, width in body]
-        pieces.append(cells[last] * (count - 1))
-        pieces.append(cells[last][: -len(sep)])
-        yield new, pieces
-
-
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     """Write ``basis`` one row at a time, in the layout of
     ``json.dumps(rows, indent=2)`` or of ``_rows_to_csv`` with the vector
-    column as compact JSON.  The fields before the vector depend only on
-    the row's (family, position), so they are formatted once per run of
-    its rows."""
-    rows = zip(
-        basis.values.tolist(),
-        basis.origin_levels.tolist(),
-        basis.construction,
-        basis.residuals.tolist(),
-        _row_pieces(basis.vectors, ", " if fmt == "csv" else ",\n      "),
-    )
+    column as compact JSON.
+
+    The rows of one run share their (family, position), so the fields
+    before the vector and the run's entries (a level value g[i, j], its
+    negation or zero) are formatted once per run, the entries by
+    ``json.dumps``: the text matches the JSON encoder's (0.0 and -0.0 stay
+    apart; NaN and Infinity are spelled its way).  A row is then a few runs
+    of one number each, ``text + sep`` repeated, with the last number
+    written without ``sep``.  The runs of each (family, p, s) are found
+    once and serve every position.
+    """
+    vectors = basis.vectors
+    sep = ", " if fmt == "csv" else ",\n      "
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-        for lam, level, kind, res, (new, pieces) in rows:
-            if new:
-                head = [_fmt_float(lam), level, kind, _fmt_float(res)]
-            writer.writerow([*head, "".join(["[", *pieces, "]"])])
-        return
-    sep = "[\n"
-    for lam, level, kind, res, (new, pieces) in rows:
-        if new:
+    values, levels, residuals = (a.tolist() for a in (basis.values, basis.origin_levels, basis.residuals))
+    layouts: dict[int, list[list[tuple[int, int]]]] = {}
+    row, start = 0, "[\n"
+    for f, i in vectors.order.tolist():
+        if f not in layouts:
+            layouts[f] = [vectors.runs(f, p, s) for p, s in vectors.pairs(f)]
+        cells = [json.dumps(x) + sep for x in vectors.entries(f, i).tolist()]
+        lam, level, kind, res = values[row], levels[row], basis.construction[row], residuals[row]
+        if fmt == "csv":
+            head = [_fmt_float(lam), level, kind, _fmt_float(res)]
+        else:
             head = _EIGVECS_JSON_ROW.format(json.dumps(lam), level, json.dumps(kind), json.dumps(res))
-        fh.write("".join([sep, head, *pieces, "\n    ]\n  }"]))
-        sep = ",\n"
-    fh.write("\n]\n")
+        for *body, (last, count) in layouts[f]:
+            pieces = [cells[entry] * width for entry, width in body]
+            pieces.append(cells[last] * (count - 1))
+            pieces.append(cells[last][: -len(sep)])
+            if fmt == "csv":
+                writer.writerow([*head, "".join(["[", *pieces, "]"])])
+            else:
+                fh.write("".join([start, head, *pieces, "\n    ]\n  }"]))
+                start = ",\n"
+        row += len(layouts[f])
+    if fmt != "csv":
+        fh.write("\n]\n")
 
 
 def cmd_eigvecs(config: RunConfig) -> int:

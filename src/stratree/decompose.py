@@ -16,14 +16,16 @@ eigenvalue at level l0.  In breadth-first numbering a subtree holds one
 contiguous block of columns per level, so every eigenvector is one
 constant per block.  The eigenbasis is therefore held implicitly
 (``BlockVectors``), as each level family's values g and one (family,
-parent, position, sibling) entry per vector: O(k^3) numbers plus O(|V|)
-entries, not |V|^2.  A row is written as runs of equal entries
+position) entry per run of rows that share them: O(k^3) numbers plus
+O(k^2) entries, not |V|^2.  A row is written as runs of equal entries
 (``BlockVectors.runs``), and the basis's rank is certified from the level
 families (``EigenBasis.full_rank``): no |V| x |V| array is built.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,20 +92,27 @@ def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
     return vals, g
 
 
+def vectors_per_value(pops, l0: int) -> int:
+    """How many basis vectors each eigenvalue of the level-l0 recurrence
+    gives: n(l0) - n(l0-1) sibling differences, or 1 at the root.  A level
+    below a single-child level gives none."""
+    return pops[l0] - pops[l0 - 1] if l0 else 1
+
+
 def level_spectra(
     spec: SymmetricTreeSpec, first_level: int = 0
 ) -> list[tuple[int, int, np.ndarray]]:
-    """``(root level, multiplicity, eigenvalues)`` for each level from ``first_level``.
+    """``(root level, multiplicity, eigenvalues)`` for each level from
+    ``first_level`` that gives vectors.
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
-    with multiplicity n(l0)-n(l0-1) (1 at the root); levels below a
-    single-child level add no vertices and are skipped.
+    with multiplicity ``vectors_per_value``.
     """
     t = level_matrix(spec)
     pops = spec.populations()
     out = []
     for l0 in range(first_level, spec.levels):
-        mult = 1 if l0 == 0 else pops[l0] - pops[l0 - 1]
+        mult = vectors_per_value(pops, l0)
         if mult:
             out.append((l0, mult, stratified_levels(t, l0)))
     return out
@@ -162,63 +171,70 @@ class LevelFamily(NamedTuple):
 class BlockVectors:
     """The vectors of an eigenbasis, held as their level values.
 
-    ``members[r]`` is the (family, parent rank p, position i, sibling s) of
-    row r.  Its vector is g[i] of ``families[family]`` on the subtree of
-    p's first child minus its copy on the subtree of p's child s, or g[i]
-    on the whole tree at the root level (where p = s = 0).
+    ``order[r]`` is the (family, position i) of the r-th run of rows.  The
+    run's rows are g[i] of ``families[family]`` on the subtree of p's first
+    child minus its copy on the subtree of p's child s, one per (parent
+    rank p, sibling s) of ``pairs(family)``, or the one vector g[i] on the
+    whole tree at the root level (where p = s = 0).
     """
 
     populations: tuple[int, ...]
     families: tuple[LevelFamily, ...]
-    members: np.ndarray
+    order: np.ndarray
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays that hold the vectors: the level values and
-        the row table."""
-        return sum(fam.g.nbytes for fam in self.families) + self.members.nbytes
+        the run order."""
+        return sum(fam.g.nbytes for fam in self.families) + self.order.nbytes
 
-    def blocks(self, family: int, p, s) -> list[tuple]:
-        """The nonzero blocks of the rows of ``family`` with parent rank p
-        and sibling s, in column order, as (first column, width, level j,
-        negated).
+    def run_lengths(self) -> np.ndarray:
+        """The number of rows in each run."""
+        sizes = [vectors_per_value(self.populations, fam.level) for fam in self.families]
+        return np.array(sizes, dtype=np.int64)[self.order[:, 0]]
 
-        A subtree holds one contiguous block of columns per level, so a row
-        is g[i, j] on p's first child's block at the family's level j and,
-        below the root level, 0.0 - g[i, j] on p's child s's block.  p and s
-        may be arrays of one shape, and the first columns are then arrays of
-        that shape.
-        """
+    def expand(self, per_family: list[np.ndarray]) -> np.ndarray:
+        """``per_family[f][i]`` for the (family f, position i) of every row."""
+        f, i = self.order.T
+        starts = np.cumsum([0, *map(len, per_family)])[:-1]
+        return np.repeat(np.concatenate(per_family)[starts[f] + i], self.run_lengths())
+
+    def pairs(self, family: int) -> Iterator[tuple[int, int]]:
+        """The (parent rank p, sibling s) of each row of a run of ``family``,
+        p-major: p < n(l0-1) and 1 <= s < c(l0-1), or (0, 0) alone at the
+        root level."""
         l0, pops = self.families[family].level, self.populations
-        out = []
-        offset = sum(pops[:l0])
-        for j, pop in enumerate(pops[l0:]):
-            width = pop // pops[l0]  # one subtree's block at this level
-            first = offset + p * (pop // pops[l0 - 1] if l0 else 0)  # p's children's blocks
-            out.append((first, width, j, False))
-            if l0:
-                out.append((first + s * width, width, j, True))
-            offset += pop
-        return out
+        if not l0:
+            return iter([(0, 0)])
+        return itertools.product(range(pops[l0 - 1]), range(1, pops[l0] // pops[l0 - 1]))
 
     def runs(self, family: int, p: int, s: int) -> list[tuple[int, int]]:
         """The rows of ``family`` with parent rank p and sibling s, as runs
         of equal entries in column order.
 
-        A run is (entry, count), where the entry indexes the row's values
+        A subtree holds one contiguous block of columns per level, so such a
+        row is g[i, j] on p's first child's block at the family's level j
+        and, below the root level, 0.0 - g[i, j] on p's child s's block.  A
+        run is (entry, count), where the entry indexes the row's values
         (0.0, g[i, 0], ..., g[i, m-1], 0.0 - g[i, 0], ..., 0.0 - g[i, m-1])
         and m is the family's level count; ``entries`` gives those values.
         Runs of zeros are merged across levels.
         """
-        m = len(self.families[family].values)
-        out, end = [], 0
-        for first, width, j, negated in self.blocks(family, p, s):
-            if first > end:
-                out.append((0, first - end))
-            out.append((1 + j + m * negated, width))
-            end = first + width
-        if end < len(self.members):
-            out.append((0, len(self.members) - end))
+        l0, pops = self.families[family].level, self.populations
+        m = len(pops) - l0
+        out, end, offset = [], 0, sum(pops[:l0])
+        for j, pop in enumerate(pops[l0:]):
+            width = pop // pops[l0]  # one subtree's block at this level
+            first = offset + p * (pop // pops[l0 - 1] if l0 else 0)  # p's children's blocks
+            blocks = [(first, 1 + j), (first + s * width, 1 + m + j)] if l0 else [(first, 1 + j)]
+            for start, entry in blocks:
+                if start > end:
+                    out.append((0, start - end))
+                out.append((entry, width))
+                end = start + width
+            offset += pop
+        if end < offset:
+            out.append((0, offset - end))
         return out
 
     def entries(self, family: int, i: int) -> np.ndarray:
@@ -229,15 +245,15 @@ class BlockVectors:
 
     def scales(self) -> np.ndarray:
         """The largest magnitude in each row, read from the level values."""
-        return _per_row([np.max(np.abs(fam.g), axis=1) for fam in self.families], self.members)
+        return self.expand([np.max(np.abs(fam.g), axis=1) for fam in self.families])
 
 
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
 
-    The rows are sorted by (eigenvalue, origin level); ``vectors`` holds
-    them implicitly.  ``construction`` says whether a vector is a
+    The rows are sorted by (eigenvalue, origin level, position); ``vectors``
+    holds them implicitly.  ``construction`` says whether a vector is a
     whole-tree stratified vector ("stratified") or a sibling difference
     ("antisym").  A row's value, origin level and residual depend only on
     its family and position.
@@ -256,18 +272,18 @@ class EigenBasis:
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Whether the rows are independent, certified from the level families.
 
-        The certificate relies on the column layout that ``BlockVectors.blocks``
+        The certificate relies on the column layout that ``BlockVectors.runs``
         codes, which the tests pin against a vector-by-vector build.  Under
         it, rows of different families are exactly orthogonal (a family-l0
         row sums to zero over the sibling subtrees below its parent, and a
         shallower row is level-constant on them), rows under different
         parents have disjoint supports, and the c - 1 sibling differences of
         one (family, p, i) have the Gram |g_i|_w^2 (I + J).
-        So the rows are independent when (a) ``members`` holds |V| rows, each
-        (family, p, i, s) once, of families at distinct levels l0 filling
-        p < n(l0-1), i < k-l0 and 1 <= s < c (p = s = 0 at the root), and
-        (b) each family's Gram (g w) g^T, w_j = n(l0+j)/n(l0), normalized to
-        a unit diagonal, has its least eigenvalue above ``threshold``.
+        So the rows are independent when (a) the families sit at distinct
+        levels l0, ``order`` holds each (family, i) with i < k-l0 once, and
+        its runs hold |V| rows in all, and (b) each family's Gram (g w) g^T,
+        w_j = n(l0+j)/n(l0), normalized to a unit diagonal, has its least
+        eigenvalue above ``threshold``.
 
         This is no looser than a pivot threshold on a QR of the
         unit-normalized rows: their Gram is block diagonal with blocks
@@ -275,12 +291,13 @@ class EigenBasis:
         min_f lambda_min(G_f)/2, and every QR pivot is at least
         sqrt(threshold/2), 7e-5 at 1e-8.
         """
-        pops, fams, members = self.vectors.populations, self.vectors.families, self.vectors.members
-        rows = [_family_rows(pops, f, fam.level) for f, fam in enumerate(fams)]
+        vectors = self.vectors
+        pops, fams = vectors.populations, vectors.families
+        keys = [(f, i) for f, fam in enumerate(fams) for i in range(len(pops) - fam.level)]
         if (
             len({fam.level for fam in fams}) < len(fams)
-            or not self.n == len(members) == sum(pops)
-            or not np.array_equal(members[np.lexsort(members.T[::-1])], np.concatenate(rows))
+            or sorted(map(tuple, vectors.order.tolist())) != keys
+            or not self.n == vectors.run_lengths().sum() == sum(pops)
         ):
             return False
         for fam in fams:
@@ -292,31 +309,18 @@ class EigenBasis:
         return True
 
 
-def _family_rows(pops, family: int, l0: int) -> np.ndarray:
-    """The (family, p, i, s) rows of the family at level l0, in order:
-    p < n(l0-1), i < k-l0 and 1 <= s < c(l0-1), or p = s = 0 at the root."""
-    parents = np.arange(pops[l0 - 1] if l0 else 1)
-    sibs = np.arange(1, pops[l0] // pops[l0 - 1]) if l0 else np.zeros(1, dtype=np.int64)
-    p, i, s = (a.ravel() for a in np.meshgrid(parents, np.arange(len(pops) - l0), sibs, indexing="ij"))
-    return np.stack((np.full(len(p), family), p, i, s), axis=1)
-
-
-def _per_row(per_family: list[np.ndarray], members: np.ndarray) -> np.ndarray:
-    """``per_family[f][i]`` for the (family f, position i) of every row."""
-    starts = np.cumsum([0, *map(len, per_family)])[:-1]
-    return np.concatenate(per_family)[starts[members[:, 0]] + members[:, 2]]
-
-
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:
     """All |V| eigenpairs of the full Laplacian, residual-certified.
 
     The root level gives one whole-tree stratified vector per eigenvalue i
     of its recurrence, with g[i, j] on level j.  Every deeper level l0
-    gives, for each parent p at level l0-1, eigenvalue i and sibling s >= 1,
+    gives, for each eigenvalue i, parent p at level l0-1 and sibling s >= 1,
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
-    those level values and one (family, p, i, s) entry per vector; no
-    |V| x |V| array is built.
+    those level values and one (family, i) entry per run of rows, sorted by
+    (eigenvalue, l0, i); no |V| x |V| array is built.  Rows that tie in
+    (eigenvalue, l0) are so ordered by i, then by p and s; they tie only
+    when one family has two bitwise-equal eigenvalues.
     """
     n = spec.vertex_count()
     if n > basis_cap:
@@ -324,35 +328,28 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     pops = spec.populations()
     t = level_matrix(spec)
 
-    families, members = [], []
-    try:
-        for l0 in range(spec.levels):
-            if l0 and spec.children[l0 - 1] == 1:
-                continue
-            vals, g = stratified_levels(t, l0, want_vectors=True)
-            if np.any(g[:, 0] == 0.0):
-                raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
-            members.append(_family_rows(pops, len(families), l0))
-            families.append(LevelFamily(l0, vals, g))
-        members = np.concatenate(members)
-    except MemoryError:
-        raise CapacityError(f"the row table of a basis of {n} vectors does not fit in memory") from None
+    families = []
+    for l0 in range(spec.levels):
+        if not vectors_per_value(pops, l0):
+            continue
+        vals, g = stratified_levels(t, l0, want_vectors=True)
+        if np.any(g[:, 0] == 0.0):
+            raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
+        families.append(LevelFamily(l0, vals, g))
 
-    _, p, i, s = members.T
-    levels = np.array([fam.level for fam in families])[members[:, 0]]
-    values = _per_row([fam.values for fam in families], members)
-    # Sorted by (value, l0); ties keep the (l0, p, i, s) order they were made in.
-    order = np.lexsort((s, i, p, levels, values))
-    assert len(order) == n, f"built {len(order)} vectors for |V|={n}"
-    vectors = BlockVectors(tuple(pops), tuple(families), members[order])
+    family = np.concatenate([np.full(len(fam.values), f) for f, fam in enumerate(families)])
+    position = np.concatenate([np.arange(len(fam.values)) for fam in families])
+    levels = np.array([fam.level for fam in families])[family]
+    order = np.lexsort((position, levels, np.concatenate([fam.values for fam in families])))
+    vectors = BlockVectors(tuple(pops), tuple(families), np.stack((family, position), axis=1)[order])
     lap = assemble(realize(spec))
     residuals = []
     for f, fam in enumerate(families):
-        # One residual per eigenvalue i, taken on its p = 0, s = first
-        # sibling member: the others hold the same level values on congruent
-        # subtrees (every vertex of a level has the same row layout) or their
-        # exact negation, so their residuals are bitwise the same.
-        entry, count = np.array(vectors.runs(f, 0, 1 if fam.level else 0)).T
+        # One residual per eigenvalue i, taken on the first row of its run:
+        # the others hold the same level values on congruent subtrees (every
+        # vertex of a level has the same row layout) or their exact
+        # negation, so their residuals are bitwise the same.
+        entry, count = np.array(vectors.runs(f, *next(vectors.pairs(f)))).T
         cols = entry.repeat(count)  # the entry of each column
         res = []
         for i, lam in enumerate(fam.values.tolist()):
@@ -360,11 +357,12 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
             res.append(float(np.max(np.abs(matvec(lap, v) - lam * v))))
         residuals.append(np.array(res))
 
-    origin_levels = levels[order]
-    return EigenBasis(
-        values[order],
-        origin_levels,
-        ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()],
-        _per_row(residuals, vectors.members),
-        vectors,
-    )
+    try:
+        values = vectors.expand([fam.values for fam in families])
+        origin_levels = vectors.expand([np.full(len(fam.values), fam.level) for fam in families])
+        residuals = vectors.expand(residuals)
+        construction = ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()]
+    except MemoryError:
+        raise CapacityError(f"the per-row arrays of a basis of {n} vectors do not fit in memory") from None
+    assert len(values) == n, f"built {len(values)} vectors for |V|={n}"
+    return EigenBasis(values, origin_levels, construction, residuals, vectors)

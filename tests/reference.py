@@ -9,17 +9,15 @@ import numpy as np
 
 
 def dense_rows(vectors):
-    """The rows of a ``BlockVectors`` as an n x n array, laid out by its
-    ``blocks``."""
-    n = len(vectors.members)
-    out = np.zeros((n, n))
-    for f, fam in enumerate(vectors.families):
-        rows = np.flatnonzero(vectors.members[:, 0] == f)
-        _, p, i, s = vectors.members[rows].T
-        for first, width, j, negated in vectors.blocks(f, p, s):
-            v = 0.0 - fam.g[i, j] if negated else fam.g[i, j]
-            out[rows[:, None], first[:, None] + np.arange(width)] = v[:, None]
-    return out
+    """The rows of a ``BlockVectors`` as an n x n array, expanded run by run
+    from its ``runs`` and ``entries``."""
+    rows = []
+    for f, i in vectors.order.tolist():
+        values = vectors.entries(f, i)
+        for p, s in vectors.pairs(f):
+            entry, count = np.array(vectors.runs(f, p, s)).T
+            rows.append(values[entry.repeat(count)])
+    return np.array(rows)
 
 
 def qr_full_rank(rows, threshold):

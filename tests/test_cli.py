@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import stratree.cli as cli
 from stratree.cli import main
-from stratree.decompose import full_eigenbasis
+from stratree.decompose import BlockVectors, full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
 from reference import dense_rows
@@ -307,6 +307,8 @@ BAD_SPECS = {
     "over_digit_limit": '{"children": [1%s]}' % ("0" * 5000),
     "bare_list": "[3, 2]",
     "not_utf8": b"\xff\xfe{",
+    "unknown_key": '{"children": [2], "rigth": [3]}',
+    "mixed_keys": '{"children": [2], "left": [1], "right": [1]}',
 }
 
 
@@ -412,12 +414,12 @@ class TestEigvecs:
             fam._replace(values=np.array(v), g=np.array(g))
             for fam, v, g in zip(basis.vectors.families, heads, level_values)
         )
-        f, i = basis.vectors.members[:, 0].tolist(), basis.vectors.members[:, 2].tolist()
+        vectors = dataclasses.replace(basis.vectors, families=families)
         basis = dataclasses.replace(
             basis,
-            values=np.array([heads[a][b] for a, b in zip(f, i)]),
-            residuals=np.array([residuals[a][b] for a, b in zip(f, i)]),
-            vectors=dataclasses.replace(basis.vectors, families=families),
+            values=vectors.expand([np.array(v) for v in heads]),
+            residuals=vectors.expand([np.array(r) for r in residuals]),
+            vectors=vectors,
         )
         monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
         code, out = run(capsys, "eigvecs", "--children", "3,2", "--format", fmt)
@@ -426,6 +428,31 @@ class TestEigvecs:
         if fmt == "json":
             cells = np.concatenate([dense_rows(basis.vectors).ravel(), basis.values, basis.residuals])
             assert out.count("-0.0") == np.sum((cells == 0.0) & np.signbit(cells)) > 0
+
+    def test_basis_holds_no_row_table(self):
+        # [3, 1, 4, 1, 3, 2, 4, 3]: one (family, position) entry per run of
+        # rows, K = sum of k - l0 over the 7 levels that give vectors, not |V|
+        spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
+        vectors = full_eigenbasis(spec).vectors
+        n = spec.vertex_count()
+        arrays = [vectors.order, *(a for fam in vectors.families for a in (fam.values, fam.g))]
+        assert n == 1291 and len(vectors.order) == 33
+        assert all(len(a) < n for a in arrays)
+
+    def test_finds_the_runs_of_each_row_layout_once(self, tmp_path, monkeypatch):
+        # once per (family, p, s) and once per family for its residuals: on
+        # [3, 1, 4, 1, 3, 2, 4, 3] the sum of n(l0) - n(l0-1) (1 at the
+        # root) over the levels telescopes to the 864 leaves, plus 7
+        # families, against |V| = 1291 rows
+        runs, calls = BlockVectors.runs, []
+
+        def counted(self, *args):
+            calls.append(args)
+            return runs(self, *args)
+
+        monkeypatch.setattr(BlockVectors, "runs", counted)
+        assert main(["eigvecs", "--children", "3,1,4,1,3,2,4,3", "--out", str(tmp_path / "b.json")]) == 0
+        assert len(calls) == 864 + 7
 
     def test_streams_without_the_whole_document(self, tmp_path):
         # |V| = 1291: the basis is never an n x n array (13 MB), and the

@@ -477,9 +477,9 @@ class TestFullEigenbasis:
         assert_residuals_per_vector(SymmetricTreeSpec(children))
 
     def test_peak_memory_is_one_basis(self):
-        # no n x n array: the basis is its level values and one row table,
-        # and a family's residuals are taken on one vector of length n at a
-        # time
+        # no n x n array: the basis is its level values and one entry per
+        # run of rows, and a family's residuals are taken on one vector of
+        # length n at a time
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
         n = spec.vertex_count()
         tracemalloc.start()
@@ -517,7 +517,8 @@ def assert_residuals_per_vector(spec):
 
 def eigenbasis_by_vector(spec):
     """(value, origin level, vector) of every basis vector, built one vector
-    at a time and stably sorted by (value, origin level)."""
+    at a time in (level, eigenvalue, parent, sibling) order and stably
+    sorted by (value, origin level)."""
     pops, off = spec.populations(), level_offsets(spec)
     t = level_matrix(spec)
     entries = []
@@ -526,8 +527,8 @@ def eigenbasis_by_vector(spec):
         if l0 and c == 1:
             continue
         vals, gs = stratified_levels(t, l0, want_vectors=True)
-        for p in range(1 if l0 == 0 else pops[l0 - 1]):
-            for lam, g in zip(vals.tolist(), gs):
+        for lam, g in zip(vals.tolist(), gs):
+            for p in range(1 if l0 == 0 else pops[l0 - 1]):
                 for s in range(1) if l0 == 0 else range(1, c):
                     f = np.zeros(off[-1])
                     for j, l in enumerate(range(l0, spec.levels)):
@@ -592,29 +593,29 @@ class TestFullRank:
         g[1] = 0.0
         assert not with_g(basis, 1, g).full_rank()
 
-    def test_repeated_member_row(self):
+    def test_repeated_run_key(self):
         basis = full_eigenbasis(self.SPEC)
-        members = basis.vectors.members.copy()
-        members[5] = members[4]
-        assert both_ranks(with_vectors(basis, members=members)) == (False, False)
+        order = basis.vectors.order.copy()
+        order[5] = order[4]
+        assert both_ranks(with_vectors(basis, order=order)) == (False, False)
 
-    def test_member_row_out_of_range(self):
-        # a sibling s = c lies under the next parent: a row table of the
-        # right size, but not the layout the certificate assumes
+    def test_run_position_out_of_range(self):
+        # position i = k - l0 has no level values: an order of the right
+        # size, but not the layout the certificate assumes
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        members = basis.vectors.members.copy()
-        row = np.flatnonzero((members[:, 0] == 2) & (members[:, 1] == 0))[0]
-        members[row, 3] = 2
-        assert basis.full_rank() and not with_vectors(basis, members=members).full_rank()
+        order = basis.vectors.order.copy()
+        run = np.flatnonzero(order[:, 0] == 2)[0]
+        order[run, 1] = 1
+        assert basis.full_rank() and not with_vectors(basis, order=order).full_rank()
 
     def test_two_families_at_one_level(self):
         # [2, 2] with its level-2 family replaced by a copy of the level-1
-        # family: a row table of the right size that holds each row twice
+        # family and both its positions in the order: each (family, i) once
+        # and runs that hold |V| rows, the level-1 rows twice
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        members = basis.vectors.members.copy()
-        members[members[:, 0] == 2, 1:] = [[0, 0, 1], [0, 1, 1]]
         families = basis.vectors.families
-        broken = with_vectors(basis, families=(*families[:2], families[1]), members=members)
+        order = np.concatenate([basis.vectors.order, [[2, 1]]])
+        broken = with_vectors(basis, families=(*families[:2], families[1]), order=order)
         assert both_ranks(broken) == (False, False)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
