@@ -185,7 +185,8 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     column as compact JSON.
 
     The rows of one run share their (family, position), so the fields
-    before the vector and the run's entries (a level value g[i, j], its
+    before the vector (read from the family and the basis's residuals of
+    that position) and the run's entries (a level value g[i, j], its
     negation or zero) are formatted once per run, the entries by
     ``json.dumps``: the text matches the JSON encoder's (0.0 and -0.0 stay
     apart; NaN and Infinity are spelled its way).  A row is then a few runs
@@ -198,18 +199,19 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-    values, levels, residuals = (a.tolist() for a in (basis.values, basis.origin_levels, basis.residuals))
     layouts: dict[int, list[list[tuple[int, int]]]] = {}
-    row, start = 0, "[\n"
+    start = "[\n"
     for f, i in vectors.order.tolist():
         if f not in layouts:
             layouts[f] = [vectors.runs(f, p, s) for p, s in vectors.pairs(f)]
         cells = [json.dumps(x) + sep for x in vectors.entries(f, i).tolist()]
-        lam, level, kind, res = values[row], levels[row], basis.construction[row], residuals[row]
+        fam = vectors.families[f]
+        lam, res = float(fam.values[i]), float(basis.residuals[f][i])
+        kind = "stratified" if fam.level == 0 else "antisym"
         if fmt == "csv":
-            head = [_fmt_float(lam), level, kind, _fmt_float(res)]
+            head = [_fmt_float(lam), fam.level, kind, _fmt_float(res)]
         else:
-            head = _EIGVECS_JSON_ROW.format(json.dumps(lam), level, json.dumps(kind), json.dumps(res))
+            head = _EIGVECS_JSON_ROW.format(json.dumps(lam), fam.level, json.dumps(kind), json.dumps(res))
         for *body, (last, count) in layouts[f]:
             pieces = [cells[entry] * width for entry, width in body]
             pieces.append(cells[last] * (count - 1))
@@ -219,7 +221,6 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
             else:
                 fh.write("".join([start, head, *pieces, "\n    ]\n  }"]))
                 start = ",\n"
-        row += len(layouts[f])
     if fmt != "csv":
         fh.write("\n]\n")
 

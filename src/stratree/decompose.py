@@ -17,9 +17,11 @@ contiguous block of columns per level, so every eigenvector is one
 constant per block.  The eigenbasis is therefore held implicitly
 (``BlockVectors``), as each level family's values g and one (family,
 position) entry per run of rows that share them: O(k^3) numbers plus
-O(k^2) entries, not |V|^2.  A row is written as runs of equal entries
-(``BlockVectors.runs``), and the basis's rank is certified from the level
-families (``EigenBasis.full_rank``): no |V| x |V| array is built.
+O(k^2) entries, not |V|^2.  The rows of a run also share their
+eigenvalue, origin level and residual, so those are held once per
+(family, position) too: nothing in the basis has |V| rows.  A row is
+written as runs of equal entries (``BlockVectors.runs``), and the basis's
+rank is certified from the level families (``EigenBasis.full_rank``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
     in level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
     population of level j within the subtree), where that square root is
     the running product of the slice's off-diagonals sqrt(c); each is signed
-    so that its root value is positive.  At the root level the smallest
+    so that its root value is positive.  A root value that rounds to zero
+    (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
+    it is still an eigenvector.  At the root level the smallest
     eigenvalue is the Laplacian's zero (the constant eigenfunction), which
     LAPACK returns as +-1e-16 and is set to exactly 0.0 here.
     """
@@ -193,12 +197,6 @@ class BlockVectors:
         sizes = [vectors_per_value(self.populations, fam.level) for fam in self.families]
         return np.array(sizes, dtype=np.int64)[self.order[:, 0]]
 
-    def expand(self, per_family: list[np.ndarray]) -> np.ndarray:
-        """``per_family[f][i]`` for the (family f, position i) of every row."""
-        f, i = self.order.T
-        starts = np.cumsum([0, *map(len, per_family)])[:-1]
-        return np.repeat(np.concatenate(per_family)[starts[f] + i], self.run_lengths())
-
     def pairs(self, family: int) -> Iterator[tuple[int, int]]:
         """The (parent rank p, sibling s) of each row of a run of ``family``,
         p-major: p < n(l0-1) and 1 <= s < c(l0-1), or (0, 0) alone at the
@@ -243,31 +241,25 @@ class BlockVectors:
         g = self.families[family].g[i]
         return np.concatenate(([0.0], g, 0.0 - g))
 
-    def scales(self) -> np.ndarray:
-        """The largest magnitude in each row, read from the level values."""
-        return self.expand([np.max(np.abs(fam.g), axis=1) for fam in self.families])
-
 
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
 
-    The rows are sorted by (eigenvalue, origin level, position); ``vectors``
-    holds them implicitly.  ``construction`` says whether a vector is a
-    whole-tree stratified vector ("stratified") or a sibling difference
-    ("antisym").  A row's value, origin level and residual depend only on
-    its family and position.
+    ``vectors`` holds the rows, sorted by (eigenvalue, origin level,
+    position), as runs.  The rows of a run of (family f, position i) share
+    the eigenvalue ``families[f].values[i]``, the origin level
+    ``families[f].level``, the construction (a whole-tree "stratified"
+    vector at level 0, else a sibling difference, "antisym") and the
+    residual ``residuals[f][i]``.
     """
 
-    values: np.ndarray
-    origin_levels: np.ndarray
-    construction: list[str]
-    residuals: np.ndarray
     vectors: BlockVectors
+    residuals: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return int(self.vectors.run_lengths().sum())
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Whether the rows are independent, certified from the level families.
@@ -297,7 +289,7 @@ class EigenBasis:
         if (
             len({fam.level for fam in fams}) < len(fams)
             or sorted(map(tuple, vectors.order.tolist())) != keys
-            or not self.n == vectors.run_lengths().sum() == sum(pops)
+            or self.n != sum(pops)
         ):
             return False
         for fam in fams:
@@ -318,24 +310,21 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
     those level values and one (family, i) entry per run of rows, sorted by
-    (eigenvalue, l0, i); no |V| x |V| array is built.  Rows that tie in
-    (eigenvalue, l0) are so ordered by i, then by p and s; they tie only
-    when one family has two bitwise-equal eigenvalues.
+    (eigenvalue, l0, i), with one residual per (family, i); no array of |V|
+    rows is built.  Rows that tie in (eigenvalue, l0) are so ordered by i,
+    then by p and s; they tie only when one family has two bitwise-equal
+    eigenvalues.
     """
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {n} exceeds the cap of {basis_cap}")
     pops = spec.populations()
     t = level_matrix(spec)
-
-    families = []
-    for l0 in range(spec.levels):
-        if not vectors_per_value(pops, l0):
-            continue
-        vals, g = stratified_levels(t, l0, want_vectors=True)
-        if np.any(g[:, 0] == 0.0):
-            raise ValueError("a stratified eigenfunction cannot vanish at the subtree root")
-        families.append(LevelFamily(l0, vals, g))
+    families = [
+        LevelFamily(l0, *stratified_levels(t, l0, want_vectors=True))
+        for l0 in range(spec.levels)
+        if vectors_per_value(pops, l0)
+    ]
 
     family = np.concatenate([np.full(len(fam.values), f) for f, fam in enumerate(families)])
     position = np.concatenate([np.arange(len(fam.values)) for fam in families])
@@ -356,13 +345,4 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
             v = vectors.entries(f, i)[cols]
             res.append(float(np.max(np.abs(matvec(lap, v) - lam * v))))
         residuals.append(np.array(res))
-
-    try:
-        values = vectors.expand([fam.values for fam in families])
-        origin_levels = vectors.expand([np.full(len(fam.values), fam.level) for fam in families])
-        residuals = vectors.expand(residuals)
-        construction = ["stratified" if l == 0 else "antisym" for l in origin_levels.tolist()]
-    except MemoryError:
-        raise CapacityError(f"the per-row arrays of a basis of {n} vectors do not fit in memory") from None
-    assert len(values) == n, f"built {len(values)} vectors for |V|={n}"
-    return EigenBasis(values, origin_levels, construction, residuals, vectors)
+    return EigenBasis(vectors, tuple(residuals))

@@ -69,8 +69,11 @@ def check_counting(*specs: SymmetricTreeSpec) -> CheckResult:
 def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> CheckResult:
     """Residual certificates plus full rank of the constructed basis."""
     basis = full_eigenbasis(spec, basis_cap=basis_cap)
-    scales = basis.vectors.scales()
-    rel = float(np.max(basis.residuals / scales)) if basis.n else 0.0
+    # each (family, position)'s residual relative to its rows' largest
+    # magnitude, which is that of its level values g_i
+    rel = float(np.max(np.concatenate(
+        [res / np.max(np.abs(fam.g), axis=1) for fam, res in zip(basis.vectors.families, basis.residuals)]
+    )))
     ok = rel <= RESIDUAL_TOL and basis.n == spec.vertex_count() and basis.full_rank(RANK_THRESHOLD)
     return CheckResult("eigenbasis_certificate", ok, rel)
 

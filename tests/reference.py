@@ -5,6 +5,8 @@ so the tests can check the level-block layout and the rank certificate
 against plain dense linear algebra at desk size.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -18,6 +20,26 @@ def dense_rows(vectors):
             entry, count = np.array(vectors.runs(f, p, s)).T
             rows.append(values[entry.repeat(count)])
     return np.array(rows)
+
+
+class RowFacts(NamedTuple):
+    values: np.ndarray
+    origin_levels: np.ndarray
+    construction: list[str]
+    residuals: np.ndarray
+
+
+def row_facts(basis):
+    """The eigenvalue, origin level, construction and residual of every row
+    of an ``EigenBasis``, in the order of ``dense_rows``: each (family,
+    position)'s facts repeated over its run of rows."""
+    vectors = basis.vectors
+    keys, counts = vectors.order.tolist(), vectors.run_lengths()
+    values = np.repeat([vectors.families[f].values[i] for f, i in keys], counts)
+    levels = np.repeat([vectors.families[f].level for f, _ in keys], counts)
+    residuals = np.repeat([basis.residuals[f][i] for f, i in keys], counts)
+    construction = ["stratified" if l == 0 else "antisym" for l in levels.tolist()]
+    return RowFacts(values, levels, construction, residuals)
 
 
 def qr_full_rank(rows, threshold):

@@ -20,7 +20,7 @@ from stratree.cli import main
 from stratree.decompose import BlockVectors, full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
-from reference import dense_rows
+from reference import dense_rows, row_facts
 
 
 def parse_csv(text):
@@ -190,8 +190,10 @@ class TestErrors:
             assert not target.exists()
 
     def test_unallocatable_basis_rows(self, capsys, tmp_path):
-        # 10^15 + 1 vertices under a raised cap: the table of its rows is
-        # refused at once, before the output is created
+        # 10^15 + 1 vertices under a raised cap: the basis holds nothing of
+        # |V| rows, but the residual certificates need the realized tree,
+        # whose parent array is refused at once, before the output is
+        # created
         target = tmp_path / "basis.json"
         argv = ["eigvecs", "--children", "1000000000000000", "--basis-cap", str(10**16)]
         code = main([*argv, "--out", str(target)])
@@ -414,30 +416,33 @@ class TestEigvecs:
             fam._replace(values=np.array(v), g=np.array(g))
             for fam, v, g in zip(basis.vectors.families, heads, level_values)
         )
-        vectors = dataclasses.replace(basis.vectors, families=families)
         basis = dataclasses.replace(
             basis,
-            values=vectors.expand([np.array(v) for v in heads]),
-            residuals=vectors.expand([np.array(r) for r in residuals]),
-            vectors=vectors,
+            vectors=dataclasses.replace(basis.vectors, families=families),
+            residuals=tuple(np.array(r) for r in residuals),
         )
         monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
         code, out = run(capsys, "eigvecs", "--children", "3,2", "--format", fmt)
         assert code == 0
         assert out == encoded_eigvecs(basis, fmt)
         if fmt == "json":
-            cells = np.concatenate([dense_rows(basis.vectors).ravel(), basis.values, basis.residuals])
+            facts = row_facts(basis)
+            cells = np.concatenate([dense_rows(basis.vectors).ravel(), facts.values, facts.residuals])
             assert out.count("-0.0") == np.sum((cells == 0.0) & np.signbit(cells)) > 0
 
     def test_basis_holds_no_row_table(self):
         # [3, 1, 4, 1, 3, 2, 4, 3]: one (family, position) entry per run of
-        # rows, K = sum of k - l0 over the 7 levels that give vectors, not |V|
+        # rows, K = sum of k - l0 over the 7 levels that give vectors, and
+        # one residual per (family, position): nothing in the basis, its
+        # vectors or its residuals has |V| rows
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
-        vectors = full_eigenbasis(spec).vectors
+        basis = full_eigenbasis(spec)
         n = spec.vertex_count()
-        arrays = [vectors.order, *(a for fam in vectors.families for a in (fam.values, fam.g))]
-        assert n == 1291 and len(vectors.order) == 33
-        assert all(len(a) < n for a in arrays)
+        held = list(held_sequences(basis))
+        assert n == 1291 and len(basis.vectors.order) == 33
+        assert all(len(a) < n for a in held)
+        assert [len(r) for r in basis.residuals] == [len(fam.values) for fam in basis.vectors.families]
+        assert all(any(a is r for a in held) for r in basis.residuals)
 
     def test_finds_the_runs_of_each_row_layout_once(self, tmp_path, monkeypatch):
         # once per (family, p, s) and once per family for its residuals: on
@@ -491,16 +496,29 @@ def test_eigvecs_golden_bytes(tmp_path, children, fmt, digest):
     assert digest_now == digest, f"numpy {np.__version__}; see tests/data/eigvecs.sha256"
 
 
+def held_sequences(obj):
+    """Every array, tuple and list that ``obj`` holds, through dataclass
+    fields and nested tuples and lists."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from held_sequences(getattr(obj, field.name))
+    elif isinstance(obj, (np.ndarray, tuple, list)):
+        yield obj
+        if not isinstance(obj, np.ndarray):
+            for item in obj:
+                yield from held_sequences(item)
+
+
 def encoded_eigvecs(basis, fmt):
     """``eigvecs`` output built with the json and csv encoders from the
     whole list of rows: the reference the streaming writer must match."""
-    vectors = dense_rows(basis.vectors)
+    vectors, facts = dense_rows(basis.vectors), row_facts(basis)
     rows = [
         {
-            "lambda": float(basis.values[i]),
-            "origin_level": int(basis.origin_levels[i]),
-            "construction": basis.construction[i],
-            "residual": float(basis.residuals[i]),
+            "lambda": float(facts.values[i]),
+            "origin_level": int(facts.origin_levels[i]),
+            "construction": facts.construction[i],
+            "residual": float(facts.residuals[i]),
             "vector": vectors[i].tolist(),
         }
         for i in range(basis.n)

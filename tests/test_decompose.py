@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratree.decompose as decompose
+from stratree.cli import main
 from stratree.decompose import (
     counting_identity,
     decompose_spectrum,
@@ -20,8 +22,9 @@ from stratree.decompose import (
 from stratree.eigen import dense_eigen, sturm_count, tridiag_eigen
 from stratree.laplacian import assemble, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
+from stratree.verify import check_eigenbasis
 
-from reference import dense_rows, qr_full_rank
+from reference import dense_rows, qr_full_rank, row_facts
 from strategies import symmetric_specs
 
 SQRT2 = math.sqrt(2.0)
@@ -239,8 +242,8 @@ def level_offsets(spec):
 
 
 def rows_of(basis, construction):
-    vectors = dense_rows(basis.vectors)
-    return [vectors[i] for i in range(basis.n) if basis.construction[i] == construction]
+    vectors, kinds = dense_rows(basis.vectors), row_facts(basis).construction
+    return [vectors[i] for i in range(basis.n) if kinds[i] == construction]
 
 
 def swap_subtrees(spec, l0, a, b):
@@ -256,43 +259,44 @@ def swap_subtrees(spec, l0, a, b):
     return perm
 
 
-def vanishing_at(level):
-    """A stand-in for ``stratified_levels`` whose last vector vanishes at
-    the subtree root of ``level``."""
-    solve = decompose.stratified_levels
-
-    def solved(t, root_level, want_vectors=False):
-        vals, g = solve(t, root_level, want_vectors)
-        if root_level == level:
-            g[-1, 0] = 0.0
-        return vals, g
-
-    return solved
-
-
 class TestStratifiedLift:
     """Whole-tree stratified rows of ``full_eigenbasis``."""
 
     def test_kernel_vector(self):
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
-        assert basis.values[0] == 0.0 and basis.construction[0] == "stratified"
+        facts = row_facts(basis)
+        assert facts.values[0] == 0.0 and facts.construction[0] == "stratified"
         f = dense_rows(basis.vectors)[0]
         assert f[0] > 0 and np.allclose(f, f[0], rtol=1e-15, atol=0)
 
-    def test_rejects_vanishing_root(self, monkeypatch):
-        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(0))
-        with pytest.raises(ValueError, match="cannot vanish at the subtree root"):
-            full_eigenbasis(SymmetricTreeSpec([2]))
+    def test_root_value_rounded_to_zero(self, tmp_path, capsys):
+        # forty single-child levels above a star of ten leaves: the root
+        # family's top eigenvector (about 12.009) lives at the bottom star,
+        # and LAPACK rounds its root value to exactly 0.0.  It is still an
+        # eigenvector, and the residual and rank certificates pass it.
+        children = [1] * 40 + [10]
+        spec = SymmetricTreeSpec(children)
+        basis = full_eigenbasis(spec)
+        assert any(np.any(fam.g[:, 0] == 0.0) for fam in basis.vectors.families)
+        assert check_eigenbasis(spec).passed
+        arg = ",".join(map(str, children))
+        assert main(["verify", "--children", arg, "--out", str(tmp_path / "v.json")]) == 0
+        assert all(row["pass"] for row in json.loads((tmp_path / "v.json").read_text()))
+        assert main(["eigvecs", "--children", arg, "--out", str(tmp_path / "e.json")]) == 0
+        rows = json.loads((tmp_path / "e.json").read_text())
+        assert capsys.readouterr().err == ""
+        assert len(rows) == 51
+        assert np.array([r["vector"] for r in rows]).tobytes() == dense_rows(basis.vectors).tobytes()
 
     def test_whole_tree_lift_is_eigenfunction(self):
         spec = SymmetricTreeSpec([3, 2, 2])
         lap = assemble(realize(spec))
         basis = full_eigenbasis(spec)
-        vectors = dense_rows(basis.vectors)
-        strat = [i for i in range(basis.n) if basis.construction[i] == "stratified"]
+        vectors, facts = dense_rows(basis.vectors), row_facts(basis)
+        strat = [i for i in range(basis.n) if facts.construction[i] == "stratified"]
         assert len(strat) == spec.levels
         for i in strat:
-            lam, f = basis.values[i], vectors[i]
+            lam, f = facts.values[i], vectors[i]
             assert np.max(np.abs(matvec(lap, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
 
     def test_constant_per_level(self):
@@ -310,7 +314,7 @@ class TestStratifiedLift:
             spec = SymmetricTreeSpec(children)
             pops, off = spec.populations(), level_offsets(spec)
             basis = full_eigenbasis(spec)
-            for f, l0 in zip(dense_rows(basis.vectors), basis.origin_levels.tolist()):
+            for f, l0 in zip(dense_rows(basis.vectors), row_facts(basis).origin_levels.tolist()):
                 if l0 == 0:
                     continue
                 assert not np.any(f[: off[l0]])
@@ -358,16 +362,10 @@ class TestAntisymLift:
         # no sibling difference is built at the root level: all vanish there
         for children in ([2], [3, 2]):
             basis = full_eigenbasis(SymmetricTreeSpec(children))
-            vectors = dense_rows(basis.vectors)
+            vectors, facts = dense_rows(basis.vectors), row_facts(basis)
             for i in range(basis.n):
-                if basis.construction[i] == "antisym":
-                    assert basis.origin_levels[i] >= 1 and vectors[i][0] == 0.0
-
-    def test_rejects_vanishing_at_subtree_root(self, monkeypatch):
-        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(1))
-        with pytest.raises(ValueError, match="cannot vanish at the subtree root"):
-            full_eigenbasis(SymmetricTreeSpec([2]))
-
+                if facts.construction[i] == "antisym":
+                    assert facts.origin_levels[i] >= 1 and vectors[i][0] == 0.0
 
     def test_zero_level_value_is_positive_zero_on_both_subtrees(self, monkeypatch):
         # the sibling block holds 0.0 - g, never -g, so a zero stays +0.0
@@ -381,7 +379,7 @@ class TestAntisymLift:
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        deep = dense_rows(basis.vectors)[basis.origin_levels == 1]
+        deep = dense_rows(basis.vectors)[row_facts(basis).origin_levels == 1]
         assert len(deep) == 2 and not np.signbit(deep[:, 3:]).any()
 
 
@@ -392,8 +390,9 @@ class TestSymmetrize:
         spec = SymmetricTreeSpec([3, 2])
         basis = full_eigenbasis(spec)
         perm = swap_subtrees(spec, 1, 0, 1)
+        facts = row_facts(basis)
         negated = 0
-        for f, kind, l0 in zip(dense_rows(basis.vectors), basis.construction, basis.origin_levels):
+        for f, kind, l0 in zip(dense_rows(basis.vectors), facts.construction, facts.origin_levels):
             if kind == "stratified":
                 assert np.array_equal(f[perm], f)
             elif l0 == 1 and f[1] and f[2]:  # child 1 minus child 2
@@ -405,16 +404,17 @@ class TestSymmetrize:
 class TestFullEigenbasis:
     def test_two_leaf_star(self):
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
+        values = row_facts(basis).values
         assert basis.n == 3
-        assert np.allclose(np.sort(basis.values), [0.0, 1.0, 3.0], atol=1e-10)
-        i = int(np.argmin(np.abs(basis.values - 1.0)))
+        assert np.allclose(np.sort(values), [0.0, 1.0, 3.0], atol=1e-10)
+        i = int(np.argmin(np.abs(values - 1.0)))
         v = dense_rows(basis.vectors)[i]
         assert v[0] == 0.0 and v[1] == -v[2]
 
     def test_single_vertex(self):
         basis = full_eigenbasis(SymmetricTreeSpec([]))
         assert basis.n == 1
-        assert basis.values.tolist() == [0.0]
+        assert row_facts(basis).values.tolist() == [0.0]
         assert dense_rows(basis.vectors).tolist() == [[1.0]]
 
     def test_matches_decomposition_multiset(self):
@@ -422,7 +422,7 @@ class TestFullEigenbasis:
         basis = full_eigenbasis(spec)
         assert basis.n == 10
         fast = expanded_spectrum(decompose_spectrum(spec))
-        assert np.allclose(np.sort(basis.values), fast, atol=1e-10)
+        assert np.allclose(np.sort(row_facts(basis).values), fast, atol=1e-10)
 
     def test_residuals_and_rank(self):
         for children in [[2], [3], [2, 2], [3, 2], [2, 1, 2], [2, 2, 2]]:
@@ -430,25 +430,29 @@ class TestFullEigenbasis:
             basis = full_eigenbasis(spec)
             assert basis.n == spec.vertex_count()
             scales = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
-            assert np.all(basis.residuals <= 1e-9 * scales)
+            assert np.all(row_facts(basis).residuals <= 1e-9 * scales)
             assert basis.full_rank(1e-8)
 
     def test_scales_are_the_dense_rows_peaks(self):
+        # the certificate scales each residual by its level values' peak:
+        # bitwise the same relative residual as by each dense row's peak
         for children in [[], [2], [3, 2], [2, 1, 3], [3, 1, 4, 1]]:
-            basis = full_eigenbasis(SymmetricTreeSpec(children))
-            dense = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
-            assert basis.vectors.scales().tobytes() == dense.tobytes()
+            spec = SymmetricTreeSpec(children)
+            basis = full_eigenbasis(spec)
+            peaks = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
+            rel = float(np.max(row_facts(basis).residuals / peaks))
+            assert check_eigenbasis(spec).max_deviation.hex() == rel.hex()
 
     def test_construction_tags(self):
-        basis = full_eigenbasis(SymmetricTreeSpec([3, 2]))
-        tags = set(basis.construction)
+        construction = row_facts(full_eigenbasis(SymmetricTreeSpec([3, 2]))).construction
+        tags = set(construction)
         assert tags == {"stratified", "antisym"}
-        strat = sum(1 for t in basis.construction if t == "stratified")
+        strat = sum(1 for t in construction if t == "stratified")
         assert strat == 3  # one per level of the whole tree
 
     def test_sorted_by_value_then_level(self):
-        basis = full_eigenbasis(SymmetricTreeSpec([3, 2, 2]))
-        keys = list(zip(basis.values, basis.origin_levels))
+        facts = row_facts(full_eigenbasis(SymmetricTreeSpec([3, 2, 2])))
+        keys = list(zip(facts.values, facts.origin_levels))
         assert keys == sorted(keys)
 
     def test_cap(self):
@@ -460,8 +464,9 @@ class TestFullEigenbasis:
     def test_matches_the_vector_by_vector_build(self, spec):
         basis = full_eigenbasis(spec)
         entries = eigenbasis_by_vector(spec)
-        assert basis.values.tolist() == [e[0] for e in entries]
-        assert basis.origin_levels.tolist() == [e[1] for e in entries]
+        facts = row_facts(basis)
+        assert facts.values.tolist() == [e[0] for e in entries]
+        assert facts.origin_levels.tolist() == [e[1] for e in entries]
         assert dense_rows(basis.vectors).tobytes() == np.array([e[2] for e in entries]).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -494,9 +499,9 @@ class TestFullEigenbasis:
         spec = SymmetricTreeSpec([2, 3, 2])
         off = level_offsets(spec)
         basis = full_eigenbasis(spec)
-        vectors = dense_rows(basis.vectors)
+        vectors, kinds = dense_rows(basis.vectors), row_facts(basis).construction
         for i in range(basis.n):
-            if basis.construction[i] != "stratified":
+            if kinds[i] != "stratified":
                 continue
             f = vectors[i]
             for l in range(spec.levels):
@@ -507,12 +512,13 @@ class TestFullEigenbasis:
 def assert_residuals_per_vector(spec):
     """The basis's residuals are bitwise those of one matvec per vector."""
     basis = full_eigenbasis(spec)
+    facts = row_facts(basis)
     lap = assemble(realize(spec))
     loop = [
         float(np.max(np.abs(matvec(lap, f) - lam * f)))
-        for lam, f in zip(basis.values.tolist(), dense_rows(basis.vectors))
+        for lam, f in zip(facts.values.tolist(), dense_rows(basis.vectors))
     ]
-    assert basis.residuals.tobytes() == np.array(loop).tobytes()
+    assert facts.residuals.tobytes() == np.array(loop).tobytes()
 
 
 def eigenbasis_by_vector(spec):
