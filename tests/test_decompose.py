@@ -259,6 +259,21 @@ def swap_subtrees(spec, l0, a, b):
     return perm
 
 
+def vanishing_at(level):
+    """A stand-in for ``stratified_levels`` whose last vector is forced to
+    vanish at the subtree root of ``level``, so that it is no longer an
+    eigenvector."""
+    solve = decompose.stratified_levels
+
+    def solved(t, root_level, want_vectors=False):
+        vals, g = solve(t, root_level, want_vectors)
+        if root_level == level:
+            g[-1, 0] = 0.0
+        return vals, g
+
+    return solved
+
+
 class TestStratifiedLift:
     """Whole-tree stratified rows of ``full_eigenbasis``."""
 
@@ -287,6 +302,19 @@ class TestStratifiedLift:
         assert capsys.readouterr().err == ""
         assert len(rows) == 51
         assert np.array([r["vector"] for r in rows]).tobytes() == dense_rows(basis.vectors).tobytes()
+
+    def test_rejects_vanishing_root(self, monkeypatch):
+        # a zero root value is not refused when the basis is built (LAPACK
+        # may round one there); a vector forced to vanish at the root is no
+        # eigenvector, and the residual certificate rejects it
+        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(0))
+        spec = SymmetricTreeSpec([2])
+        basis = full_eigenbasis(spec)
+        facts = row_facts(basis)
+        (i,) = np.flatnonzero(facts.residuals > 1e-3)
+        assert facts.origin_levels[i] == 0 and dense_rows(basis.vectors)[i][0] == 0.0
+        result = check_eigenbasis(spec)
+        assert not result.passed and result.max_deviation > 1e-3
 
     def test_whole_tree_lift_is_eigenfunction(self):
         spec = SymmetricTreeSpec([3, 2, 2])
@@ -366,6 +394,21 @@ class TestAntisymLift:
             for i in range(basis.n):
                 if facts.construction[i] == "antisym":
                     assert facts.origin_levels[i] >= 1 and vectors[i][0] == 0.0
+
+    def test_rejects_vanishing_at_subtree_root(self, monkeypatch):
+        # the same at a deeper level family: the sibling-difference row of
+        # the forced vector vanishes at both of its subtree roots, and the
+        # residual certificate rejects it
+        monkeypatch.setattr(decompose, "stratified_levels", vanishing_at(1))
+        spec = SymmetricTreeSpec([2, 2])
+        basis = full_eigenbasis(spec)
+        facts = row_facts(basis)
+        (i,) = np.flatnonzero(facts.residuals > 1e-3)
+        assert facts.origin_levels[i] == 1
+        row = dense_rows(basis.vectors)[i]
+        assert np.all(row[:3] == 0.0) and np.any(row != 0.0)
+        result = check_eigenbasis(spec)
+        assert not result.passed and result.max_deviation > 1e-3
 
     def test_zero_level_value_is_positive_zero_on_both_subtrees(self, monkeypatch):
         # the sibling block holds 0.0 - g, never -g, so a zero stays +0.0
