@@ -13,12 +13,7 @@ from .decompose import (
 from .eigen import TriDiag, dense_eigen, sturm_count, tridiag_eigen
 from .glued import GluedSpectralLine, glued_spectrum, glued_stratified_matrix
 from .laplacian import SparseSymMatrix, assemble, matvec
-from .nodal import (
-    SignGraphReport,
-    count_sign_graphs,
-    courant_check,
-    zero_free_check,
-)
+from .nodal import SignGraphReport, count_sign_graphs, nodal_records
 from .tree import (
     CapacityError,
     GluedTreeSpec,
@@ -46,7 +41,6 @@ __all__ = [
     "assemble",
     "count_sign_graphs",
     "counting_identity",
-    "courant_check",
     "decompose_spectrum",
     "dense_eigen",
     "expanded_spectrum",
@@ -55,9 +49,9 @@ __all__ = [
     "glued_stratified_matrix",
     "level_matrix",
     "matvec",
+    "nodal_records",
     "realize",
     "realize_glued",
     "sturm_count",
     "tridiag_eigen",
-    "zero_free_check",
 ]

@@ -25,7 +25,7 @@ from typing import NoReturn, TextIO
 from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
 from .glued import glued_spectrum
 from .laplacian import assemble
-from .nodal import courant_check
+from .nodal import nodal_records
 from .tree import (
     CapacityError,
     GluedTreeSpec,
@@ -144,27 +144,18 @@ def _document(config: RunConfig, rows: list[dict]) -> str:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    if isinstance(config.spec, GluedTreeSpec):
-        rows = [
-            {
-                "lambda": s.value,
-                "multiplicity": s.multiplicity,
-                "origin_level": s.origin_level,
-                "position": s.position,
-                "origin_side": s.origin_side,
-            }
-            for s in glued_spectrum(config.spec)
-        ]
-    else:
-        rows = [
-            {
-                "lambda": s.value,
-                "multiplicity": s.multiplicity,
-                "origin_level": s.origin_level,
-                "position": s.position,
-            }
-            for s in decompose_spectrum(config.spec)
-        ]
+    glued = isinstance(config.spec, GluedTreeSpec)
+    lines = glued_spectrum(config.spec) if glued else decompose_spectrum(config.spec)
+    rows = [
+        {
+            "lambda": s.value,
+            "multiplicity": s.multiplicity,
+            "origin_level": s.origin_level,
+            "position": s.position,
+            **({"origin_side": s.origin_side} if glued else {}),
+        }
+        for s in lines
+    ]
     if config.export_matrix:
         lap = assemble(realize(config.spec))
         with _create(config.export_matrix) as fh:
@@ -236,7 +227,7 @@ def cmd_eigvecs(config: RunConfig) -> int:
 
 def cmd_nodal(config: RunConfig) -> int:
     tree, vals, vecs = oracle(config.spec, config.oracle_cap)
-    records = courant_check(tree, vals, vecs, cluster_tol=config.tol)
+    records = nodal_records(tree, vals, vecs, cluster_tol=config.tol)
     rows = [
         {
             "lambda": r.value,

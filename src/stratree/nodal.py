@@ -1,5 +1,7 @@
-"""Sign graphs (strong nodal domains) of functions on trees, and checks of
-the discrete Courant-type statements on computed eigenpairs.
+"""Sign graphs (strong nodal domains) of functions on trees, and the two
+nodal statements checked on computed eigenpairs: the discrete Courant
+bound and the tree equality for zero-free eigenvectors, both carried by
+one ``NodalRecord`` per eigenpair.
 
 A positive (negative) sign graph is a maximal connected subgraph on which
 the function is strictly positive (negative).  On trees the induced
@@ -80,70 +82,42 @@ def cluster_spectrum(values: np.ndarray, tol: float = 1e-8) -> list[tuple[int, i
 
 @dataclass(frozen=True)
 class NodalRecord:
+    """Both nodal verdicts on one eigenpair.
+
+    ``passed`` is the Courant bound: at most ``bound`` = position +
+    multiplicity - 1 sign graphs for an eigenfunction in a
+    multiplicity-``multiplicity`` cluster starting at ``position``
+    (1-based).  ``zero_free`` is the tree equality: an eigenvector with no
+    vanishing coordinate belongs to a simple eigenvalue and has exactly
+    ``position`` sign graphs; it holds trivially when ``zero_count > 0``.
+    """
+
     value: float
-    position: int  # 1-based rank of the eigenvalue cluster start
+    position: int
     multiplicity: int
     sign_graphs: int
     zero_count: int
     bound: int
     passed: bool
-    checked: bool = True
+    zero_free: bool
 
 
 def nodal_records(
-    tree: RootedTree,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    cluster_tol: float = 1e-8,
-    zero_tol: float | None = None,
-) -> tuple[list[NodalRecord], list[NodalRecord]]:
-    """The ``courant_check`` and ``zero_free_check`` records together, from
-    one sign-graph count of all eigenvectors."""
-    tol = oracle_zero_tol(vectors) if zero_tol is None else zero_tol
-    rep = count_sign_graphs(tree, vectors, tol)
+    tree: RootedTree, values: np.ndarray, vectors: np.ndarray, cluster_tol: float = 1e-8
+) -> list[NodalRecord]:
+    """One record per eigenpair, from one sign-graph count of all
+    eigenvectors at the oracle threshold.
+
+    ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
+    """
+    rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
     totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
-    courant, zero_free = [], []
+    records = []
     for start, size in cluster_spectrum(values, cluster_tol):
         bound = start + size  # (start+1) + size - 1
         for i in range(start, start + size):
-            value = float(values[i])
-            courant.append(
-                NodalRecord(value, start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound)
-            )
-            checked = zeros[i] == 0
-            ok = not checked or (size == 1 and totals[i] == start + 1)
-            zero_free.append(
-                NodalRecord(value, start + 1, size, totals[i], zeros[i], start + 1, ok, checked)
-            )
-    return courant, zero_free
-
-
-def courant_check(
-    tree: RootedTree,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    cluster_tol: float = 1e-8,
-    zero_tol: float | None = None,
-) -> list[NodalRecord]:
-    """Courant bound per eigenpair: at most (position + multiplicity - 1)
-    sign graphs for an eigenfunction in a multiplicity-r cluster starting
-    at position k (1-based).
-
-    ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
-    ``zero_tol=None`` selects the per-vector oracle threshold.
-    """
-    return nodal_records(tree, values, vectors, cluster_tol, zero_tol)[0]
-
-
-def zero_free_check(
-    tree: RootedTree,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    cluster_tol: float = 1e-8,
-    zero_tol: float | None = None,
-) -> list[NodalRecord]:
-    """For every eigenpair without a vanishing coordinate: the eigenvalue
-    must be simple and the sign-graph count must equal its 1-based
-    position.  Pairs with zeros are reported unchecked.
-    """
-    return nodal_records(tree, values, vectors, cluster_tol, zero_tol)[1]
+            zero_free = zeros[i] > 0 or (size == 1 and totals[i] == start + 1)
+            records.append(NodalRecord(
+                float(values[i]), start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound, zero_free
+            ))
+    return records

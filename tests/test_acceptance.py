@@ -17,7 +17,7 @@ from stratree.decompose import (
 )
 from stratree.eigen import dense_eigen
 from stratree.glued import glued_spectrum
-from stratree.nodal import courant_check, zero_free_check
+from stratree.nodal import nodal_records
 from stratree.tree import (
     GluedTreeSpec,
     SymmetricTreeSpec,
@@ -119,14 +119,13 @@ def test_criterion_5_nodal_bounds(sweep):
     bad = 0
     checked = 0
     for spec, tree, vals, vecs in sweep:
-        for r in courant_check(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
+        for r in nodal_records(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
             checked += 1
             if not r.passed:
                 bad += 1
-        for r in zero_free_check(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
-            if r.checked:
+            if r.zero_count == 0:
                 checked += 1
-                if not r.passed:
+                if not r.zero_free:
                     bad += 1
     report("criterion-5 nodal bounds", bad == 0, f"{checked} checks, {bad} failures")
 

@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from stratree.decompose import decompose_spectrum
 from stratree.eigen import dense_eigen
-from stratree.nodal import (
-    cluster_spectrum,
-    count_sign_graphs,
-    courant_check,
-    oracle_zero_tol,
-    zero_free_check,
-)
-from stratree.tree import SymmetricTreeSpec, realize
+from stratree.nodal import cluster_spectrum, count_sign_graphs, nodal_records, oracle_zero_tol
+from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize
 
 from strategies import trees
 
@@ -196,7 +190,7 @@ class TestClusterSpectrum:
 class TestCourant:
     def test_constant_eigenfunction_bound_one(self):
         tree, vals, vecs = oracle([2, 2])
-        records = courant_check(tree, vals, vecs)
+        records = nodal_records(tree, vals, vecs)
         first = records[0]
         assert first.position == 1 and first.bound == 1
         assert first.sign_graphs == 1 and first.passed
@@ -205,40 +199,63 @@ class TestCourant:
         tree = tree_of([2])
         vals = np.array([0.0, 1.0, 3.0])
         vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
-        rec = courant_check(tree, vals, vecs, zero_tol=0.0)[1]
+        rec = nodal_records(tree, vals, vecs)[1]
         assert rec.bound == 2 and rec.sign_graphs == 2 and rec.passed
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2], [4, 1, 2]])
     def test_all_oracle_pairs_pass(self, children):
         tree, vals, vecs = oracle(children)
-        assert all(r.passed for r in courant_check(tree, vals, vecs))
+        assert all(r.passed for r in nodal_records(tree, vals, vecs))
 
 
 class TestZeroFree:
     def test_constant_is_position_one(self):
         tree, vals, vecs = oracle([2, 2])
-        rec = zero_free_check(tree, vals, vecs)[0]
-        assert rec.checked and rec.passed
+        rec = nodal_records(tree, vals, vecs)[0]
+        assert rec.zero_count == 0 and rec.zero_free
         assert rec.sign_graphs == 1 and rec.multiplicity == 1
 
     def test_two_vertex_path(self):
         tree, vals, vecs = oracle([1])
-        records = zero_free_check(tree, vals, vecs)
+        records = nodal_records(tree, vals, vecs)
         assert np.isclose(vals[1], 2.0)
         top = records[1]
-        assert top.checked and top.passed and top.sign_graphs == 2
+        assert top.zero_count == 0 and top.zero_free and top.sign_graphs == 2
 
     def test_pairs_with_zeros_are_skipped(self):
         tree = tree_of([2])
         vals = np.array([0.0, 1.0, 3.0])
         vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
-        records = zero_free_check(tree, vals, vecs, zero_tol=0.0)
-        assert not records[1].checked  # (0, 1, -1) vanishes at the root
+        records = nodal_records(tree, vals, vecs)
+        assert records[1].zero_count != 0  # (0, 1, -1) vanishes at the root
+        assert records[1].zero_free
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2]])
     def test_all_oracle_pairs_pass(self, children):
         tree, vals, vecs = oracle(children)
-        assert all(r.passed for r in zero_free_check(tree, vals, vecs) if r.checked)
+        assert all(r.zero_free for r in nodal_records(tree, vals, vecs))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymmetricTreeSpec([3, 2]),
+        SymmetricTreeSpec([2, 2, 2]),
+        SymmetricTreeSpec([4, 1, 2]),
+        GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3])),
+    ],
+)
+def test_one_record_per_eigenpair_carries_both_verdicts(spec):
+    tree = realize(spec)
+    vals, vecs = dense_eigen(tree)
+    records = nodal_records(tree, vals, vecs)
+    assert len(records) == len(vals)
+    clusters = [(start + 1, size) for start, size in cluster_spectrum(vals) for _ in range(size)]
+    assert [(r.position, r.multiplicity) for r in records] == clusters
+    for r in records:
+        assert r.bound == r.position + r.multiplicity - 1
+        assert r.passed == (r.sign_graphs <= r.bound)
+        assert r.zero_free == (r.zero_count > 0 or (r.multiplicity == 1 and r.sign_graphs == r.position))
 
 
 def common_zeros(vectors, zero_tol_factor=1e-9):
