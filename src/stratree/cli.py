@@ -31,6 +31,7 @@ from .tree import (
     GluedTreeSpec,
     InvalidSpecError,
     SymmetricTreeSpec,
+    digits,
     realize,
 )
 from .verify import DEFAULT_ORACLE_CAP, oracle, run_all_checks
@@ -126,21 +127,61 @@ def _emit(config: RunConfig, text: str) -> None:
         fh.write(text)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow(
-            {k: _fmt_float(v) if isinstance(v, float) else v for k, v in row.items()}
-        )
+        cells = {k: _fmt_float(v) if isinstance(v, float) else v for k, v in row.items()}
+        try:
+            writer.writerow(cells)
+        except ValueError:  # an int too long for str, which writerow calls
+            writer.writerow({k: digits(v) if _is_int(v) else v for k, v in cells.items()})
     return buf.getvalue()
+
+
+def _spell(values) -> list[str]:
+    """The JSON text of each of ``values`` (numbers, bools, None or
+    strings), as ``json.dumps`` writes it: 0.0 and -0.0 apart, NaN and
+    Infinity its way, every digit of an int.
+
+    One call of the C encoder spells them all, and its text splits on
+    ", " into one cell per value, unless a string holds ", ": such values
+    are spelled one by one, as are values holding an int too long for
+    ``str``, whose digits ``digits`` writes.
+    """
+    try:
+        cells = json.dumps(values)[1:-1].split(", ")
+    except ValueError:
+        return [digits(v) if _is_int(v) else json.dumps(v) for v in values]
+    if len(cells) != len(values):
+        return [json.dumps(v) for v in values]
+    return cells
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """The JSON document of ``rows`` as ``json.dumps`` writes it with an
+    indent of 2, plus a newline, byte for byte, for flat rows that share
+    their (nonempty) string keys, in order.
+
+    Python's encoder runs its pure-Python code whenever an indent is set;
+    here each column is spelled by one ``_spell`` call, and each row fills
+    one template built from the keys.
+    """
+    keys = [json.dumps(k).replace("%", "%%") for k in rows[0]]
+    template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+    columns = [_spell(column) for column in zip(*[row.values() for row in rows])]
+    return "[\n" + ",\n".join([template % cells for cells in zip(*columns)]) + "\n]\n"
 
 
 def _document(config: RunConfig, rows: list[dict]) -> str:
     if config.fmt == "csv":
         return _rows_to_csv(rows)
-    return json.dumps(rows, indent=2) + "\n"
+    return _json_rows(rows)
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -171,19 +212,18 @@ _EIGVECS_JSON_ROW = (
 
 
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
-    """Write ``basis`` one row at a time, in the layout of
-    ``json.dumps(rows, indent=2)`` or of ``_rows_to_csv`` with the vector
-    column as compact JSON.
+    """Write ``basis`` one row at a time, in the layout of ``_json_rows``
+    or of ``_rows_to_csv`` with the vector column as compact JSON.
 
     The rows of one run share their (family, position), so the fields
     before the vector (read from the family and the basis's residuals of
     that position) and the run's entries (a level value g[i, j], its
-    negation or zero) are formatted once per run, the entries by
-    ``json.dumps``: the text matches the JSON encoder's (0.0 and -0.0 stay
-    apart; NaN and Infinity are spelled its way).  A row is then a few runs
-    of one number each, ``text + sep`` repeated, with the last number
-    written without ``sep``.  The runs of each (family, p, s) are found
-    once and serve every position.
+    negation or zero) are formatted once per run, by ``_spell``: the text
+    matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and Infinity
+    are spelled its way).  A row is then a few runs of one number each,
+    ``text + sep`` repeated, with the last number written without ``sep``.
+    The runs of each (family, p, s) are found once and serve every
+    position.
     """
     vectors = basis.vectors
     sep = ", " if fmt == "csv" else ",\n      "
@@ -195,14 +235,14 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     for f, i in vectors.order.tolist():
         if f not in layouts:
             layouts[f] = [vectors.runs(f, p, s) for p, s in vectors.pairs(f)]
-        cells = [json.dumps(x) + sep for x in vectors.entries(f, i).tolist()]
+        cells = [text + sep for text in _spell(vectors.entries(f, i).tolist())]
         fam = vectors.families[f]
         lam, res = float(fam.values[i]), float(basis.residuals[f][i])
         kind = "stratified" if fam.level == 0 else "antisym"
         if fmt == "csv":
             head = [_fmt_float(lam), fam.level, kind, _fmt_float(res)]
         else:
-            head = _EIGVECS_JSON_ROW.format(json.dumps(lam), fam.level, json.dumps(kind), json.dumps(res))
+            head = _EIGVECS_JSON_ROW.format(*_spell([lam, fam.level, kind, res]))
         for *body, (last, count) in layouts[f]:
             pieces = [cells[entry] * width for entry, width in body]
             pieces.append(cells[last] * (count - 1))

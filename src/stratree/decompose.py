@@ -35,7 +35,7 @@ import numpy as np
 
 from .eigen import TriDiag, tridiag_eigen
 from .laplacian import assemble, matvec
-from .tree import CapacityError, SymmetricTreeSpec, realize
+from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 
 DEFAULT_BASIS_CAP = 100_000
 
@@ -317,7 +317,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     """
     n = spec.vertex_count()
     if n > basis_cap:
-        raise CapacityError(f"basis of size {n} exceeds the cap of {basis_cap}")
+        raise CapacityError(f"basis of size {count_text(n)} exceeds the cap of {basis_cap}")
     pops = spec.populations()
     t = level_matrix(spec)
     families = [

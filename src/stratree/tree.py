@@ -28,6 +28,27 @@ class CapacityError(RuntimeError):
     """Raised when a request exceeds a configured size cap."""
 
 
+def digits(n: int) -> str:
+    """Every decimal digit of ``n``, as ``str(n)`` writes them, also past
+    Python's int-to-str digit limit (``sys.get_int_max_str_digits()``, 4300
+    by default), where ``str`` raises; the limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # a 2 ms import, for such counts only
+
+        return str(Decimal(n))
+
+
+def count_text(n: int) -> str:
+    """``n`` for a message: its digits, or past the int-to-str digit limit
+    its number of digits, as "<4801 digits>"."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{len(digits(abs(n)))} digits>"
+
+
 @dataclass(frozen=True)
 class SymmetricTreeSpec:
     """Children-per-level sequence of a symmetric tree.
@@ -46,7 +67,7 @@ class SymmetricTreeSpec:
             if isinstance(c, bool) or not isinstance(c, Integral):
                 raise InvalidSpecError(f"children counts must be integers, got {c!r}")
             if c < 1:
-                raise InvalidSpecError(f"children counts must be >= 1, got {c}")
+                raise InvalidSpecError(f"children counts must be >= 1, got {count_text(c)}")
             if c > sys.float_info.max:
                 raise InvalidSpecError("a children count is larger than the largest float")
         object.__setattr__(self, "children", tuple(int(c) for c in children))
@@ -139,6 +160,15 @@ class RootedTree:
             raise InvalidSpecError(f"vertex {stray[0]} does not reach the root")
         object.__setattr__(self, "parents", _frozen(p))
 
+    @classmethod
+    def _trusted(cls, parents: np.ndarray) -> RootedTree:
+        """The tree of an int64 parent array built as one, by ``realize``:
+        held as it is, without ``__post_init__``'s copy and checks."""
+        tree = object.__new__(cls)
+        parents.flags.writeable = False
+        object.__setattr__(tree, "parents", parents)
+        return tree
+
     @property
     def n(self) -> int:
         return len(self.parents)
@@ -153,7 +183,7 @@ def _breadth_first_parents(spec: SymmetricTreeSpec) -> np.ndarray:
     """
     n = spec.vertex_count()
     if n > MAX_VERTICES:
-        raise CapacityError(f"tree has {n} vertices, over the {MAX_VERTICES} indexing cap")
+        raise CapacityError(f"tree has {count_text(n)} vertices, over the {MAX_VERTICES} indexing cap")
     pops = spec.populations()
     try:
         fanout = np.repeat([1, *spec.children], [1, *pops[:-1]])
@@ -170,11 +200,11 @@ def realize_glued(spec: GluedTreeSpec) -> RootedTree:
     """
     left = _breadth_first_parents(spec.left)
     up = _breadth_first_parents(spec.right)[1:]
-    return RootedTree(np.concatenate((left, np.where(up == 0, 0, up + len(left) - 1))))
+    return RootedTree._trusted(np.concatenate((left, np.where(up == 0, 0, up + len(left) - 1))))
 
 
 def realize(spec: SymmetricTreeSpec | GluedTreeSpec) -> RootedTree:
     """Explicit parent-array tree of either spec kind."""
     if isinstance(spec, GluedTreeSpec):
         return realize_glued(spec)
-    return RootedTree(_breadth_first_parents(spec))
+    return RootedTree._trusted(_breadth_first_parents(spec))

@@ -24,7 +24,7 @@ from .decompose import (
 from .eigen import dense_eigen
 from .glued import glued_spectrum
 from .nodal import nodal_records
-from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
+from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, count_text, realize
 
 SPECTRUM_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -49,7 +49,7 @@ def oracle(
     """
     n = spec.vertex_count()
     if n > cap:
-        raise CapacityError(f"|V|={n} exceeds the oracle cap {cap}")
+        raise CapacityError(f"|V|={count_text(n)} exceeds the oracle cap {cap}")
     tree = realize(spec)
     vals, vecs = dense_eigen(tree)
     return tree, vals, vecs

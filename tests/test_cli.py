@@ -9,6 +9,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -557,3 +558,150 @@ class TestBench:
         assert row["vertices"] == "31"
         assert float(row["decompose_ms"]) >= 0.0
         assert float(row["dense_ms"]) >= 0.0
+
+
+# floats the encoder must keep apart or spell its own way
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    0.1, 0.1 + 0.2, 1 / 3, 1e16, 1e17, 1.7976931348623157e308, 123456789.12345678,
+]
+json_cells = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) + 2),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from([", ", "a, b", '"', '\\", ', "é, ü", "\u2028", "%s", "{}", "\n, \t"]),
+)
+
+
+@st.composite
+def flat_rows(draw):
+    """1 to 6 rows over 1 to 5 shared string keys, each column drawn from
+    one kind of value or from all of them."""
+    keys = draw(st.lists(st.text(max_size=4) | st.sampled_from(["%s", ", ", "%%"]), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, 6))
+    kinds = [
+        st.floats(), st.sampled_from(SPECIAL_FLOATS), st.integers(min_value=-(2**70), max_value=2**70),
+        st.booleans(), st.text(max_size=6), json_cells,
+    ]
+    columns = [draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n)) for _ in keys]
+    return [dict(zip(keys, values)) for values in zip(*columns)]
+
+
+class TestJsonRows:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(flat_rows())
+    def test_matches_the_indent_encoder(self, rows):
+        assert cli._json_rows(rows) == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"lambda": -0.0, "multiplicity": 2**64, "pass": True}],
+            [{"x": math.nan}, {"x": math.inf}, {"x": -math.inf}, {"x": 5e-324}],
+            [{"side": "left, right"}, {"side": "right"}, {"side": 'say "hi"'}, {"side": "ü"}],
+            [{"mixed": 1}, {"mixed": 1.0}, {"mixed": "1"}, {"mixed": None}, {"mixed": False}],
+            [{"k": v} for v in SPECIAL_FLOATS],
+        ],
+        ids=["one_row", "non_finite", "strings_with_separators", "mixed_column", "special_floats"],
+    )
+    def test_examples(self, rows):
+        assert cli._json_rows(rows) == json.dumps(rows, indent=2) + "\n"
+
+    def test_every_digit_past_the_str_limit(self):
+        # json.dumps refuses an int of more than 4300 digits; the writer
+        # spells all of them and the rest of the column as the encoder does
+        big = 10**5000 + 7
+        rows = [{"count": big, "lambda": 0.5}, {"count": -3, "lambda": -0.0}]
+        assert cli._json_rows(rows) == (
+            '[\n  {\n    "count": %s,\n    "lambda": 0.5\n  },\n'
+            '  {\n    "count": -3,\n    "lambda": -0.0\n  }\n]\n' % Decimal(big)
+        )
+
+    def test_spell(self):
+        assert cli._spell([0.0, -0.0, math.nan, True, None, "a, b", 2**64]) == [
+            "0.0", "-0.0", "NaN", "true", "null", '"a, b"', "18446744073709551616",
+        ]
+
+
+def round_trip(text):
+    """The text ``json.dumps(..., indent=2)`` writes for the document ``text`` holds."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--children", "2,3,1,4"],
+        ["spectrum", "--children", "4,4,3,2,2,2"],
+        ["spectrum", "--children", ""],
+        ["spectrum", "--spec", "GLUED"],
+        ["nodal", "--children", "3,2,2"],
+        ["nodal", "--spec", "GLUED"],
+        ["verify", "--children", "3,2"],
+        ["verify", "--spec", "GLUED"],
+    ],
+    ids=["spectrum", "spectrum_six_levels", "spectrum_one_vertex", "spectrum_glued", "nodal", "nodal_glued", "verify", "verify_glued"],
+)
+def test_json_documents_are_the_indent_encoders(capsys, tmp_path, argv):
+    glued = tmp_path / "g.json"
+    glued.write_text(json.dumps({"left": [2, 2], "right": [3]}))
+    code, out = run(capsys, *[str(glued) if a == "GLUED" else a for a in argv])
+    assert code == 0
+    assert out == round_trip(out)
+
+
+HUGE = ",".join(["1" + "0" * 300] * 16)  # |V| and the deepest multiplicity have 4801 digits
+
+
+def exact_int(text):
+    return int(Decimal(text))  # int() refuses more than 4300 digits
+
+
+class TestHugeCounts:
+    """A count past Python's 4300-digit int-to-str limit is written in full,
+    or named in a one-line cap error, never a traceback."""
+
+    n = SymmetricTreeSpec([10**300] * 16).vertex_count()
+
+    def test_spectrum_json(self, capsys):
+        code = main(["spectrum", "--children", HUGE])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = json.loads(captured.out, parse_int=exact_int)
+        assert sum(r["multiplicity"] for r in rows) == self.n
+        assert max(r["multiplicity"] for r in rows) > 10**4300
+
+    def test_spectrum_csv(self, capsys):
+        code, out = run(capsys, "spectrum", "--children", HUGE, "--format", "csv")
+        assert code == 0
+        assert sum(exact_int(r["multiplicity"]) for r in parse_csv(out)) == self.n
+
+    def test_bench(self, capsys):
+        code, out = run(capsys, "bench", "--children", HUGE)
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert exact_int(row["vertices"]) == exact_int(row["total_multiplicity"]) == self.n
+        assert row["dense_ms"] == "skipped(cap)"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--export-matrix", "MTX"], "tree has <4801 digits> vertices"),
+            (["eigvecs"], "basis of size <4801 digits> exceeds"),
+            (["nodal"], "|V|=<4801 digits> exceeds"),
+            (["verify"], "|V|=<4801 digits> exceeds"),
+        ],
+        ids=["export_matrix", "eigvecs", "nodal", "verify"],
+    )
+    def test_capped_commands(self, capsys, tmp_path, argv, message):
+        mtx = tmp_path / "m.mtx"
+        code = main([str(mtx) if a == "MTX" else a for a in argv] + ["--children", HUGE])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not mtx.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line

@@ -10,11 +10,13 @@ from stratree.tree import (
     InvalidSpecError,
     RootedTree,
     SymmetricTreeSpec,
+    count_text,
+    digits,
     realize,
     realize_glued,
 )
 
-from strategies import symmetric_specs
+from strategies import symmetric_specs, trees
 
 
 def offsets(spec):
@@ -94,7 +96,7 @@ def test_populations_product_formula():
     assert realize(spec).n == 10
 
 
-@pytest.mark.parametrize("children", [[0], [2, 0], [-1], [2, -3]])
+@pytest.mark.parametrize("children", [[0], [2, 0], [-1], [2, -3], [-(10**5000)]])
 def test_rejects_nonpositive_children(children):
     with pytest.raises(InvalidSpecError):
         SymmetricTreeSpec(children)
@@ -264,3 +266,65 @@ def test_parents_are_read_only_copies():
 def test_index_parents_match_parent_of(spec):
     tree = realize(spec)
     assert tree.parents.tolist() == [parent_of(spec, v) for v in range(tree.n)]
+
+
+def test_realize_skips_the_checks_of_user_arrays(monkeypatch):
+    # realize's parent arrays are trees by construction, so it never runs
+    # RootedTree's checks (pointer doubling is most of realize's time on
+    # a million vertices); the arrays are the checked ones all the same
+    specs = [SymmetricTreeSpec([3, 1, 2]), GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3]))]
+    checked = [RootedTree(realize(spec).parents) for spec in specs]
+
+    def refuse(self):
+        raise AssertionError("realize ran the checks of a user array")
+
+    monkeypatch.setattr(RootedTree, "__post_init__", refuse)
+    for spec, tree in zip(specs, checked):
+        assert realize(spec).parents.tolist() == tree.parents.tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trees())
+def test_realized_and_user_trees_hold_one_form(tree):
+    # realize_glued builds its tree unchecked; a copy checked by RootedTree
+    # holds the same read-only int64 array
+    again = RootedTree(tree.parents)
+    assert again.parents.dtype == tree.parents.dtype == np.int64
+    assert not tree.parents.flags.writeable
+    assert again.parents.tolist() == tree.parents.tolist()
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (0, "0"),
+        (-7, "-7"),
+        (10**4300 - 1, "9" * 4300),
+        (10**4300, "<4301 digits>"),
+        (-(10**5000), "<5001 digits>"),
+        (10**5000 - 1, "<5000 digits>"),
+    ],
+    ids=["zero", "negative", "at_the_limit", "past_the_limit", "negative_past", "all_nines"],
+)
+def test_count_text(n, text):
+    # a cap message names a count by its digits, or, past Python's
+    # int-to-str limit of 4300 digits, by how many digits it has
+    assert count_text(n) == text
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, -5, 2**64, 10**4300 - 1, 10**4300, 7**9000, -(10**5000) - 3],
+    ids=["zero", "negative", "above_int64", "at_the_limit", "past_the_limit", "power_of_seven", "negative_past"],
+)
+def test_digits_past_the_str_limit(n):
+    text = digits(n)
+    assert text.lstrip("-").isdigit() and text.startswith("-") == (n < 0)
+    # read back in pieces of 1000 digits, under the limit
+    magnitude = text.lstrip("-")
+    value = 0
+    for i in range(0, len(magnitude), 1000):
+        piece = magnitude[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    assert value == abs(n)
+    assert magnitude == "0" or magnitude[0] != "0"
