@@ -136,11 +136,12 @@ def _rows_to_csv(rows: list[dict]) -> str:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        cells = {k: _fmt_float(v) if isinstance(v, float) else v for k, v in row.items()}
-        try:
-            writer.writerow(cells)
-        except ValueError:  # an int too long for str, which writerow calls
-            writer.writerow({k: digits(v) if _is_int(v) else v for k, v in cells.items()})
+        writer.writerow(
+            {
+                k: _fmt_float(v) if isinstance(v, float) else digits(v) if _is_int(v) else v
+                for k, v in row.items()
+            }
+        )
     return buf.getvalue()
 
 
@@ -150,17 +151,17 @@ def _spell(values) -> list[str]:
     Infinity its way, every digit of an int.
 
     One call of the C encoder spells them all, and its text splits on
-    ", " into one cell per value, unless a string holds ", ": such values
-    are spelled one by one, as are values holding an int too long for
-    ``str``, whose digits ``digits`` writes.
+    ", " into one cell per value.  When it does not (a string holds ", ",
+    or an int is too long for the encoder's ``str``), the values are
+    spelled one by one, such ints by ``digits``.
     """
     try:
         cells = json.dumps(values)[1:-1].split(", ")
+        if len(cells) == len(values):
+            return cells
     except ValueError:
-        return [digits(v) if _is_int(v) else json.dumps(v) for v in values]
-    if len(cells) != len(values):
-        return [json.dumps(v) for v in values]
-    return cells
+        pass
+    return [digits(v) if _is_int(v) else json.dumps(v) for v in values]
 
 
 def _json_rows(rows: list[dict]) -> str:

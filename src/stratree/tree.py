@@ -187,7 +187,7 @@ def _breadth_first_parents(spec: SymmetricTreeSpec) -> np.ndarray:
     pops = spec.populations()
     try:
         fanout = np.repeat([1, *spec.children], [1, *pops[:-1]])
-        return np.repeat(np.arange(-1, len(fanout) - 1), fanout)
+        return np.repeat(np.arange(-1, len(fanout) - 1, dtype=np.int64), fanout)
     except MemoryError:
         raise CapacityError(f"the parent array of a {n}-vertex tree does not fit in memory") from None
 
