@@ -3,7 +3,7 @@ decompositions, with brute-force oracles and nodal-domain checks."""
 
 from .decompose import (
     EigenBasis,
-    SpectralLine,
+    Spectrum,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
@@ -11,7 +11,7 @@ from .decompose import (
     level_matrix,
 )
 from .eigen import TriDiag, dense_eigen, sturm_count, tridiag_eigen
-from .glued import GluedSpectralLine, glued_spectrum, glued_stratified_matrix
+from .glued import glued_spectrum, glued_stratified_matrix
 from .laplacian import SparseSymMatrix, assemble, matvec
 from .nodal import SignGraphReport, count_sign_graphs, nodal_records
 from .tree import (
@@ -29,13 +29,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "EigenBasis",
-    "GluedSpectralLine",
     "GluedTreeSpec",
     "InvalidSpecError",
     "RootedTree",
     "SignGraphReport",
     "SparseSymMatrix",
-    "SpectralLine",
+    "Spectrum",
     "SymmetricTreeSpec",
     "TriDiag",
     "assemble",

@@ -131,17 +131,18 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _csv_columns(columns: dict[str, list]) -> str:
+    """The CSV document of ``columns`` ({name: column}, all of one length),
+    a header row then one row per entry: floats spelled by ``_fmt_float``,
+    ints (not bools) by ``digits``, the rest as ``csv`` writes them."""
+    spelled = [
+        [_fmt_float(v) if isinstance(v, float) else digits(v) if _is_int(v) else v for v in column]
+        for column in columns.values()
+    ]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {
-                k: _fmt_float(v) if isinstance(v, float) else digits(v) if _is_int(v) else v
-                for k, v in row.items()
-            }
-        )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*spelled))
     return buf.getvalue()
 
 
@@ -164,45 +165,41 @@ def _spell(values) -> list[str]:
     return [digits(v) if _is_int(v) else json.dumps(v) for v in values]
 
 
-def _json_rows(rows: list[dict]) -> str:
-    """The JSON document of ``rows`` as ``json.dumps`` writes it with an
-    indent of 2, plus a newline, byte for byte, for flat rows that share
-    their (nonempty) string keys, in order.
+def _json_columns(columns: dict[str, list]) -> str:
+    """The JSON document of ``columns`` ({name: column}, all of one
+    nonempty length), one object per entry, byte for byte as
+    ``json.dumps`` writes that list of objects with an indent of 2, plus a
+    newline.
 
     Python's encoder runs its pure-Python code whenever an indent is set;
     here each column is spelled by one ``_spell`` call, and each row fills
-    one template built from the keys.
+    one template built from the names.
     """
-    keys = [json.dumps(k).replace("%", "%%") for k in rows[0]]
+    keys = [json.dumps(k).replace("%", "%%") for k in columns]
     template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-    columns = [_spell(column) for column in zip(*[row.values() for row in rows])]
-    return "[\n" + ",\n".join([template % cells for cells in zip(*columns)]) + "\n]\n"
+    cells = zip(*[_spell(column) for column in columns.values()])
+    return "[\n" + ",\n".join([template % row for row in cells]) + "\n]\n"
 
 
-def _document(config: RunConfig, rows: list[dict]) -> str:
-    if config.fmt == "csv":
-        return _rows_to_csv(rows)
-    return _json_rows(rows)
+_WRITERS = {"json": _json_columns, "csv": _csv_columns}
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     glued = isinstance(config.spec, GluedTreeSpec)
-    lines = glued_spectrum(config.spec) if glued else decompose_spectrum(config.spec)
-    rows = [
-        {
-            "lambda": s.value,
-            "multiplicity": s.multiplicity,
-            "origin_level": s.origin_level,
-            "position": s.position,
-            **({"origin_side": s.origin_side} if glued else {}),
-        }
-        for s in lines
-    ]
+    spectrum = glued_spectrum(config.spec) if glued else decompose_spectrum(config.spec)
+    columns = {
+        "lambda": spectrum.values.tolist(),
+        "multiplicity": spectrum.multiplicity(),
+        "origin_level": spectrum.origin_level.tolist(),
+        "position": spectrum.position.tolist(),
+    }
+    if glued:
+        columns["origin_side"] = spectrum.origin_side.tolist()
     if config.export_matrix:
         lap = assemble(realize(config.spec))
         with _create(config.export_matrix) as fh:
             lap.to_matrix_market(fh)
-    _emit(config, _document(config, rows))
+    _emit(config, _WRITERS[config.fmt](columns))
     return EXIT_OK
 
 
@@ -213,8 +210,8 @@ _EIGVECS_JSON_ROW = (
 
 
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
-    """Write ``basis`` one row at a time, in the layout of ``_json_rows``
-    or of ``_rows_to_csv`` with the vector column as compact JSON.
+    """Write ``basis`` one row at a time, in the layout of ``_json_columns``
+    or of ``_csv_columns`` with the vector column as compact JSON.
 
     The rows of one run share their (family, position), so the fields
     before the vector (read from the family and the basis's residuals of
@@ -269,19 +266,11 @@ def cmd_eigvecs(config: RunConfig) -> int:
 def cmd_nodal(config: RunConfig) -> int:
     tree, vals, vecs = oracle(config.spec, config.oracle_cap)
     records = nodal_records(tree, vals, vecs, cluster_tol=config.tol)
-    rows = [
-        {
-            "lambda": r.value,
-            "position": r.position,
-            "multiplicity": r.multiplicity,
-            "sign_graphs": r.sign_graphs,
-            "bound": r.bound,
-            "pass": r.passed,
-        }
-        for r in records
-    ]
-    _emit(config, _document(config, rows))
-    return EXIT_OK if all(r.passed for r in records) else EXIT_VERIFY_FAILED
+    fields = {"lambda": "value", "position": "position", "multiplicity": "multiplicity",
+              "sign_graphs": "sign_graphs", "bound": "bound", "pass": "passed"}
+    columns = {name: [getattr(r, attr) for r in records] for name, attr in fields.items()}
+    _emit(config, _WRITERS[config.fmt](columns))
+    return EXIT_OK if all(columns["pass"]) else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -291,11 +280,9 @@ def cmd_verify(config: RunConfig) -> int:
         oracle_cap=config.oracle_cap,
         basis_cap=config.basis_cap,
     )
-    rows = [
-        {"check": r.name, "pass": r.passed, "max_deviation": r.max_deviation}
-        for r in results
-    ]
-    _emit(config, _document(config, rows))
+    fields = {"check": "name", "pass": "passed", "max_deviation": "max_deviation"}
+    columns = {name: [getattr(r, attr) for r in results] for name, attr in fields.items()}
+    _emit(config, _WRITERS[config.fmt](columns))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -311,26 +298,23 @@ def cmd_bench(config: RunConfig) -> int:
     else:
         spec = config.spec
     t0 = time.perf_counter()
-    lines = decompose_spectrum(spec)
+    spectrum = decompose_spectrum(spec)
     decompose_ms = (time.perf_counter() - t0) * 1000.0
-    total_mult = sum(s.multiplicity for s in lines)
     t0 = time.perf_counter()
     try:
         oracle(spec, config.oracle_cap)
         dense_ms: float | str = (time.perf_counter() - t0) * 1000.0
     except CapacityError:
         dense_ms = "skipped(cap)"
-    rows = [
-        {
-            "children": ",".join(str(c) for c in spec.children),
-            "k": spec.levels,
-            "vertices": spec.vertex_count(),
-            "total_multiplicity": total_mult,
-            "decompose_ms": decompose_ms,
-            "dense_ms": dense_ms,
-        }
-    ]
-    _emit(config, _rows_to_csv(rows))
+    columns = {
+        "children": [",".join(str(c) for c in spec.children)],
+        "k": [spec.levels],
+        "vertices": [spec.vertex_count()],
+        "total_multiplicity": [sum(spectrum.multiplicity())],
+        "decompose_ms": [decompose_ms],
+        "dense_ms": [dense_ms],
+    }
+    _emit(config, _csv_columns(columns))
     return EXIT_OK
 
 
@@ -397,9 +381,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("STRATREE_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
     try:
+        level = os.environ.get("STRATREE_LOG", "error").lower()
+        if level not in ("debug", "info", "warning", "error", "critical"):
+            raise InvalidSpecError(f"STRATREE_LOG must be debug, info, warning, error or critical, not {level!r}")
+        logging.basicConfig(level=level.upper())
         args = _PARSER.parse_args(argv)
         handler = _COMMANDS[args.command][0]
         return handler(_config_from_args(args))

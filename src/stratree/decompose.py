@@ -40,19 +40,51 @@ from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 DEFAULT_BASIS_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One eigenvalue of the full Laplacian with multiplicity and provenance.
+class Spectrum(NamedTuple):
+    """A spectrum as columns, one entry per spectral line, sorted by value.
 
-    ``origin_level`` is the root level of the subtree whose level recurrence
-    produced the value; ``position`` is its rank within that recurrence's
-    ordered spectrum.  Multiplicity is exact (a Python int, possibly huge).
+    Line r is the ``position[r]``-th eigenvalue ``values[r]`` of the
+    recurrence rooted at level ``origin_level[r]``, on side
+    ``origin_side[r]`` of a glued tree ("left", "right" or "stratified";
+    the column is None for a symmetric tree).  Every line of a level family
+    has that family's multiplicity, so ``multiplicities`` holds one exact
+    Python int per family (counts can have thousands of digits) and
+    ``family[r]`` indexes it.
     """
 
-    value: float
-    multiplicity: int
-    origin_level: int
-    position: int
+    values: np.ndarray
+    origin_level: np.ndarray
+    position: np.ndarray
+    family: np.ndarray
+    multiplicities: tuple[int, ...]
+    origin_side: np.ndarray | None
+
+    def multiplicity(self) -> list[int]:
+        """The exact multiplicity of each line."""
+        return [self.multiplicities[f] for f in self.family.tolist()]
+
+
+def spectrum_from_parts(parts) -> Spectrum:
+    """The ``Spectrum`` of ``(side, root level, multiplicity, values)``
+    parts, one per level family; side is None for a symmetric tree.
+
+    Lines are sorted stably by (value, side, level), sides by name: a
+    symmetric tree's by (value, level), and a glued tree's by (value, side)
+    when each side's parts come in level order.
+    """
+    part_sides, levels, multiplicities, arrays = zip(*parts)
+    sides = sorted(set(part_sides))
+    sizes = [len(values) for values in arrays]
+    family = np.repeat(np.arange(len(parts)), sizes)
+    side = np.repeat([sides.index(s) for s in part_sides], sizes)
+    level = np.repeat(levels, sizes)
+    position = np.concatenate([np.arange(size) for size in sizes])
+    values = np.concatenate(arrays)
+    order = np.lexsort((level, side, values))
+    origin_side = None if sides == [None] else np.array(sides)[side[order]]
+    return Spectrum(
+        values[order], level[order], position[order], family[order], multiplicities, origin_side
+    )
 
 
 def level_matrix(spec: SymmetricTreeSpec) -> TriDiag:
@@ -103,11 +135,9 @@ def vectors_per_value(pops, l0: int) -> int:
     return pops[l0] - pops[l0 - 1] if l0 else 1
 
 
-def level_spectra(
-    spec: SymmetricTreeSpec, first_level: int = 0
-) -> list[tuple[int, int, np.ndarray]]:
-    """``(root level, multiplicity, eigenvalues)`` for each level from
-    ``first_level`` that gives vectors.
+def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0, side: str | None = None) -> list:
+    """``(side, root level, multiplicity, eigenvalues)`` for each level
+    from ``first_level`` that gives vectors.
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
     with multiplicity ``vectors_per_value``.
@@ -118,22 +148,16 @@ def level_spectra(
     for l0 in range(first_level, spec.levels):
         mult = vectors_per_value(pops, l0)
         if mult:
-            out.append((l0, mult, stratified_levels(t, l0)))
+            out.append((side, l0, mult, stratified_levels(t, l0)))
     return out
 
 
-def decompose_spectrum(spec: SymmetricTreeSpec) -> list[SpectralLine]:
+def decompose_spectrum(spec: SymmetricTreeSpec) -> Spectrum:
     """Complete Laplacian spectrum of a symmetric tree, never materialized.
 
     One solve per level-matrix slice; total multiplicity is exactly |V|.
     """
-    lines = [
-        SpectralLine(lam, mult, l0, pos)
-        for l0, mult, vals in level_spectra(spec)
-        for pos, lam in enumerate(vals.tolist())
-    ]
-    lines.sort(key=lambda s: (s.value, s.origin_level))
-    return lines
+    return spectrum_from_parts(level_spectra(spec))
 
 
 def counting_identity(spec: SymmetricTreeSpec) -> tuple[int, int]:
@@ -148,15 +172,9 @@ def counting_identity(spec: SymmetricTreeSpec) -> tuple[int, int]:
     return lhs, sum(pops)
 
 
-def expanded_spectrum(lines) -> np.ndarray:
-    """Eigenvalues repeated by multiplicity, sorted ascending.
-
-    Reads only ``value`` and ``multiplicity``, so it serves the spectral
-    lines of symmetric and glued trees alike.
-    """
-    out = np.concatenate([np.full(s.multiplicity, s.value) for s in lines])
-    out.sort()
-    return out
+def expanded_spectrum(spectrum: Spectrum) -> np.ndarray:
+    """Eigenvalues repeated by multiplicity, sorted ascending."""
+    return np.repeat(spectrum.values, spectrum.multiplicity())
 
 
 class LevelFamily(NamedTuple):

@@ -25,6 +25,9 @@ from .tree import CapacityError, RootedTree
 
 # eigenvalues this close are one cluster, purified together
 CLUSTER_TOL = 1e-8
+# a purified cluster is projected off the vectors of eigenvalues near enough
+# that the solve's own error, eps * |A| / gap, may exceed this
+BLEED_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,10 @@ def _purify_degenerate(
     another eigenvalue, LAPACK vectors bleed across the small gap by roughly
     eps/gap, which pollutes coordinates that vanish in exact arithmetic.
     One shifted solve per cluster amplifies the cluster space and kills
-    that bleed; QR restores orthonormality within the cluster.
+    that bleed; QR restores orthonormality within the cluster.  The solve's
+    own error leaves about eps * |A| / gap of each neighbour in it, so the
+    cluster is then projected off the vectors of the eigenvalues near
+    enough for that to exceed ``BLEED_TOL``.
 
     The matrix is given by its tree: ``diag`` on the diagonal and -1 on
     every edge.  All clusters are solved at once by ``_tree_solve``, so
@@ -211,12 +217,18 @@ def _purify_degenerate(
     owner = np.repeat(np.arange(len(clusters)), sizes)
     order, up, starts = _breadth_first(tree)
     solved = _tree_solve(up, starts, diag[order], shifts, owner, vecs[np.ix_(order, cols)])
-    for (lo, hi), block in zip(clusters, np.split(solved, np.cumsum(sizes)[:-1], axis=1)):
+    reach = np.finfo(float).eps * scale / BLEED_TOL
+    windows = np.searchsorted(vals, np.add.outer(shifts, [-reach, reach])).tolist()
+    blocks = np.split(solved, np.cumsum(sizes)[:-1], axis=1)
+    for (lo, hi), (a, b), block in zip(clusters, windows, blocks):
         w = np.empty_like(block)
         w[order] = block
         if np.all(np.isfinite(w)):
-            q, _ = np.linalg.qr(w)
-            vecs[:, lo:hi] = _avoid_fuzzy_zeros(q, seed=n * 1000 + lo)
+            q = _avoid_fuzzy_zeros(np.linalg.qr(w)[0], seed=n * 1000 + lo)
+            for near in (vecs[:, a:lo], vecs[:, hi:b]):
+                if near.size:
+                    q -= near @ (near.T @ q)
+            vecs[:, lo:hi] = q
     return vecs
 
 

@@ -10,29 +10,11 @@ root row couples to both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .decompose import level_matrix, level_spectra
+from .decompose import Spectrum, level_matrix, level_spectra, spectrum_from_parts
 from .eigen import TriDiag, tridiag_eigen
 from .tree import GluedTreeSpec
-
-
-@dataclass(frozen=True)
-class GluedSpectralLine:
-    """One eigenvalue of the glued tree with multiplicity and origin.
-
-    ``origin_side`` is "left" or "right" for root-vanishing families
-    (with ``origin_level`` the positive level of the producing subtree on
-    that side) and "stratified" for the signed-level recurrence (level 0).
-    """
-
-    value: float
-    multiplicity: int
-    origin_side: str
-    origin_level: int
-    position: int
 
 
 def glued_stratified_matrix(spec: GluedTreeSpec) -> TriDiag:
@@ -48,22 +30,19 @@ def glued_stratified_matrix(spec: GluedTreeSpec) -> TriDiag:
     return TriDiag(diag, np.concatenate((right.off[::-1], left.off)))
 
 
-def glued_spectrum(spec: GluedTreeSpec) -> list[GluedSpectralLine]:
+def glued_spectrum(spec: GluedTreeSpec) -> Spectrum:
     """Complete spectrum of the glued tree with exact multiplicities.
 
-    Union of each side's deeper-level (root-vanishing) spectral lines and
-    the simple eigenvalues of the signed-level recurrence, whose smallest
-    is the exact zero; total multiplicity is |V_left| + |V_right| - 1.
+    Union of each side's deeper-level (root-vanishing) spectral lines, of
+    origin side "left" or "right" at the positive level of the producing
+    subtree on that side, and the simple eigenvalues of the signed-level
+    recurrence (origin side "stratified", level 0), whose smallest is the
+    exact zero; total multiplicity is |V_left| + |V_right| - 1.
     """
-    lines = [
-        GluedSpectralLine(lam, mult, side, l0, pos)
-        for side, side_spec in (("left", spec.left), ("right", spec.right))
-        for l0, mult, vals in level_spectra(side_spec, first_level=1)
-        for pos, lam in enumerate(vals.tolist())
-    ]
     vals = tridiag_eigen(glued_stratified_matrix(spec))
     vals[0] = 0.0
-    for pos, lam in enumerate(vals.tolist()):
-        lines.append(GluedSpectralLine(lam, 1, "stratified", 0, pos))
-    lines.sort(key=lambda s: (s.value, s.origin_side))
-    return lines
+    return spectrum_from_parts([
+        *level_spectra(spec.left, first_level=1, side="left"),
+        *level_spectra(spec.right, first_level=1, side="right"),
+        ("stratified", 0, 1, vals),
+    ])

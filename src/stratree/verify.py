@@ -16,6 +16,7 @@ import numpy as np
 
 from .decompose import (
     DEFAULT_BASIS_CAP,
+    Spectrum,
     counting_identity,
     decompose_spectrum,
     expanded_spectrum,
@@ -55,9 +56,11 @@ def oracle(
     return tree, vals, vecs
 
 
-def check_spectrum_oracle(name: str, lines, vals: np.ndarray, tol: float = SPECTRUM_TOL) -> CheckResult:
+def check_spectrum_oracle(
+    name: str, spectrum: Spectrum, vals: np.ndarray, tol: float = SPECTRUM_TOL
+) -> CheckResult:
     """Multiplicity-expanded fast spectrum versus dense eigenvalues."""
-    dev = float(np.max(np.abs(expanded_spectrum(lines) - vals)))
+    dev = float(np.max(np.abs(expanded_spectrum(spectrum) - vals)))
     return CheckResult(name, dev <= tol, dev)
 
 
@@ -91,18 +94,20 @@ def check_nodal(
     )
 
 
-def check_multiplicity_bound(lines, vals: np.ndarray, tol: float = SPECTRUM_TOL) -> CheckResult:
+def check_multiplicity_bound(
+    spectrum: Spectrum, vals: np.ndarray, tol: float = SPECTRUM_TOL
+) -> CheckResult:
     """Oracle multiplicity of each deep-level eigenvalue meets the
     population-difference lower bound."""
     worst = 0.0
     ok = True
-    for s in lines:
-        if s.origin_level < 1:
-            continue
-        mult = int(np.sum(np.abs(vals - s.value) <= tol))
-        if mult < s.multiplicity:
+    deep = spectrum.origin_level >= 1
+    for value, f in zip(spectrum.values[deep].tolist(), spectrum.family[deep].tolist()):
+        mult = int(np.sum(np.abs(vals - value) <= tol))
+        need = spectrum.multiplicities[f]
+        if mult < need:
             ok = False
-            worst = max(worst, float(s.multiplicity - mult))
+            worst = max(worst, float(need - mult))
     return CheckResult("multiplicity_lower_bound", ok, worst)
 
 
@@ -123,11 +128,11 @@ def run_all_checks(
             check_spectrum_oracle("glued_spectrum_oracle", glued_spectrum(spec), vals, tol),
             check_counting(spec.left, spec.right),
         ]
-    lines = decompose_spectrum(spec)
+    spectrum = decompose_spectrum(spec)
     return [
-        check_spectrum_oracle("spectrum_oracle", lines, vals, tol),
+        check_spectrum_oracle("spectrum_oracle", spectrum, vals, tol),
         check_counting(spec),
         check_eigenbasis(spec, basis_cap),
         *check_nodal(tree, vals, vecs),
-        check_multiplicity_bound(lines, vals, tol),
+        check_multiplicity_bound(spectrum, vals, tol),
     ]

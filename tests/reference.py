@@ -1,13 +1,25 @@
-"""Dense references for the implicit eigenbasis, shared by the test modules.
+"""Plain references for the library's compact forms, shared by the test
+modules.
 
-The library never writes its basis out as an n x n array; these helpers do,
-so the tests can check the level-block layout and the rank certificate
-against plain dense linear algebra at desk size.
+The library never writes its basis out as an n x n array; these helpers
+do, so the tests can check the level-block layout and the rank
+certificate against plain dense linear algebra at desk size.  It holds a
+spectrum as columns and writes documents a column at a time; the helpers
+below build one dict per spectral line instead, sort them with Python's
+sort and write them with the json and csv encoders.
 """
 
+import csv
+import io
+import json
 from typing import NamedTuple
 
 import numpy as np
+
+from stratree.decompose import level_spectra
+from stratree.eigen import tridiag_eigen
+from stratree.glued import glued_stratified_matrix
+from stratree.tree import GluedTreeSpec, digits
 
 
 def dense_rows(vectors):
@@ -52,3 +64,63 @@ def qr_full_rank(rows, threshold):
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
     return len(pivots) == len(q) and bool(np.all(pivots > threshold))
+
+
+def spectrum_rows(spec):
+    """The ``spectrum`` rows of ``spec``, one dict per spectral line, from
+    the same level solves as the library: sorted by (value, origin level)
+    for a symmetric tree, or by (value, origin side) for a glued one, whose
+    left, right and stratified lines come in that order, each side's in
+    level order."""
+    if not isinstance(spec, GluedTreeSpec):
+        parts = level_spectra(spec)
+    else:
+        vals = tridiag_eigen(glued_stratified_matrix(spec))
+        vals[0] = 0.0
+        parts = [
+            *level_spectra(spec.left, first_level=1, side="left"),
+            *level_spectra(spec.right, first_level=1, side="right"),
+            ("stratified", 0, 1, vals),
+        ]
+    rows = [
+        {
+            "lambda": lam,
+            "multiplicity": mult,
+            "origin_level": l0,
+            "position": pos,
+            **({"origin_side": side} if side else {}),
+        }
+        for side, l0, mult, vals in parts
+        for pos, lam in enumerate(vals.tolist())
+    ]
+    if isinstance(spec, GluedTreeSpec):
+        rows.sort(key=lambda r: (r["lambda"], r["origin_side"]))
+    else:
+        rows.sort(key=lambda r: (r["lambda"], r["origin_level"]))
+    return rows
+
+
+def json_document(rows):
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def csv_document(rows):
+    """``rows`` through ``csv.DictWriter``, floats spelled with 17
+    significant digits and ints (not bools) with every digit."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(
+            {
+                k: format(v, ".17g") if isinstance(v, float)
+                else digits(v) if isinstance(v, int) and not isinstance(v, bool) else v
+                for k, v in row.items()
+            }
+        )
+    return buf.getvalue()
+
+
+def columns_of(rows):
+    """``rows``, flat dicts that share their keys in order, as {key: column}."""
+    return {k: [row[k] for row in rows] for k in rows[0]}

@@ -88,9 +88,8 @@ def test_criterion_2_counting_identity():
 def test_criterion_3_star_closed_form():
     worst = 0.0
     for c in range(2, 11):
-        lines = decompose_spectrum(SymmetricTreeSpec([c]))
         expected = sorted([0.0] + [1.0] * (c - 1) + [c + 1.0])
-        got = expanded_spectrum(lines)
+        got = expanded_spectrum(decompose_spectrum(SymmetricTreeSpec([c])))
         worst = max(worst, float(np.max(np.abs(got - expected))))
     report("criterion-3 star closed form", worst <= 1e-10, f"c in 2..10, max deviation {worst:.3e}")
 
@@ -135,12 +134,13 @@ def test_criterion_6_multiplicity_lower_bound(sweep):
     checked = 0
     for spec, _, vals, _ in sweep:
         pops = spec.populations()
-        for s in decompose_spectrum(spec):
-            if s.origin_level < 1:
+        spectrum = decompose_spectrum(spec)
+        for value, l0 in zip(spectrum.values.tolist(), spectrum.origin_level.tolist()):
+            if l0 < 1:
                 continue
             checked += 1
-            oracle_mult = int(np.sum(np.abs(vals - s.value) <= SPECTRUM_TOL))
-            if oracle_mult < pops[s.origin_level] - pops[s.origin_level - 1]:
+            oracle_mult = int(np.sum(np.abs(vals - value) <= SPECTRUM_TOL))
+            if oracle_mult < pops[l0] - pops[l0 - 1]:
                 bad += 1
     report("criterion-6 multiplicity lower bound", bad == 0, f"{checked} lines, {bad} violations")
 
@@ -181,13 +181,11 @@ def test_criterion_8_performance():
     best17 = min(
         _timed(lambda: decompose_spectrum(spec17)) for _ in range(3)
     )
-    lines17 = decompose_spectrum(spec17)
-    total17 = sum(s.multiplicity for s in lines17)
+    total17 = sum(decompose_spectrum(spec17).multiplicity())
     best50 = min(
         _timed(lambda: decompose_spectrum(spec50)) for _ in range(3)
     )
-    lines50 = decompose_spectrum(spec50)
-    total50 = sum(s.multiplicity for s in lines50)
+    total50 = sum(decompose_spectrum(spec50).multiplicity())
     ok = (
         best17 < 0.100
         and total17 == 131071

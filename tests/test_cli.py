@@ -21,7 +21,7 @@ from stratree.cli import main
 from stratree.decompose import BlockVectors, full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
-from reference import dense_rows, row_facts
+from reference import columns_of, csv_document, dense_rows, json_document, row_facts, spectrum_rows
 
 
 def parse_csv(text):
@@ -276,6 +276,25 @@ class TestErrors:
         assert captured.out == ""
         assert_input_error(code, captured.err)
 
+    @pytest.mark.parametrize("value", ["bogus", "basic_format"])
+    def test_unknown_log_level(self, capsys, monkeypatch, value):
+        # BASIC_FORMAT is an attribute of logging, but a format, not a level
+        monkeypatch.setenv("STRATREE_LOG", value)
+        code = main(["spectrum", "--children", "2"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_input_error(code, captured.err)
+
+    def test_log_levels(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: seen.append(kwargs["level"]))
+        for value in ["debug", "INFO", "Warning", "error", "critical"]:
+            monkeypatch.setenv("STRATREE_LOG", value)
+            assert main(["spectrum", "--children", "2"]) == 0
+        monkeypatch.delenv("STRATREE_LOG")
+        assert main(["spectrum", "--children", "2"]) == 0
+        assert seen == ["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL", "ERROR"]
+
 
 def run_spec_text(text):
     """Run ``spectrum --spec`` on a file holding ``text`` (str or bytes);
@@ -525,10 +544,8 @@ def encoded_eigvecs(basis, fmt):
         for i in range(basis.n)
     ]
     if fmt == "csv":
-        return cli._rows_to_csv(
-            [{k: (json.dumps(v) if k == "vector" else v) for k, v in row.items()} for row in rows]
-        )
-    return json.dumps(rows, indent=2) + "\n"
+        return csv_document([{k: (json.dumps(v) if k == "vector" else v) for k, v in row.items()} for row in rows])
+    return json_document(rows)
 
 
 class TestNodal:
@@ -592,32 +609,32 @@ def flat_rows(draw):
     return [dict(zip(keys, values)) for values in zip(*columns)]
 
 
+EXAMPLE_ROWS = [
+    [{"lambda": -0.0, "multiplicity": 2**64, "pass": True}],
+    [{"x": math.nan}, {"x": math.inf}, {"x": -math.inf}, {"x": 5e-324}],
+    [{"side": "left, right"}, {"side": "right"}, {"side": 'say "hi"'}, {"side": "ü"}],
+    [{"mixed": 1}, {"mixed": 1.0}, {"mixed": "1"}, {"mixed": None}, {"mixed": False}],
+    [{"k": v} for v in SPECIAL_FLOATS],
+]
+EXAMPLE_IDS = ["one_row", "non_finite", "strings_with_separators", "mixed_column", "special_floats"]
+
+
 class TestJsonRows:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(flat_rows())
     def test_matches_the_indent_encoder(self, rows):
-        assert cli._json_rows(rows) == json.dumps(rows, indent=2) + "\n"
+        assert cli._json_columns(columns_of(rows)) == json.dumps(rows, indent=2) + "\n"
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [{"lambda": -0.0, "multiplicity": 2**64, "pass": True}],
-            [{"x": math.nan}, {"x": math.inf}, {"x": -math.inf}, {"x": 5e-324}],
-            [{"side": "left, right"}, {"side": "right"}, {"side": 'say "hi"'}, {"side": "ü"}],
-            [{"mixed": 1}, {"mixed": 1.0}, {"mixed": "1"}, {"mixed": None}, {"mixed": False}],
-            [{"k": v} for v in SPECIAL_FLOATS],
-        ],
-        ids=["one_row", "non_finite", "strings_with_separators", "mixed_column", "special_floats"],
-    )
+    @pytest.mark.parametrize("rows", EXAMPLE_ROWS, ids=EXAMPLE_IDS)
     def test_examples(self, rows):
-        assert cli._json_rows(rows) == json.dumps(rows, indent=2) + "\n"
+        assert cli._json_columns(columns_of(rows)) == json.dumps(rows, indent=2) + "\n"
 
     def test_every_digit_past_the_str_limit(self):
         # json.dumps refuses an int of more digits than the limit; the writer
         # spells all of them and the rest of the column as the encoder does
         big = 10**5000 + 7
         rows = [{"count": big, "lambda": 0.5}, {"count": -3, "lambda": -0.0}]
-        assert cli._json_rows(rows) == (
+        assert cli._json_columns(columns_of(rows)) == (
             '[\n  {\n    "count": %s,\n    "lambda": 0.5\n  },\n'
             '  {\n    "count": -3,\n    "lambda": -0.0\n  }\n]\n' % Decimal(big)
         )
@@ -626,6 +643,50 @@ class TestJsonRows:
         assert cli._spell([0.0, -0.0, math.nan, True, None, "a, b", 2**64]) == [
             "0.0", "-0.0", "NaN", "true", "null", '"a, b"', "18446744073709551616",
         ]
+
+
+class TestCsvRows:
+    """The CSV twin of ``TestJsonRows``: the column writer against
+    ``csv.DictWriter`` spelling one cell at a time."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(flat_rows())
+    def test_matches_the_dict_writer(self, rows):
+        assert cli._csv_columns(columns_of(rows)) == csv_document(rows)
+
+    @pytest.mark.parametrize("rows", EXAMPLE_ROWS, ids=EXAMPLE_IDS)
+    def test_examples(self, rows):
+        assert cli._csv_columns(columns_of(rows)) == csv_document(rows)
+
+    def test_every_digit_past_the_str_limit(self):
+        big = 10**5000 + 7
+        rows = [{"count": big, "lambda": 0.5}, {"count": -3, "lambda": -0.0}]
+        assert cli._csv_columns(columns_of(rows)) == "count,lambda\n%s,0.5\n-3,-0\n" % Decimal(big)
+
+    def test_quoting(self):
+        rows = [{"children": "2,2,2", "note": 'say "hi"', "pass": True, "none": None}]
+        assert cli._csv_columns(columns_of(rows)) == 'children,note,pass,none\n"2,2,2","say ""hi""",True,\n'
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"children": [1000] * 20},  # multiplicities of up to 60 digits
+        {"children": [1] * 40 + [10]},
+        {"children": []},
+        {"left": [2, 2], "right": [2, 2]},  # exact value ties across the two sides
+        {"left": [2, 2], "right": [3]},
+    ],
+    ids=["huge_multiplicities", "forty_ones_10", "empty", "glued_ties", "glued"],
+)
+def test_spectrum_matches_the_row_path(capsys, tmp_path, doc, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "spectrum", "--spec", str(path), "--format", fmt)
+    assert code == 0
+    rows = spectrum_rows(cli._load_spec_file(str(path)))
+    assert out == (csv_document(rows) if fmt == "csv" else json_document(rows))
 
 
 def round_trip(text):

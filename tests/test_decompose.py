@@ -163,31 +163,31 @@ class TestLevelMatrixSlices:
 
 class TestDecomposeSpectrum:
     def test_star_k12(self):
-        lines = decompose_spectrum(SymmetricTreeSpec([2]))
-        by_level = {(s.origin_level, s.position): s for s in lines}
-        assert np.isclose(by_level[(0, 0)].value, 0.0, atol=1e-12)
-        assert np.isclose(by_level[(0, 1)].value, 3.0, atol=1e-12)
-        assert np.isclose(by_level[(1, 0)].value, 1.0, atol=1e-12)
-        assert sum(s.multiplicity for s in lines) == 3
+        spectrum = decompose_spectrum(SymmetricTreeSpec([2]))
+        keys = zip(spectrum.origin_level.tolist(), spectrum.position.tolist())
+        by_level = dict(zip(keys, spectrum.values.tolist()))
+        assert np.isclose(by_level[(0, 0)], 0.0, atol=1e-12)
+        assert np.isclose(by_level[(0, 1)], 3.0, atol=1e-12)
+        assert np.isclose(by_level[(1, 0)], 1.0, atol=1e-12)
+        assert sum(spectrum.multiplicity()) == 3
 
     def test_star_k13(self):
-        lines = decompose_spectrum(SymmetricTreeSpec([3]))
-        vals = {round(s.value, 9): s.multiplicity for s in lines}
+        spectrum = decompose_spectrum(SymmetricTreeSpec([3]))
+        vals = {round(v, 9): m for v, m in zip(spectrum.values.tolist(), spectrum.multiplicity())}
         assert vals == {0.0: 1, 1.0: 2, 4.0: 1}
 
     def test_ten_vertex_tree(self):
-        lines = decompose_spectrum(SymmetricTreeSpec([3, 2]))
-        per_level = {}
-        for s in lines:
-            per_level.setdefault(s.origin_level, []).append(s)
-        assert len(per_level[0]) == 3 and all(s.multiplicity == 1 for s in per_level[0])
-        assert sorted(s.value for s in per_level[1]) == pytest.approx(
+        spectrum = decompose_spectrum(SymmetricTreeSpec([3, 2]))
+        mult = np.array(spectrum.multiplicity())
+        at = [spectrum.origin_level == l0 for l0 in range(3)]
+        assert np.sum(at[0]) == 3 and all(mult[at[0]] == 1)
+        assert sorted(spectrum.values[at[1]]) == pytest.approx(
             [2 - math.sqrt(3), 2 + math.sqrt(3)], abs=1e-10
         )
-        assert all(s.multiplicity == 2 for s in per_level[1])
-        assert [s.value for s in per_level[2]] == pytest.approx([1.0], abs=1e-12)
-        assert per_level[2][0].multiplicity == 3
-        assert sum(s.multiplicity for s in lines) == 10
+        assert all(mult[at[1]] == 2)
+        assert spectrum.values[at[2]].tolist() == pytest.approx([1.0], abs=1e-12)
+        assert mult[at[2]][0] == 3
+        assert sum(spectrum.multiplicity()) == 10
 
     def test_matches_oracle(self):
         for children in [[], [1], [2], [4], [2, 2], [3, 2], [1, 3], [2, 2, 2], [3, 1, 2], [2, 3, 2]]:
@@ -197,25 +197,73 @@ class TestDecomposeSpectrum:
 
     def test_unit_children_skip_empty_lines(self):
         # c=1 levels add no new population, hence no multiplicity
-        lines = decompose_spectrum(SymmetricTreeSpec([1]))
-        assert sum(s.multiplicity for s in lines) == 2
-        assert all(s.origin_level == 0 for s in lines)
+        spectrum = decompose_spectrum(SymmetricTreeSpec([1]))
+        assert sum(spectrum.multiplicity()) == 2
+        assert all(spectrum.origin_level == 0)
 
     def test_eigenvalue_bounds(self):
         spec = SymmetricTreeSpec([3, 2, 2])
         max_deg = max(spec.degree(l) for l in range(spec.levels))
-        for s in decompose_spectrum(spec):
-            assert s.value >= -1e-12
-            assert s.value <= 2 * max_deg + 1e-12
+        for value in decompose_spectrum(spec).values.tolist():
+            assert value >= -1e-12
+            assert value <= 2 * max_deg + 1e-12
 
     def test_sorted_output(self):
-        lines = decompose_spectrum(SymmetricTreeSpec([3, 2, 2]))
-        assert all(a.value <= b.value for a, b in zip(lines, lines[1:]))
+        values = decompose_spectrum(SymmetricTreeSpec([3, 2, 2])).values.tolist()
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_huge_tree_never_materialized(self):
         spec = SymmetricTreeSpec([3] * 49)
-        lines = decompose_spectrum(spec)
-        assert sum(s.multiplicity for s in lines) == spec.vertex_count()
+        spectrum = decompose_spectrum(spec)
+        assert sum(spectrum.multiplicity()) == spec.vertex_count()
+
+    def test_columns(self):
+        spectrum = decompose_spectrum(SymmetricTreeSpec([3, 2]))
+        assert spectrum.values.dtype == np.float64 and spectrum.origin_side is None
+        assert spectrum.multiplicities == (1, 2, 3)  # one per level family
+        assert len({len(spectrum.values), len(spectrum.origin_level), len(spectrum.position), len(spectrum.family)}) == 1
+
+
+# a few values with exact ties, both zeros and neighbouring floats
+tied_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2**-52, 0.5, -1.0]), min_size=1, max_size=5
+).map(np.array)
+
+
+@st.composite
+def spectrum_parts(draw):
+    """``(side, level, multiplicity, values)`` parts as the spectra give
+    them: a symmetric tree's in level order, or a glued tree's left and
+    right parts, each side in level order, then its stratified part."""
+    def side(name, first, least):
+        levels = sorted(draw(st.sets(st.integers(first, 9), min_size=least, max_size=4)))
+        return [(name, l0, draw(st.integers(1, 10**30)), draw(tied_values)) for l0 in levels]
+
+    if draw(st.booleans()):
+        return side("left", 1, 0) + side("right", 1, 0) + [("stratified", 0, 1, draw(tied_values))]
+    return side(None, 0, 1)
+
+
+class TestSpectrumFromParts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(spectrum_parts())
+    def test_orders_as_the_stable_sort(self, parts):
+        lines = [
+            (value, side, l0, f, pos)
+            for f, (side, l0, _, values) in enumerate(parts)
+            for pos, value in enumerate(values.tolist())
+        ]
+        glued = parts[0][0] is not None
+        lines.sort(key=lambda line: (line[0], line[1]) if glued else (line[0], line[2]))
+        spectrum = decompose.spectrum_from_parts(parts)
+        assert spectrum.family.tolist() == [line[3] for line in lines]
+        assert spectrum.position.tolist() == [line[4] for line in lines]
+        assert spectrum.origin_level.tolist() == [line[2] for line in lines]
+        assert [math.copysign(1, v) for v in spectrum.values.tolist()] == [math.copysign(1, line[0]) for line in lines]
+        assert spectrum.values.tolist() == [line[0] for line in lines]
+        sides = None if not glued else [line[1] for line in lines]
+        assert (spectrum.origin_side if sides is None else spectrum.origin_side.tolist()) == sides
+        assert spectrum.multiplicity() == [parts[line[3]][2] for line in lines]
 
 
 class TestCountingIdentity:
@@ -685,8 +733,9 @@ class TestMultiplicityLowerBound:
             spec = SymmetricTreeSpec(children)
             vals = oracle_spectrum(spec)
             pops = spec.populations()
-            for s in decompose_spectrum(spec):
-                if s.origin_level < 1:
+            spectrum = decompose_spectrum(spec)
+            for value, l0 in zip(spectrum.values.tolist(), spectrum.origin_level.tolist()):
+                if l0 < 1:
                     continue
-                oracle_mult = int(np.sum(np.abs(vals - s.value) <= 1e-8))
-                assert oracle_mult >= pops[s.origin_level] - pops[s.origin_level - 1]
+                oracle_mult = int(np.sum(np.abs(vals - value) <= 1e-8))
+                assert oracle_mult >= pops[l0] - pops[l0 - 1]

@@ -302,13 +302,13 @@ class TestCommonVanishing:
             spec = SymmetricTreeSpec(children)
             off = np.cumsum([0, *spec.populations()])
             tree, vals, vecs = oracle(children)
-            lines = decompose_spectrum(spec)
-            for value in sorted({s.value for s in lines}):
+            spectrum = decompose_spectrum(spec)
+            for value in sorted(set(spectrum.values.tolist())):
                 z = set(common_zeros(eigenspace(vals, vecs, value)))
                 for l in range(spec.levels):
                     level = set(range(off[l], off[l + 1]))
                     assert level <= z or not (level & z)
-                l0 = min(s.origin_level for s in lines if abs(s.value - value) <= 1e-8)
+                l0 = min(spectrum.origin_level[np.abs(spectrum.values - value) <= 1e-8])
                 assert set(range(off[l0])) <= z
 
 

@@ -16,7 +16,7 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     spec = stratree.SymmetricTreeSpec([3, 2, 2])
-    assert len(out.getvalue().splitlines()) == len(stratree.decompose_spectrum(spec))
+    assert len(out.getvalue().splitlines()) == len(stratree.decompose_spectrum(spec).values)
 
 
 def test_every_exported_name_resolves():
