@@ -41,8 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-log = logging.getLogger("stratree")
-
 
 @dataclass
 class RunConfig:

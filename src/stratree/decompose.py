@@ -8,7 +8,8 @@ level matrix T of the whole tree holds the level degrees on its diagonal
 and sqrt(c(l)) beside it.  The recurrence of a subtree rooted at level l0
 is the trailing slice of T from row l0 (Rojo & Robbiano's Bethe-tree
 formula, in reversed level order), so the full eigenproblem on |V|
-vertices becomes LAPACK solves of k slices of one k-row matrix.
+vertices becomes LAPACK solves of k slices of one k-row matrix: O(k^3)
+time and O(k) memory for the spectrum.
 Eigenfunctions that vanish at a subtree root are a stratified Dirichlet
 eigenfunction on one subtree minus its copy on a sibling subtree, which
 yields exactly n(l0) - n(l0-1) independent vectors per recurrence
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import TriDiag, tridiag_eigen
+from .eigen import TriDiag, trailing_eigenvalues, tridiag_eigen
 from .laplacian import assemble, matvec
 from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 
@@ -140,16 +141,16 @@ def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0, side: str | Non
     from ``first_level`` that gives vectors.
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
-    with multiplicity ``vectors_per_value``.
+    with multiplicity ``vectors_per_value``.  All slices are solved by one
+    ``trailing_eigenvalues`` call; as in ``stratified_levels``, the root
+    level's smallest eigenvalue is set to exactly 0.0.
     """
-    t = level_matrix(spec)
     pops = spec.populations()
-    out = []
-    for l0 in range(first_level, spec.levels):
-        mult = vectors_per_value(pops, l0)
-        if mult:
-            out.append((side, l0, mult, stratified_levels(t, l0)))
-    return out
+    levels = [l0 for l0 in range(first_level, spec.levels) if vectors_per_value(pops, l0)]
+    spectra = trailing_eigenvalues(level_matrix(spec), levels)
+    if first_level == 0:
+        spectra[0][0] = 0.0
+    return [(side, l0, vectors_per_value(pops, l0), vals) for l0, vals in zip(levels, spectra)]
 
 
 def decompose_spectrum(spec: SymmetricTreeSpec) -> Spectrum:

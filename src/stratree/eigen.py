@@ -2,9 +2,18 @@
 independent check on them, and a dense solve of a tree's Laplacian used as
 the brute-force oracle.
 
-The tridiagonals are the small level matrices of the decomposition, so a
-dense LAPACK solve of each costs little; ``sturm_count`` is kept apart from
-that route so the test suite can check LAPACK's eigenvalue counts with it.
+The tridiagonals are the level matrices of the decomposition.  Their
+values come from LAPACK's tridiagonal QR iteration ``dsterf``, called
+through ``ctypes`` from the OpenBLAS that numpy wheels bundle: O(m^2) time
+and O(m) memory per m-row slice, never a dense matrix.  ``eigvalsh`` on
+the densified slice runs ``dsyevd``, which reduces the (already
+tridiagonal) matrix in O(m^3) and then calls the same ``dsterf`` on the
+same entries, so the two routes give bitwise-equal values, except where
+``dsyevd`` first rescales the matrix.  ``eigvalsh`` is kept for those
+slices and for installs whose numpy bundles no ``dsterf``.  Vectors,
+needed only for the eigenbasis, come from a dense ``eigh``.
+``sturm_count`` is kept apart from both routes so the test suite can check
+LAPACK's eigenvalue counts with it.
 
 The oracle's repeated eigenvalues are sharpened by inverse iteration.  A
 tree Laplacian (degrees on the diagonal, -1 on every edge) minus a shift
@@ -15,7 +24,11 @@ solved in one batched O(n) pass per vector, next to the O(n^3) ``eigh``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +41,16 @@ CLUSTER_TOL = 1e-8
 # a purified cluster is projected off the vectors of eigenvalues near enough
 # that the solve's own error, eps * |A| / gap, may exceed this
 BLEED_TOL = 1e-13
+# LAPACK dsterf in numpy's bundled ILP64 OpenBLAS (int64 arguments)
+DSTERF_SYMBOL = "scipy_dsterf_64_"
+# dsyevd, behind eigvalsh, rescales a matrix whose max |entry| is outside
+# [sqrt(tiny/eps), sqrt(eps/tiny)] before its dsterf; in float64:
+UNSCALED = (2.0**-485, 2.0**485)
+# most work, the sum of m^2 over the m-row slices, that one values solve
+# may take: a path of 31,622 levels, some 20 s of dsterf
+SOLVE_CAP = 10**9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -98,9 +121,16 @@ def tridiag_eigen(t: TriDiag, want_vectors: bool = False):
 
     Returns the eigenvalue array, or ``(values, vectors)`` with orthonormal
     eigenvector columns when ``want_vectors`` is set.  With nonzero
-    off-diagonals the eigenvalues are simple.  A matrix too large to
-    densify or to solve is a ``CapacityError``.
+    off-diagonals the eigenvalues are simple.  Values come from
+    ``trailing_eigenvalues``; a matrix too large to densify for its
+    vectors is a ``CapacityError``.
     """
+    if not want_vectors:
+        return trailing_eigenvalues(t, [0])[0]
+    return _dense_solve(t, want_vectors=True)
+
+
+def _dense_solve(t: TriDiag, want_vectors: bool):
     try:
         a = t.to_dense()
         if want_vectors:
@@ -108,6 +138,82 @@ def tridiag_eigen(t: TriDiag, want_vectors: bool = False):
         return np.linalg.eigvalsh(a)
     except MemoryError:
         raise CapacityError(f"a dense {t.m}x{t.m} tridiagonal does not fit in memory") from None
+
+
+@functools.cache
+def _dsterf():
+    """LAPACK's ``dsterf`` from numpy's bundled OpenBLAS, or None.
+
+    Bound on the first values solve, not at import, and the route that
+    gives is logged once per process.
+    """
+    here = Path(np.__file__).resolve().parent
+    paths = sorted([
+        *here.parent.glob("numpy.libs/libscipy_openblas64_*"),
+        *here.glob(".dylibs/libscipy_openblas64_*"),
+    ])
+    why = f"numpy at {here} bundles no libscipy_openblas64_"
+    for path in paths:
+        try:
+            fn = getattr(ctypes.CDLL(str(path)), DSTERF_SYMBOL)
+        except (OSError, AttributeError) as exc:
+            why = f"{path} gives no {DSTERF_SYMBOL}: {exc}"
+            continue
+        fn.argtypes = (ctypes.c_void_p,) * 4  # n, d, e, info
+        fn.restype = None
+        log.debug("values route: LAPACK %s from %s", DSTERF_SYMBOL, path)
+        return fn
+    log.debug("values route: eigvalsh, since %s", why)
+    return None
+
+
+def trailing_eigenvalues(t: TriDiag, starts) -> list[np.ndarray]:
+    """Eigenvalues of the trailing slice of ``t`` from each row in
+    ``starts``, each nondecreasing; a start of ``t.m`` is the empty slice.
+
+    Each slice is one ``dsterf`` call on a copy of its entries in one
+    scratch buffer, so no slice is densified.  A slice whose max |entry|
+    is outside ``UNSCALED`` (or not finite), and every slice where numpy
+    bundles no ``dsterf``, is solved by ``eigvalsh`` instead.  Either way
+    the values are bitwise those of ``eigvalsh`` on the dense slice.
+    Slices of more than ``SOLVE_CAP`` squared rows in all are a
+    ``CapacityError``, raised before any is solved.
+    """
+    m = t.m
+    starts = np.asarray(starts, dtype=np.int64)
+    outside = starts[(starts < 0) | (starts > m)]
+    if outside.size:
+        raise IndexError(f"row {outside[0]} out of range for {m} rows")
+    sizes = (m - starts).astype(float)
+    work = sizes @ sizes
+    if work > SOLVE_CAP:
+        raise CapacityError(
+            f"the slices of a {m}-row level matrix take {work:.2g} squared rows of"
+            f" tridiagonal solves, over the cap of {SOLVE_CAP:.0g}"
+        )
+    top = np.append(np.abs(t.diag), 0.0)
+    np.maximum(top[: m - 1], np.abs(t.off), out=top[: m - 1])
+    top = np.maximum.accumulate(top[::-1])[::-1][starts].tolist()  # max |entry| of each slice
+    lo, hi = UNSCALED
+    dsterf = _dsterf()
+    scratch = np.empty(2 * m)  # the slice's diagonal, then its off-diagonal
+    size, info = ctypes.c_int64(), ctypes.c_int64()
+    at = scratch.ctypes.data
+    args = (ctypes.byref(size), at, at + scratch.itemsize * m, ctypes.byref(info))
+    out = []
+    for start, big in zip(starts.tolist(), top):
+        diag, off = t.diag[start:], t.off[start:]
+        if dsterf is None or not (big == 0.0 or lo <= big <= hi):
+            out.append(_dense_solve(TriDiag(diag, off), want_vectors=False))
+            continue
+        size.value = len(diag)
+        scratch[: len(diag)] = diag
+        scratch[m : m + len(off)] = off
+        dsterf(*args)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        out.append(scratch[: len(diag)].copy())
+    return out
 
 
 def _breadth_first(tree: RootedTree) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -205,9 +205,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("route", ["spectrum", "glued", "bench"])
     def test_unallocatable_level_matrix(self, capsys, tmp_path, route):
-        # a path of 300,000 levels: its one 300,000-row level matrix would
-        # take 720 GB dense, so the allocation is refused at once rather
-        # than committed lazily and solved in O(k^3)
+        # a path of 300,000 levels: its one 300,000-row slice would take
+        # 720 GB dense, and half an hour of tridiagonal solve even in O(k)
+        # memory, so it is refused at once by the solve cap
         deep = [1] * 300_000
         if route == "bench":
             argv = ["bench", "--children", "1", "--levels", str(len(deep) + 1)]

@@ -1,9 +1,15 @@
+import contextlib
+import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratree.eigen import (
     TriDiag,
@@ -12,10 +18,13 @@ from stratree.eigen import (
     _tree_solve,
     dense_eigen,
     sturm_count,
+    trailing_eigenvalues,
     tridiag_eigen,
 )
+import stratree.cli as cli
 import stratree.eigen as eigen
 import stratree.verify as verify
+from stratree.decompose import decompose_spectrum, level_matrix
 from stratree.laplacian import assemble
 from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
@@ -110,6 +119,160 @@ def test_agreement_with_dense_oracle():
         vals = tridiag_eigen(t)
         mids = 0.5 * (vals[:-1] + vals[1:])
         assert sturm_count(t, mids).tolist() == list(range(1, m))
+
+
+needs_dsterf = pytest.mark.skipif(eigen._dsterf() is None, reason="numpy bundles no dsterf here")
+EDGE = int(eigen.UNSCALED[1])  # 2^485: above this max |entry|, eigvalsh rescales
+
+
+def counted_dsterf(monkeypatch):
+    """Route every ``dsterf`` call through a counter; returns the list of
+    slice sizes it was called on."""
+    fn, sizes = eigen._dsterf(), []
+
+    def counted(n, d, e, info):
+        sizes.append(n._obj.value)
+        fn(n, d, e, info)
+
+    monkeypatch.setattr(eigen, "_dsterf", lambda: counted)
+    return sizes
+
+
+def dense_values(t, start):
+    return np.linalg.eigvalsh(t.trailing(start).to_dense())
+
+
+@needs_dsterf
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(st.integers(1, 1000), st.integers(EDGE // 4, EDGE * 4)), min_size=0, max_size=40
+    )
+)
+@example([1000] * 40)
+@example([EDGE - 1, 3, 2])  # the root's degree rounds to the edge itself
+@example([EDGE + 2**440, 3, 2])  # and to the float just above it
+def test_dsterf_and_eigvalsh_agree_bitwise_on_every_slice(children):
+    t = level_matrix(SymmetricTreeSpec(children))
+    got = trailing_eigenvalues(t, range(t.m))
+    for start, vals in enumerate(got):
+        assert vals.tobytes() == dense_values(t, start).tobytes()
+
+
+@needs_dsterf
+def test_slices_outside_the_window_take_eigvalsh(monkeypatch):
+    sizes = counted_dsterf(monkeypatch)
+    t = level_matrix(SymmetricTreeSpec([EDGE * 2, 3, 2]))  # only the root row is above
+    vals = trailing_eigenvalues(t, range(t.m))
+    assert sizes == [3, 2, 1]
+    assert [v.tobytes() for v in vals] == [dense_values(t, s).tobytes() for s in range(t.m)]
+    sizes.clear()
+    tiny = TriDiag([1e-150, 2e-150], [1e-150])  # below the window
+    assert trailing_eigenvalues(tiny, [0])[0].tobytes() == dense_values(tiny, 0).tobytes()
+    with contextlib.suppress(np.linalg.LinAlgError):  # not finite
+        trailing_eigenvalues(TriDiag([1.0, np.inf], [1.0]), [0])
+    assert sizes == []
+
+
+def test_solve_cap_refuses_before_solving(monkeypatch):
+    sizes = counted_dsterf(monkeypatch) if eigen._dsterf() else []
+    m = math.isqrt(eigen.SOLVE_CAP) + 1  # one slice over the cap
+    with pytest.raises(CapacityError):
+        trailing_eigenvalues(TriDiag(np.ones(m), np.ones(m - 1)), [0])
+    k = 1500  # each slice under it, their sum over it
+    t = TriDiag(np.ones(k), np.ones(k - 1))
+    with pytest.raises(CapacityError):
+        trailing_eigenvalues(t, range(k))
+    assert sizes == []
+    assert len(trailing_eigenvalues(t, range(k // 2, k))) == k - k // 2
+
+
+def test_empty_and_out_of_range_slices():
+    t = TriDiag([1.0, 2.0], [1.0])
+    assert [v.tolist() for v in trailing_eigenvalues(t, [2, 2])] == [[], []]
+    assert tridiag_eigen(TriDiag([], [])).tolist() == []
+    for start in (-1, 3):
+        with pytest.raises(IndexError):
+            trailing_eigenvalues(t, [start])
+
+
+FALLBACK_SPECS = {
+    "2x16": ["--children", ",".join(["2"] * 16)],
+    "forty-ones-10": ["--children", "1," * 40 + "10"],
+    "huge": ["--children", ",".join([str(10**300)] * 16)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", [*FALLBACK_SPECS, "glued"])
+def test_eigvalsh_fallback_gives_the_same_bytes(monkeypatch, capsys, tmp_path, name, fmt):
+    if name == "glued":
+        path = tmp_path / "g.json"
+        path.write_text('{"left": [2, 2], "right": [3]}')
+        spec = ["--spec", str(path)]
+    else:
+        spec = FALLBACK_SPECS[name]
+
+    def spectrum():
+        assert cli.main(["spectrum", *spec, "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    fast = spectrum()
+    monkeypatch.setattr(eigen, "_dsterf", lambda: None)
+    assert spectrum() == fast
+
+
+@needs_dsterf
+def test_deep_path_spectrum_never_densifies():
+    # one 4000-row slice: its dense matrix alone would take 128 MB
+    k = 4000
+    tracemalloc.start()
+    try:
+        spectrum = decompose_spectrum(SymmetricTreeSpec([1] * (k - 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum.values) == k
+    assert peak < 8 * k * k / 100
+
+
+@pytest.fixture
+def rebind():
+    """Bind ``dsterf`` afresh in the test and again after it."""
+    eigen._dsterf.cache_clear()
+    yield
+    eigen._dsterf.cache_clear()
+
+
+def test_debug_log_names_the_values_route_once(rebind, caplog):
+    caplog.set_level(logging.DEBUG, logger="stratree")
+    tridiag_eigen(TriDiag([1.0, 2.0], [1.0]))
+    tridiag_eigen(TriDiag([1.0], []))
+    [line] = [r.getMessage() for r in caplog.records if "values route" in r.getMessage()]
+    if eigen._dsterf() is None:
+        assert "eigvalsh, since" in line
+    else:
+        assert eigen.DSTERF_SYMBOL in line and "libscipy_openblas64_" in line
+
+
+def test_debug_log_says_why_eigvalsh(rebind, caplog, monkeypatch):
+    monkeypatch.setattr(eigen, "DSTERF_SYMBOL", "no_such_symbol")
+    caplog.set_level(logging.DEBUG, logger="stratree")
+    assert tridiag_eigen(TriDiag([1.0, 2.0], [SQRT2])).tolist() == pytest.approx([0.0, 3.0])
+    [line] = [r.getMessage() for r in caplog.records if "values route" in r.getMessage()]
+    assert line.startswith("values route: eigvalsh, since ")
+    assert "no_such_symbol" in line or "bundles no libscipy_openblas64_" in line
+
+
+def test_stratree_log_debug_shows_the_route_on_stderr():
+    src = os.path.dirname(os.path.dirname(eigen.__file__))
+    env = dict(os.environ, STRATREE_LOG="debug", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stratree.cli", "spectrum", "--children", "2,2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("values route: ") == 1
 
 
 def test_dense_star_spectrum():
