@@ -100,8 +100,8 @@ def level_matrix(spec: SymmetricTreeSpec) -> TriDiag:
     return TriDiag(diag, np.sqrt(np.asarray(spec.children, dtype=float)))
 
 
-def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
-    """Eigenvalues (and per-level eigenvectors) of the recurrence at ``root_level``.
+def stratified_levels(t: TriDiag, root_level: int):
+    """Eigenvalues and per-level eigenvectors of the recurrence at ``root_level``.
 
     ``t`` is the tree's ``level_matrix``.  The vectors come back one per row
     in level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
@@ -114,14 +114,9 @@ def stratified_levels(t: TriDiag, root_level: int, want_vectors: bool = False):
     LAPACK returns as +-1e-16 and is set to exactly 0.0 here.
     """
     s = t.trailing(root_level)
-    if want_vectors:
-        vals, w = tridiag_eigen(s, want_vectors=True)
-    else:
-        vals = tridiag_eigen(s)
+    vals, w = tridiag_eigen(s, want_vectors=True)
     if root_level == 0:
         vals[0] = 0.0
-    if not want_vectors:
-        return vals
     scale = np.concatenate(([1.0], np.cumprod(s.off)))
     sign = np.where(np.arange(s.m) % 2, -1.0, 1.0)
     g = (w * (sign / scale)[:, None]).T
@@ -340,7 +335,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     pops = spec.populations()
     t = level_matrix(spec)
     families = [
-        LevelFamily(l0, *stratified_levels(t, l0, want_vectors=True))
+        LevelFamily(l0, *stratified_levels(t, l0))
         for l0 in range(spec.levels)
         if vectors_per_value(pops, l0)
     ]

@@ -20,6 +20,10 @@ tree Laplacian (degrees on the diagonal, -1 on every edge) minus a shift
 factors from the leaves to the root with no fill-in (Parter 1961; Jacobs &
 Trevisan, "Locating the eigenvalues of trees", 2011).  So every cluster is
 solved in one batched O(n) pass per vector, next to the O(n^3) ``eigh``.
+The solved clusters are nearly orthonormal already, so Newton-Schulz
+steps (a Gram and a product each) finish them without a QR, and a basis
+entry too near zero to classify is moved by a Householder reflection of
+the few columns involved, not by a rotation of the whole cluster.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +46,8 @@ CLUSTER_TOL = 1e-8
 # a purified cluster is projected off the vectors of eigenvalues near enough
 # that the solve's own error, eps * |A| / gap, may exceed this
 BLEED_TOL = 1e-13
+# Newton-Schulz steps a purified cluster may take to reach BLEED_TOL
+ORTHO_STEPS = 3
 # LAPACK dsterf in numpy's bundled ILP64 OpenBLAS (int64 arguments)
 DSTERF_SYMBOL = "scipy_dsterf_64_"
 # dsyevd, behind eigvalsh, rescales a matrix whose max |entry| is outside
@@ -294,6 +301,7 @@ def _purify_degenerate(
     diag: np.ndarray,
     vals: np.ndarray,
     vecs: np.ndarray,
+    tally: Counter | None = None,
 ) -> np.ndarray:
     """Sharpen eigenvectors of repeated eigenvalues by inverse iteration.
 
@@ -301,16 +309,24 @@ def _purify_degenerate(
     another eigenvalue, LAPACK vectors bleed across the small gap by roughly
     eps/gap, which pollutes coordinates that vanish in exact arithmetic.
     One shifted solve per cluster amplifies the cluster space and kills
-    that bleed; QR restores orthonormality within the cluster.  The solve's
-    own error leaves about eps * |A| / gap of each neighbour in it, so the
-    cluster is then projected off the vectors of the eigenvalues near
-    enough for that to exceed ``BLEED_TOL``.
+    that bleed.  The solved block is about LAPACK's cluster vectors, each
+    column scaled by 1 / (lambda - shift), so its normalized columns are
+    nearly orthonormal already; ``_orthonormalize`` finishes them.  The
+    solve's own error leaves about eps * |A| / gap of each neighbour in
+    it, so the cluster is then projected off the vectors of the
+    eigenvalues near enough for that to exceed ``BLEED_TOL``.
 
     The matrix is given by its tree: ``diag`` on the diagonal and -1 on
     every edge.  All clusters are solved at once by ``_tree_solve``, so
     purifying m vectors costs O(n * m), not a dense O(n^3) factorization
-    per cluster.  A cluster whose solve is not finite keeps LAPACK's
-    vectors.
+    per cluster, and orthonormalizing them O(n * m^2) per step.  A cluster
+    whose solve is not finite, or is too far from orthonormal for
+    ``_orthonormalize``, keeps LAPACK's vectors.
+
+    A ``tally`` counts the clusters, the vectors purified, the
+    Newton-Schulz steps, the reflection retries and the clusters kept as
+    LAPACK's, and holds the worst max|q'q - I| of a purified cluster
+    (one more Gram per cluster, so it is taken only with a tally).
     """
     n = len(vals)
     clusters = [(lo, lo + size) for lo, size in cluster_spectrum(vals, CLUSTER_TOL) if size > 1]
@@ -326,43 +342,96 @@ def _purify_degenerate(
     reach = np.finfo(float).eps * scale / BLEED_TOL
     windows = np.searchsorted(vals, np.add.outer(shifts, [-reach, reach])).tolist()
     blocks = np.split(solved, np.cumsum(sizes)[:-1], axis=1)
+    counts = Counter() if tally is None else tally
+    counts["clusters"] += len(clusters)
     for (lo, hi), (a, b), block in zip(clusters, windows, blocks):
         w = np.empty_like(block)
         w[order] = block
-        if np.all(np.isfinite(w)):
-            q = _avoid_fuzzy_zeros(np.linalg.qr(w)[0], seed=n * 1000 + lo)
-            for near in (vecs[:, a:lo], vecs[:, hi:b]):
-                if near.size:
-                    q -= near @ (near.T @ q)
-            vecs[:, lo:hi] = q
+        q, steps = _orthonormalize(w) if np.all(np.isfinite(w)) else (None, 0)
+        counts["steps"] += steps
+        if q is None:
+            counts["kept"] += 1
+            continue
+        q, retries = _avoid_fuzzy_zeros(q, seed=n * 1000 + lo)
+        counts["retries"] += retries
+        for near in (vecs[:, a:lo], vecs[:, hi:b]):
+            if near.size:
+                q -= near @ (near.T @ q)
+        vecs[:, lo:hi] = q
+        counts["purified"] += hi - lo
+        if tally is not None:
+            tally["worst"] = max(tally["worst"], _gram_gap(q)[1])
     return vecs
 
 
-def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> np.ndarray:
-    """Rotate an eigenspace basis away from ambiguous near-zero entries.
+def _gram_gap(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """x'x - I for the columns of x, and its max |entry|."""
+    f = x.T @ x
+    f[np.diag_indices_from(f)] -= 1.0
+    return f, float(np.max(np.abs(f)))
+
+
+def _orthonormalize(x: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """An orthonormal basis of a nearly orthogonal block's columns, and the
+    Newton-Schulz steps it took; None if the block is too far out.
+
+    The columns of x are normalized in place, then each step
+    x <- x - x (x'x - I) / 2 is one Gram and one product, until
+    max |x'x - I| <= ``BLEED_TOL``.  The step maps each eigenvalue f of
+    x'x - I to -f^2 (3 - f) / 4, so from m * max |x'x - I| < 1/2, which
+    bounds its 2-norm, it converges quadratically.  A start outside that,
+    or no convergence after ``ORTHO_STEPS`` steps, gives None.
+    """
+    x /= np.linalg.norm(x, axis=0)
+    steps = 0
+    while True:
+        f, gap = _gram_gap(x)
+        if gap <= BLEED_TOL:
+            return x, steps
+        if steps == ORTHO_STEPS or not x.shape[1] * gap < 0.5:
+            return None, steps
+        f *= 0.5
+        x -= x @ f
+        steps += 1
+
+
+def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+    """Reflect an eigenspace basis away from ambiguous near-zero entries;
+    returns the basis and the reflections it took.
 
     Entries of a degenerate-cluster basis are either exact zeros of the
     whole eigenspace (~1e-16 after purification) or genuine values; a
     genuine value that lands near the downstream zero threshold would be
     misclassified.  Any orthogonal recombination spans the same
-    eigenspace, so retry random rotations until every entry is clearly
-    zero or clearly not.  The tree solve leaves such entries in about half
-    as many clusters as a dense solve did, but not in none, so the retries
-    stay.  The generator is made at the first retry.
+    eigenspace, so each retry applies one random Householder reflection,
+    q <- q - 2 (q u) u', with a unit vector u on the columns of the fuzzy
+    entries and of each fuzzy row's largest entry: it mixes that row's
+    weight into the fuzzy entries and leaves the rows of exact zeros at
+    zero.  It costs O(n * m), as the check does, with no m x m
+    factorization.  A random u on every column would redraw every entry of
+    a large cluster, and at m = 585 about one of them lands in the band
+    again each time.  Up to ten checks are made until every entry is
+    clearly zero or clearly not, and the best basis seen is kept.  The
+    generator is made at the first retry.
     """
     rng = None
     best, best_bad = q, np.inf
-    for _ in range(10):
-        rel = np.abs(q) / np.max(np.abs(q), axis=0)
-        bad = int(np.sum((rel > 1e-13) & (rel < 1e-6)))
-        if bad < best_bad:
-            best, best_bad = q, bad
-        if bad == 0:
-            return q
+    for retries in range(10):
+        size = np.abs(q)
+        top = np.max(size, axis=0)
+        fuzzy = (size > 1e-13 * top) & (size < 1e-6 * top)
+        rows, cols = np.nonzero(fuzzy)
+        if not len(rows):
+            return q, retries
+        if len(rows) < best_bad:
+            best, best_bad = q, len(rows)
+        cols = np.union1d(cols, np.argmax(size[rows], axis=1))
         rng = rng or np.random.default_rng(seed)
-        rot, _ = np.linalg.qr(rng.standard_normal((q.shape[1], q.shape[1])))
-        q = q @ rot
-    return best
+        u = rng.standard_normal(len(cols))
+        u /= np.linalg.norm(u)
+        q = q.copy()
+        q[:, cols] -= np.outer(q[:, cols] @ (2.0 * u), u)
+    return best, 10
 
 
 def dense_eigen(tree: RootedTree):
@@ -377,4 +446,14 @@ def dense_eigen(tree: RootedTree):
     diag = a.diagonal().copy()
     vals, vecs = np.linalg.eigh(a)
     del a  # purification needs only the diagonal, not the n x n matrix
-    return vals, _purify_degenerate(tree, diag, vals, vecs)
+    if not log.isEnabledFor(logging.DEBUG):
+        return vals, _purify_degenerate(tree, diag, vals, vecs)
+    tally = Counter(worst=0.0)
+    vecs = _purify_degenerate(tree, diag, vals, vecs, tally)
+    log.debug(
+        "oracle: n=%d, %d clusters, %d vectors purified, %d Newton-Schulz steps,"
+        " %d reflection retries, %d clusters kept as LAPACK's, worst max|q'q - I| %.2e",
+        tree.n, tally["clusters"], tally["purified"], tally["steps"],
+        tally["retries"], tally["kept"], tally["worst"],
+    )
+    return vals, vecs

@@ -19,7 +19,7 @@ from stratree.decompose import (
     level_matrix,
     stratified_levels,
 )
-from stratree.eigen import dense_eigen, sturm_count, tridiag_eigen
+from stratree.eigen import dense_eigen, sturm_count, trailing_eigenvalues, tridiag_eigen
 from stratree.laplacian import assemble, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 from stratree.verify import check_eigenbasis
@@ -103,13 +103,14 @@ class TestBalance:
     def test_similar_to_unbalanced_form(self, children, l0):
         spec = SymmetricTreeSpec(children)
         nonsym_vals = np.sort(np.linalg.eigvals(recurrence(spec, l0)).real)
-        assert np.allclose(stratified_levels(level_matrix(spec), l0), nonsym_vals, atol=1e-10)
+        [vals] = trailing_eigenvalues(level_matrix(spec), [l0])
+        assert np.allclose(vals, nonsym_vals, atol=1e-10)
 
     def test_unbalanced_eigenvector_solves_recurrence(self):
         spec = SymmetricTreeSpec([3, 2, 2])
         for l0 in range(spec.levels):
             r = recurrence(spec, l0)
-            vals, gs = stratified_levels(level_matrix(spec), l0, want_vectors=True)
+            vals, gs = stratified_levels(level_matrix(spec), l0)
             for lam, g in zip(vals, gs):
                 assert g[0] > 0
                 assert np.allclose(r @ g, lam * g, atol=1e-10)
@@ -129,7 +130,7 @@ class TestLevelMatrixSlices:
     def test_consecutive_slices_interlace(self, spec):
         t = level_matrix(spec)
         tol = 1e-10 * t.norm_inf()
-        spectra = [stratified_levels(t, l0) for l0 in range(t.m)]
+        spectra = trailing_eigenvalues(t, range(t.m))
         for outer, inner in zip(spectra, spectra[1:]):
             assert np.all(outer[:-1] <= inner + tol)
             assert np.all(inner <= outer[1:] + tol)
@@ -148,15 +149,14 @@ class TestLevelMatrixSlices:
                 [off[l] + np.arange(pops[l] // pops[l0]) for l in range(l0, spec.levels)]
             )
             dirichlet = np.linalg.eigvalsh(lap[np.ix_(omega, omega)])
-            for lam in stratified_levels(t, l0):
+            for lam in trailing_eigenvalues(t, [l0])[0]:
                 assert np.min(np.abs(dirichlet - lam)) <= 1e-9 * (1 + abs(lam))
 
     @property_settings
     @given(level_specs)
     def test_sturm_counts_between_eigenvalues(self, spec):
         t = level_matrix(spec)
-        for l0 in range(t.m):
-            vals = stratified_levels(t, l0)
+        for l0, vals in enumerate(trailing_eigenvalues(t, range(t.m))):
             mids = 0.5 * (vals[1:] + vals[:-1])
             assert sturm_count(t.trailing(l0), mids).tolist() == list(range(1, t.m - l0))
 
@@ -313,8 +313,8 @@ def vanishing_at(level):
     eigenvector."""
     solve = decompose.stratified_levels
 
-    def solved(t, root_level, want_vectors=False):
-        vals, g = solve(t, root_level, want_vectors)
+    def solved(t, root_level):
+        vals, g = solve(t, root_level)
         if root_level == level:
             g[-1, 0] = 0.0
         return vals, g
@@ -462,8 +462,8 @@ class TestAntisymLift:
         # the sibling block holds 0.0 - g, never -g, so a zero stays +0.0
         solve = decompose.stratified_levels
 
-        def zero_at_level_two(t, root_level, want_vectors=False):
-            vals, g = solve(t, root_level, want_vectors)
+        def zero_at_level_two(t, root_level):
+            vals, g = solve(t, root_level)
             if root_level == 1:
                 g[:, 1] = 0.0
             return vals, g
@@ -623,7 +623,7 @@ def eigenbasis_by_vector(spec):
         c = 1 if l0 == 0 else spec.children[l0 - 1]
         if l0 and c == 1:
             continue
-        vals, gs = stratified_levels(t, l0, want_vectors=True)
+        vals, gs = stratified_levels(t, l0)
         for lam, g in zip(vals.tolist(), gs):
             for p in range(1 if l0 == 0 else pops[l0 - 1]):
                 for s in range(1) if l0 == 0 else range(1, c):

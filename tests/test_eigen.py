@@ -2,6 +2,7 @@ import contextlib
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -481,3 +482,94 @@ def test_dense_eigen_on_any_numbering(tree):
     assert abs(vals[0]) <= 1e-12
     assert np.max(np.abs(vecs.T @ vecs - np.eye(tree.n))) <= 1e-12
     assert np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)) <= 1e-12 * norm
+
+
+def test_far_from_orthonormal_solve_keeps_lapack_vectors(monkeypatch, caplog):
+    # every solved column leans on its block's first one, so the normalized
+    # columns are too far apart for Newton-Schulz steps: each cluster of
+    # [3, 2] must come back as eigh's own vectors
+    solve = eigen._tree_solve
+
+    def skewed(up, starts, diag, shifts, owner, x):
+        x = solve(up, starts, diag, shifts, owner, x)
+        x += x[:, :1]
+        return x
+
+    monkeypatch.setattr(eigen, "_tree_solve", skewed)
+    caplog.set_level(logging.DEBUG, logger="stratree")
+    tree, a = laplacian(SymmetricTreeSpec([3, 2]))
+    vals, vecs = dense_eigen(tree)
+    assert np.array_equal(vecs, np.linalg.eigh(a)[1])
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(tree.n))) <= 1e-12
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle: ")]
+    assert "3 clusters, 0 vectors purified" in line and "3 clusters kept as LAPACK's" in line
+
+
+def test_no_qr(monkeypatch):
+    # [4, 4, 3, 2, 2, 2] takes reflection retries as well as Newton-Schulz steps
+    def refuse(*args, **kwargs):
+        raise AssertionError("QR called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    tree, a = laplacian(SymmetricTreeSpec([4, 4, 3, 2, 2, 2]))
+    vals, vecs = dense_eigen(tree)
+    assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(a, 2)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(tree.n))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        realize(SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])),
+        realize(SymmetricTreeSpec([4, 4, 3, 2, 2, 2])),
+        realize(GluedTreeSpec(SymmetricTreeSpec([3, 3, 2]), SymmetricTreeSpec([2, 2, 2, 2]))),
+        RootedTree(CLOSE_NEIGHBOUR),
+    ],
+    ids=["3,1,4,1,3,2,4,3", "4,4,3,2,2,2", "glued", "close-neighbour"],
+)
+def test_reflections_leave_no_fuzzy_entry(monkeypatch, tree):
+    bases, avoid = [], eigen._avoid_fuzzy_zeros
+
+    def kept(q, seed):
+        q, retries = avoid(q, seed)
+        bases.append(q.copy())  # before the projection off the neighbours
+        return q, retries
+
+    monkeypatch.setattr(eigen, "_avoid_fuzzy_zeros", kept)
+    dense_eigen(tree)
+    assert bases
+    for q in bases:
+        size = np.abs(q)
+        top = np.max(size, axis=0)
+        assert not np.any((size > 1e-13 * top) & (size < 1e-6 * top))
+
+
+def test_debug_line_counts_the_purification(caplog):
+    # [4, 4, 3, 2, 2, 2]: 20 clusters of 734 vectors, some needing a retry
+    caplog.set_level(logging.DEBUG, logger="stratree")
+    dense_eigen(realize(SymmetricTreeSpec([4, 4, 3, 2, 2, 2])))
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle: ")]
+    assert line.startswith("oracle: n=741, 20 clusters, 734 vectors purified, ")
+    counts = re.search(
+        r"(\d+) Newton-Schulz steps, (\d+) reflection retries, (\d+) clusters kept as"
+        r" LAPACK's, worst max\|q'q - I\| (\S+)$",
+        line,
+    )
+    steps, retries, kept, worst = counts.groups()
+    assert int(steps) > 0 and int(retries) > 0 and kept == "0"
+    assert float(worst) <= 1e-12
+
+
+def test_no_tally_unless_debug(monkeypatch, caplog):
+    # the worst Gram gap costs one more Gram per cluster, so only a debug
+    # run pays for it
+    caplog.set_level(logging.INFO, logger="stratree")
+    tallies, purify = [], eigen._purify_degenerate
+
+    def counted(*args):
+        tallies.append(args[4:])
+        return purify(*args)
+
+    monkeypatch.setattr(eigen, "_purify_degenerate", counted)
+    dense_eigen(realize(SymmetricTreeSpec([3, 2])))
+    assert tallies == [()] and not [r for r in caplog.records if "oracle: " in r.getMessage()]
