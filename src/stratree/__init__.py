@@ -10,7 +10,7 @@ from .decompose import (
     full_eigenbasis,
     level_matrix,
 )
-from .eigen import TriDiag, dense_eigen, sturm_count, tridiag_eigen
+from .eigen import TriDiag, dense_eigen, sturm_count, trailing_eigenvalues
 from .glued import glued_spectrum, glued_stratified_matrix
 from .laplacian import SparseSymMatrix, assemble, matvec
 from .nodal import SignGraphReport, count_sign_graphs, nodal_records
@@ -52,5 +52,5 @@ __all__ = [
     "realize",
     "realize_glued",
     "sturm_count",
-    "tridiag_eigen",
+    "trailing_eigenvalues",
 ]

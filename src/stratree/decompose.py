@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import TriDiag, trailing_eigenvalues, tridiag_eigen
+from .eigen import TriDiag, trailing_eigenvalues
 from .laplacian import assemble, matvec
 from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 
@@ -111,10 +111,12 @@ def stratified_levels(t: TriDiag, root_level: int):
     (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
     it is still an eigenvector.  At the root level the smallest
     eigenvalue is the Laplacian's zero (the constant eigenfunction), which
-    LAPACK returns as +-1e-16 and is set to exactly 0.0 here.
+    LAPACK returns as +-1e-16 and is set to exactly 0.0 here.  The pairs
+    come from ``eigh`` of the densified slice; a slice too large to densify
+    is a ``CapacityError``.
     """
     s = t.trailing(root_level)
-    vals, w = tridiag_eigen(s, want_vectors=True)
+    vals, w = np.linalg.eigh(s.to_dense())
     if root_level == 0:
         vals[0] = 0.0
     scale = np.concatenate(([1.0], np.cumprod(s.off)))
@@ -323,11 +325,12 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     gives, for each eigenvalue i, parent p at level l0-1 and sibling s >= 1,
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
-    those level values and one (family, i) entry per run of rows, sorted by
-    (eigenvalue, l0, i), with one residual per (family, i); no array of |V|
-    rows is built.  Rows that tie in (eigenvalue, l0) are so ordered by i,
-    then by p and s; they tie only when one family has two bitwise-equal
-    eigenvalues.
+    those level values and one (family, i) entry per run of rows, in the
+    line order of ``spectrum_from_parts``, with one residual per (family,
+    i); no array of |V| rows is built.  The families sit at distinct levels,
+    so runs are sorted by (eigenvalue, l0, i), and the rows of a run by p
+    and s; runs tie in (eigenvalue, l0) only when one family has two
+    bitwise-equal eigenvalues.
     """
     n = spec.vertex_count()
     if n > basis_cap:
@@ -339,12 +342,11 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
         for l0 in range(spec.levels)
         if vectors_per_value(pops, l0)
     ]
-
-    family = np.concatenate([np.full(len(fam.values), f) for f, fam in enumerate(families)])
-    position = np.concatenate([np.arange(len(fam.values)) for fam in families])
-    levels = np.array([fam.level for fam in families])[family]
-    order = np.lexsort((position, levels, np.concatenate([fam.values for fam in families])))
-    vectors = BlockVectors(tuple(pops), tuple(families), np.stack((family, position), axis=1)[order])
+    lines = spectrum_from_parts(
+        [(None, fam.level, vectors_per_value(pops, fam.level), fam.values) for fam in families]
+    )
+    order = np.stack((lines.family, lines.position), axis=1)
+    vectors = BlockVectors(tuple(pops), tuple(families), order)
     lap = assemble(realize(spec))
     residuals = []
     for f, fam in enumerate(families):

@@ -95,7 +95,11 @@ class TriDiag:
         return TriDiag(self.diag[start:], self.off[start:])
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
+        """The m x m array; one that cannot be allocated is a ``CapacityError``."""
+        try:
+            a = np.diag(self.diag)
+        except MemoryError:
+            raise CapacityError(f"a dense {self.m}x{self.m} tridiagonal does not fit in memory") from None
         if self.m > 1:
             idx = np.arange(self.m - 1)
             a[idx, idx + 1] = self.off
@@ -121,30 +125,6 @@ def sturm_count(t: TriDiag, x) -> np.ndarray | int:
     if np.isscalar(x) or np.ndim(x) == 0:
         return int(count[0])
     return count
-
-
-def tridiag_eigen(t: TriDiag, want_vectors: bool = False):
-    """Full spectrum of a symmetric tridiagonal, nondecreasing.
-
-    Returns the eigenvalue array, or ``(values, vectors)`` with orthonormal
-    eigenvector columns when ``want_vectors`` is set.  With nonzero
-    off-diagonals the eigenvalues are simple.  Values come from
-    ``trailing_eigenvalues``; a matrix too large to densify for its
-    vectors is a ``CapacityError``.
-    """
-    if not want_vectors:
-        return trailing_eigenvalues(t, [0])[0]
-    return _dense_solve(t, want_vectors=True)
-
-
-def _dense_solve(t: TriDiag, want_vectors: bool):
-    try:
-        a = t.to_dense()
-        if want_vectors:
-            return np.linalg.eigh(a)
-        return np.linalg.eigvalsh(a)
-    except MemoryError:
-        raise CapacityError(f"a dense {t.m}x{t.m} tridiagonal does not fit in memory") from None
 
 
 @functools.cache
@@ -181,8 +161,9 @@ def trailing_eigenvalues(t: TriDiag, starts) -> list[np.ndarray]:
     Each slice is one ``dsterf`` call on a copy of its entries in one
     scratch buffer, so no slice is densified.  A slice whose max |entry|
     is outside ``UNSCALED`` (or not finite), and every slice where numpy
-    bundles no ``dsterf``, is solved by ``eigvalsh`` instead.  Either way
-    the values are bitwise those of ``eigvalsh`` on the dense slice.
+    bundles no ``dsterf``, is solved by ``eigvalsh`` of ``TriDiag.to_dense``
+    instead.  Either way the values are bitwise those of ``eigvalsh`` on the
+    dense slice.
     Slices of more than ``SOLVE_CAP`` squared rows in all are a
     ``CapacityError``, raised before any is solved.
     """
@@ -211,7 +192,7 @@ def trailing_eigenvalues(t: TriDiag, starts) -> list[np.ndarray]:
     for start, big in zip(starts.tolist(), top):
         diag, off = t.diag[start:], t.off[start:]
         if dsterf is None or not (big == 0.0 or lo <= big <= hi):
-            out.append(_dense_solve(TriDiag(diag, off), want_vectors=False))
+            out.append(np.linalg.eigvalsh(TriDiag(diag, off).to_dense()))
             continue
         size.value = len(diag)
         scratch[: len(diag)] = diag

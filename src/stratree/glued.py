@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import Spectrum, level_matrix, level_spectra, spectrum_from_parts
-from .eigen import TriDiag, tridiag_eigen
+from .eigen import TriDiag, trailing_eigenvalues
 from .tree import GluedTreeSpec
 
 
@@ -39,7 +39,7 @@ def glued_spectrum(spec: GluedTreeSpec) -> Spectrum:
     recurrence (origin side "stratified", level 0), whose smallest is the
     exact zero; total multiplicity is |V_left| + |V_right| - 1.
     """
-    vals = tridiag_eigen(glued_stratified_matrix(spec))
+    vals = trailing_eigenvalues(glued_stratified_matrix(spec), [0])[0]
     vals[0] = 0.0
     return spectrum_from_parts([
         *level_spectra(spec.left, first_level=1, side="left"),

@@ -82,10 +82,11 @@ def check_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP
 
 
 def check_nodal(
-    tree: RootedTree, vals: np.ndarray, vecs: np.ndarray
+    tree: RootedTree, vals: np.ndarray, vecs: np.ndarray, tol: float = SPECTRUM_TOL
 ) -> tuple[CheckResult, CheckResult]:
-    """Courant bound and zero-free equality on all oracle eigenpairs."""
-    records = nodal_records(tree, vals, vecs)
+    """Courant bound and zero-free equality on all oracle eigenpairs, with
+    eigenvalues within ``tol`` of each other clustered as equal."""
+    records = nodal_records(tree, vals, vecs, cluster_tol=tol)
     c_ok = all(r.passed for r in records)
     z_ok = all(r.zero_free for r in records)
     return (
@@ -133,6 +134,6 @@ def run_all_checks(
         check_spectrum_oracle("spectrum_oracle", spectrum, vals, tol),
         check_counting(spec),
         check_eigenbasis(spec, basis_cap),
-        *check_nodal(tree, vals, vecs),
+        *check_nodal(tree, vals, vecs, tol),
         check_multiplicity_bound(spectrum, vals, tol),
     ]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from stratree.decompose import level_spectra
-from stratree.eigen import tridiag_eigen
+from stratree.eigen import trailing_eigenvalues
 from stratree.glued import glued_stratified_matrix
 from stratree.tree import GluedTreeSpec, digits
 
@@ -75,7 +75,7 @@ def spectrum_rows(spec):
     if not isinstance(spec, GluedTreeSpec):
         parts = level_spectra(spec)
     else:
-        vals = tridiag_eigen(glued_stratified_matrix(spec))
+        vals = trailing_eigenvalues(glued_stratified_matrix(spec), [0])[0]
         vals[0] = 0.0
         parts = [
             *level_spectra(spec.left, first_level=1, side="left"),

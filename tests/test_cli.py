@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratree.cli as cli
+import stratree.eigen as eigen
 from stratree.cli import main
 from stratree.decompose import BlockVectors, full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
@@ -162,10 +163,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["verify", "nodal", "eigvecs"])
     def test_unallocatable_dense_array(self, capsys, monkeypatch, tmp_path, command):
-        # An n x n array is refused as if memory had run out, so nothing that
-        # large is really asked for.  The oracle's matrix is a resource error;
-        # eigvecs never asks for one and writes its basis all the same, also
-        # on a path, whose level families are as long as the tree.
+        # An n x n array from np.zeros is refused as if memory had run out,
+        # so nothing that large is really asked for.  The oracle's matrix is
+        # a resource error; eigvecs asks np.zeros for none and writes its
+        # basis all the same.  On a path its root slice is n x n too, but
+        # TriDiag.to_dense takes that from np.diag, which this patch does
+        # not reach; test_unallocatable_level_slice refuses it.
         for children in ([2, 2], [1, 1, 1]) if command == "eigvecs" else ([2, 2],):
             spec = SymmetricTreeSpec(children)
             n = spec.vertex_count()
@@ -189,6 +192,29 @@ class TestErrors:
             assert code == 3
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "eigvecs"])
+    def test_unallocatable_level_slice(self, capsys, monkeypatch, tmp_path, command):
+        # a path's root slice densified as if memory had run out: on the
+        # eigvalsh values route and on the eigh vectors route alike, it is
+        # a resource error
+        m = 4  # the levels, and vertices, of the path 1,1,1
+        diag = np.diag
+
+        def refuse_slice(v, *args, **kwargs):
+            if np.ndim(v) == 1 and len(v) == m:
+                raise MemoryError(f"Unable to allocate {8 * m * m} bytes")
+            return diag(v, *args, **kwargs)
+
+        target = tmp_path / "out.json"
+        monkeypatch.setattr(eigen, "_dsterf", lambda: None)
+        monkeypatch.setattr(np, "diag", refuse_slice)
+        code = main([command, "--children", "1,1,1", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{m}x{m} tridiagonal" in captured.err
+        assert not target.exists()
 
     def test_unallocatable_basis_rows(self, capsys, tmp_path):
         # 10^15 + 1 vertices under a raised cap: the basis holds nothing of
@@ -392,6 +418,23 @@ class TestVerify:
         code, out = run(capsys, "verify", "--spec", str(path))
         assert code == 0
         assert all(r["pass"] for r in json.loads(out))
+
+    def test_tol_reaches_the_nodal_rows(self, capsys):
+        # at --tol 0.5 the oracle's eigenvalues of [3,2] merge into clusters,
+        # and a zero-free vector in a cluster of more than one fails the tree
+        # equality
+        code, out = run(capsys, "verify", "--children", "3,2", "--tol", "0.5")
+        assert code == 1
+        rows = {r["check"]: r["pass"] for r in json.loads(out)}
+        assert rows["zero_free_equality"] is False and rows["courant_bound"] is True
+        # at --tol 1e-15 a repeated eigenvalue of [3,3] splits, and verify's
+        # Courant row fails as nodal's does
+        code, out = run(capsys, "nodal", "--children", "3,3", "--tol", "1e-15")
+        assert not all(r["pass"] for r in json.loads(out))
+        code, out = run(capsys, "verify", "--children", "3,3", "--tol", "1e-15")
+        assert code == 1
+        rows = {r["check"]: r["pass"] for r in json.loads(out)}
+        assert rows["courant_bound"] is False
 
 
 class TestEigvecs:
