@@ -34,7 +34,7 @@ from .tree import (
     digits,
     realize,
 )
-from .verify import DEFAULT_ORACLE_CAP, oracle, run_all_checks
+from .verify import DEFAULT_ORACLE_CAP, SPECTRUM_TOL, oracle, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,7 +46,7 @@ EXIT_CAPACITY = 3
 class RunConfig:
     spec: SymmetricTreeSpec | GluedTreeSpec
     fmt: str = "json"
-    tol: float = 1e-8
+    tol: float = SPECTRUM_TOL
     oracle_cap: int = DEFAULT_ORACLE_CAP
     basis_cap: int = DEFAULT_BASIS_CAP
     out: str | None = None
@@ -211,34 +211,33 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     """Write ``basis`` one row at a time, in the layout of ``_json_columns``
     or of ``_csv_columns`` with the vector column as compact JSON.
 
-    The rows of one run share their (family, position), so the fields
-    before the vector (read from the family and the basis's residuals of
-    that position) and the run's entries (a level value g[i, j], its
-    negation or zero) are formatted once per run, by ``_spell``: the text
-    matches the JSON encoder's (0.0 and -0.0 stay apart; NaN and Infinity
-    are spelled its way).  A row is then a few runs of one number each,
-    ``text + sep`` repeated, with the last number written without ``sep``.
-    The runs of each (family, p, s) are found once and serve every
-    position.
+    Each run is one line of ``vectors.lines``, of family f and position i,
+    so the fields before the vector (the line's eigenvalue and origin
+    level, and the basis's residual of (f, i)) and the run's entries (a
+    level value g[i, j], its negation or zero) are formatted once per run,
+    by ``_spell``: the text matches the JSON encoder's (0.0 and -0.0 stay
+    apart; NaN and Infinity are spelled its way).  A row is then a few runs
+    of one number each, ``text + sep`` repeated, with the last number
+    written without ``sep``.  The runs of each (family, p, s) are found
+    once and serve every position.
     """
-    vectors = basis.vectors
+    vectors, lines = basis.vectors, basis.vectors.lines
     sep = ", " if fmt == "csv" else ",\n      "
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-    layouts: dict[int, list[list[tuple[int, int]]]] = {}
+    layouts = [[vectors.runs(f, p, s) for p, s in vectors.pairs(f)] for f in range(len(vectors.families))]
     start = "[\n"
-    for f, i in vectors.order.tolist():
-        if f not in layouts:
-            layouts[f] = [vectors.runs(f, p, s) for p, s in vectors.pairs(f)]
+    for lam, level, f, i in zip(
+        lines.values.tolist(), lines.origin_level.tolist(), lines.family.tolist(), lines.position.tolist()
+    ):
         cells = [text + sep for text in _spell(vectors.entries(f, i).tolist())]
-        fam = vectors.families[f]
-        lam, res = float(fam.values[i]), float(basis.residuals[f][i])
-        kind = "stratified" if fam.level == 0 else "antisym"
+        res = float(basis.residuals[f][i])
+        kind = "stratified" if level == 0 else "antisym"
         if fmt == "csv":
-            head = [_fmt_float(lam), fam.level, kind, _fmt_float(res)]
+            head = [_fmt_float(lam), level, kind, _fmt_float(res)]
         else:
-            head = _EIGVECS_JSON_ROW.format(*_spell([lam, fam.level, kind, res]))
+            head = _EIGVECS_JSON_ROW.format(*_spell([lam, level, kind, res]))
         for *body, (last, count) in layouts[f]:
             pieces = [cells[entry] * width for entry, width in body]
             pieces.append(cells[last] * (count - 1))

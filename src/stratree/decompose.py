@@ -16,13 +16,13 @@ yields exactly n(l0) - n(l0-1) independent vectors per recurrence
 eigenvalue at level l0.  In breadth-first numbering a subtree holds one
 contiguous block of columns per level, so every eigenvector is one
 constant per block.  The eigenbasis is therefore held implicitly
-(``BlockVectors``), as each level family's values g and one (family,
-position) entry per run of rows that share them: O(k^3) numbers plus
-O(k^2) entries, not |V|^2.  The rows of a run also share their
-eigenvalue, origin level and residual, so those are held once per
-(family, position) too: nothing in the basis has |V| rows.  A row is
-written as runs of equal entries (``BlockVectors.runs``), and the basis's
-rank is certified from the level families (``EigenBasis.full_rank``).
+(``BlockVectors``), as each level family's values g and the basis's
+``Spectrum``, whose lines are its runs of rows in order: O(k^3) numbers
+plus O(k^2) lines, not |V|^2.  The rows of a run share their line's
+eigenvalue, origin level and residual, so nothing in the basis has |V|
+rows.  A row is written as runs of equal entries
+(``BlockVectors.runs``), and the basis's rank is certified from the
+level families (``EigenBasis.full_rank``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,9 @@ def spectrum_from_parts(parts) -> Spectrum:
 
     Lines are sorted stably by (value, side, level), sides by name: a
     symmetric tree's by (value, level), and a glued tree's by (value, side)
-    when each side's parts come in level order.
+    when each side's parts come in level order.  The first value of a
+    level-0 part is the Laplacian's zero (the constant eigenfunction),
+    which LAPACK returns as +-1e-16; its line holds exactly 0.0.
     """
     part_sides, levels, multiplicities, arrays = zip(*parts)
     sides = sorted(set(part_sides))
@@ -81,6 +83,7 @@ def spectrum_from_parts(parts) -> Spectrum:
     level = np.repeat(levels, sizes)
     position = np.concatenate([np.arange(size) for size in sizes])
     values = np.concatenate(arrays)
+    values[(level == 0) & (position == 0)] = 0.0
     order = np.lexsort((level, side, values))
     origin_side = None if sides == [None] else np.array(sides)[side[order]]
     return Spectrum(
@@ -109,16 +112,11 @@ def stratified_levels(t: TriDiag, root_level: int):
     the running product of the slice's off-diagonals sqrt(c); each is signed
     so that its root value is positive.  A root value that rounds to zero
     (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
-    it is still an eigenvector.  At the root level the smallest
-    eigenvalue is the Laplacian's zero (the constant eigenfunction), which
-    LAPACK returns as +-1e-16 and is set to exactly 0.0 here.  The pairs
-    come from ``eigh`` of the densified slice; a slice too large to densify
-    is a ``CapacityError``.
+    it is still an eigenvector.  The pairs come from ``eigh`` of the
+    densified slice; a slice too large to densify is a ``CapacityError``.
     """
     s = t.trailing(root_level)
     vals, w = np.linalg.eigh(s.to_dense())
-    if root_level == 0:
-        vals[0] = 0.0
     scale = np.concatenate(([1.0], np.cumprod(s.off)))
     sign = np.where(np.arange(s.m) % 2, -1.0, 1.0)
     g = (w * (sign / scale)[:, None]).T
@@ -139,14 +137,11 @@ def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0, side: str | Non
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
     with multiplicity ``vectors_per_value``.  All slices are solved by one
-    ``trailing_eigenvalues`` call; as in ``stratified_levels``, the root
-    level's smallest eigenvalue is set to exactly 0.0.
+    ``trailing_eigenvalues`` call.
     """
     pops = spec.populations()
     levels = [l0 for l0 in range(first_level, spec.levels) if vectors_per_value(pops, l0)]
     spectra = trailing_eigenvalues(level_matrix(spec), levels)
-    if first_level == 0:
-        spectra[0][0] = 0.0
     return [(side, l0, vectors_per_value(pops, l0), vals) for l0, vals in zip(levels, spectra)]
 
 
@@ -178,12 +173,11 @@ def expanded_spectrum(spectrum: Spectrum) -> np.ndarray:
 class LevelFamily(NamedTuple):
     """The basis vectors built from the recurrence rooted at level ``level``.
 
-    Row i of ``g`` holds eigenvalue ``values[i]``'s value on each level from
+    Row i of ``g`` holds the i-th eigenvector's value on each level from
     ``level`` down.
     """
 
     level: int
-    values: np.ndarray
     g: np.ndarray
 
 
@@ -191,27 +185,24 @@ class LevelFamily(NamedTuple):
 class BlockVectors:
     """The vectors of an eigenbasis, held as their level values.
 
-    ``order[r]`` is the (family, position i) of the r-th run of rows.  The
-    run's rows are g[i] of ``families[family]`` on the subtree of p's first
-    child minus its copy on the subtree of p's child s, one per (parent
-    rank p, sibling s) of ``pairs(family)``, or the one vector g[i] on the
-    whole tree at the root level (where p = s = 0).
+    Line r of ``lines`` is the r-th run of rows, of family f =
+    ``lines.family[r]`` and position i = ``lines.position[r]``.  The run's
+    rows are g[i] of ``families[f]`` on the subtree of p's first child minus
+    its copy on the subtree of p's child s, one per (parent rank p, sibling
+    s) of ``pairs(f)``, or the one vector g[i] on the whole tree at the root
+    level (where p = s = 0).
     """
 
     populations: tuple[int, ...]
     families: tuple[LevelFamily, ...]
-    order: np.ndarray
+    lines: Spectrum
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays that hold the vectors: the level values and
-        the run order."""
-        return sum(fam.g.nbytes for fam in self.families) + self.order.nbytes
-
-    def run_lengths(self) -> np.ndarray:
-        """The number of rows in each run."""
-        sizes = [vectors_per_value(self.populations, fam.level) for fam in self.families]
-        return np.array(sizes, dtype=np.int64)[self.order[:, 0]]
+        the run order, the family and position columns of ``lines``."""
+        lines = self.lines
+        return sum(fam.g.nbytes for fam in self.families) + lines.family.nbytes + lines.position.nbytes
 
     def pairs(self, family: int) -> Iterator[tuple[int, int]]:
         """The (parent rank p, sibling s) of each row of a run of ``family``,
@@ -263,11 +254,11 @@ class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
 
     ``vectors`` holds the rows, sorted by (eigenvalue, origin level,
-    position), as runs.  The rows of a run of (family f, position i) share
-    the eigenvalue ``families[f].values[i]``, the origin level
-    ``families[f].level``, the construction (a whole-tree "stratified"
-    vector at level 0, else a sibling difference, "antisym") and the
-    residual ``residuals[f][i]``.
+    position), as runs, one per line of ``vectors.lines``.  The rows of the
+    run of line r, of family f and position i, share the eigenvalue
+    ``lines.values[r]``, the origin level ``lines.origin_level[r]``, the
+    construction (a whole-tree "stratified" vector at level 0, else a
+    sibling difference, "antisym") and the residual ``residuals[f][i]``.
     """
 
     vectors: BlockVectors
@@ -275,7 +266,7 @@ class EigenBasis:
 
     @property
     def n(self) -> int:
-        return int(self.vectors.run_lengths().sum())
+        return sum(self.vectors.lines.multiplicity())
 
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Whether the rows are independent, certified from the level families.
@@ -288,8 +279,9 @@ class EigenBasis:
         parents have disjoint supports, and the c - 1 sibling differences of
         one (family, p, i) have the Gram |g_i|_w^2 (I + J).
         So the rows are independent when (a) the families sit at distinct
-        levels l0, ``order`` holds each (family, i) with i < k-l0 once, and
-        its runs hold |V| rows in all, and (b) each family's Gram (g w) g^T,
+        levels l0, ``lines`` holds each (family, i) with i < k-l0 once, with
+        the multiplicity ``vectors_per_value`` of its family's level, and its
+        runs hold |V| rows in all, and (b) each family's Gram (g w) g^T,
         w_j = n(l0+j)/n(l0), normalized to a unit diagonal, has its least
         eigenvalue above ``threshold``.
 
@@ -299,12 +291,12 @@ class EigenBasis:
         min_f lambda_min(G_f)/2, and every QR pivot is at least
         sqrt(threshold/2), 7e-5 at 1e-8.
         """
-        vectors = self.vectors
-        pops, fams = vectors.populations, vectors.families
+        pops, fams, lines = self.vectors.populations, self.vectors.families, self.vectors.lines
         keys = [(f, i) for f, fam in enumerate(fams) for i in range(len(pops) - fam.level)]
         if (
             len({fam.level for fam in fams}) < len(fams)
-            or sorted(map(tuple, vectors.order.tolist())) != keys
+            or sorted(zip(lines.family.tolist(), lines.position.tolist())) != keys
+            or lines.multiplicities != tuple(vectors_per_value(pops, fam.level) for fam in fams)
             or self.n != sum(pops)
         ):
             return False
@@ -325,40 +317,36 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     gives, for each eigenvalue i, parent p at level l0-1 and sibling s >= 1,
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
-    those level values and one (family, i) entry per run of rows, in the
-    line order of ``spectrum_from_parts``, with one residual per (family,
-    i); no array of |V| rows is built.  The families sit at distinct levels,
-    so runs are sorted by (eigenvalue, l0, i), and the rows of a run by p
-    and s; runs tie in (eigenvalue, l0) only when one family has two
-    bitwise-equal eigenvalues.
+    those level values and the families' ``Spectrum``, one line per run of
+    rows, with one residual per line; no array of |V| rows is built.  The
+    families sit at distinct levels, so runs are sorted by (eigenvalue, l0,
+    i), and the rows of a run by p and s; runs tie in (eigenvalue, l0) only
+    when one family has two bitwise-equal eigenvalues.
     """
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {count_text(n)} exceeds the cap of {basis_cap}")
     pops = spec.populations()
     t = level_matrix(spec)
-    families = [
-        LevelFamily(l0, *stratified_levels(t, l0))
-        for l0 in range(spec.levels)
-        if vectors_per_value(pops, l0)
-    ]
+    levels = [l0 for l0 in range(spec.levels) if vectors_per_value(pops, l0)]
+    solved = [stratified_levels(t, l0) for l0 in levels]
     lines = spectrum_from_parts(
-        [(None, fam.level, vectors_per_value(pops, fam.level), fam.values) for fam in families]
+        [(None, l0, vectors_per_value(pops, l0), vals) for l0, (vals, _) in zip(levels, solved)]
     )
-    order = np.stack((lines.family, lines.position), axis=1)
-    vectors = BlockVectors(tuple(pops), tuple(families), order)
+    families = tuple(LevelFamily(l0, g) for l0, (_, g) in zip(levels, solved))
+    vectors = BlockVectors(tuple(pops), families, lines)
     lap = assemble(realize(spec))
-    residuals = []
-    for f, fam in enumerate(families):
-        # One residual per eigenvalue i, taken on the first row of its run:
-        # the others hold the same level values on congruent subtrees (every
-        # vertex of a level has the same row layout) or their exact
-        # negation, so their residuals are bitwise the same.
+    cols = []  # the entry of each column in the first row of each family
+    for f in range(len(families)):
         entry, count = np.array(vectors.runs(f, *next(vectors.pairs(f)))).T
-        cols = entry.repeat(count)  # the entry of each column
-        res = []
-        for i, lam in enumerate(fam.values.tolist()):
-            v = vectors.entries(f, i)[cols]
-            res.append(float(np.max(np.abs(matvec(lap, v) - lam * v))))
-        residuals.append(np.array(res))
-    return EigenBasis(vectors, tuple(residuals))
+        cols.append(entry.repeat(count))
+    # One residual per line, taken on the first row of its run: the others
+    # hold the same level values on congruent subtrees (every vertex of a
+    # level has the same row layout) or their exact negation, so their
+    # residuals are bitwise the same.  Its eigenvalue comes from the line,
+    # which holds the exact zero.
+    residuals = tuple(np.empty(len(fam.g)) for fam in families)
+    for f, i, lam in zip(lines.family.tolist(), lines.position.tolist(), lines.values.tolist()):
+        v = vectors.entries(f, i)[cols[f]]
+        residuals[f][i] = np.max(np.abs(matvec(lap, v) - lam * v))
+    return EigenBasis(vectors, residuals)

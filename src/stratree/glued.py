@@ -39,10 +39,8 @@ def glued_spectrum(spec: GluedTreeSpec) -> Spectrum:
     recurrence (origin side "stratified", level 0), whose smallest is the
     exact zero; total multiplicity is |V_left| + |V_right| - 1.
     """
-    vals = trailing_eigenvalues(glued_stratified_matrix(spec), [0])[0]
-    vals[0] = 0.0
     return spectrum_from_parts([
         *level_spectra(spec.left, first_level=1, side="left"),
         *level_spectra(spec.right, first_level=1, side="right"),
-        ("stratified", 0, 1, vals),
+        ("stratified", 0, 1, trailing_eigenvalues(glued_stratified_matrix(spec), [0])[0]),
     ])

@@ -77,10 +77,11 @@ class SymmetricTreeSpec:
         return len(self.children) + 1
 
     def populations(self) -> list[int]:
-        """Vertex count per level: n(0)=1, n(l)=n(l-1)*c(l-1).  Exact ints."""
+        """Vertex count per level: n(0)=1, n(l)=n(l-1)*c(l-1).  Exact ints;
+        a single-child level shares its parent level's int, not a copy."""
         pops = [1]
         for c in self.children:
-            pops.append(pops[-1] * c)
+            pops.append(pops[-1] if c == 1 else pops[-1] * c)
         return pops
 
     def vertex_count(self) -> int:

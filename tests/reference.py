@@ -26,7 +26,7 @@ def dense_rows(vectors):
     """The rows of a ``BlockVectors`` as an n x n array, expanded run by run
     from its ``runs`` and ``entries``."""
     rows = []
-    for f, i in vectors.order.tolist():
+    for f, i in zip(vectors.lines.family.tolist(), vectors.lines.position.tolist()):
         values = vectors.entries(f, i)
         for p, s in vectors.pairs(f):
             entry, count = np.array(vectors.runs(f, p, s)).T
@@ -43,12 +43,12 @@ class RowFacts(NamedTuple):
 
 def row_facts(basis):
     """The eigenvalue, origin level, construction and residual of every row
-    of an ``EigenBasis``, in the order of ``dense_rows``: each (family,
-    position)'s facts repeated over its run of rows."""
-    vectors = basis.vectors
-    keys, counts = vectors.order.tolist(), vectors.run_lengths()
-    values = np.repeat([vectors.families[f].values[i] for f, i in keys], counts)
-    levels = np.repeat([vectors.families[f].level for f, _ in keys], counts)
+    of an ``EigenBasis``, in the order of ``dense_rows``: each line's facts
+    repeated over its run of rows."""
+    lines = basis.vectors.lines
+    keys, counts = list(zip(lines.family.tolist(), lines.position.tolist())), lines.multiplicity()
+    values = np.repeat(lines.values, counts)
+    levels = np.repeat(lines.origin_level, counts)
     residuals = np.repeat([basis.residuals[f][i] for f, i in keys], counts)
     construction = ["stratified" if l == 0 else "antisym" for l in levels.tolist()]
     return RowFacts(values, levels, construction, residuals)
@@ -74,6 +74,7 @@ def spectrum_rows(spec):
     level order."""
     if not isinstance(spec, GluedTreeSpec):
         parts = level_spectra(spec)
+        parts[0][3][0] = 0.0  # the root level's smallest value, the Laplacian's zero
     else:
         vals = trailing_eigenvalues(glued_stratified_matrix(spec), [0])[0]
         vals[0] = 0.0

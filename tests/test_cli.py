@@ -475,13 +475,12 @@ class TestEigvecs:
         )
         heads = ([-0.0, 0.0, x], [up, np.inf], [5e-324])
         residuals = ([0.0, 1e-17, np.nextafter(1e-17, 1.0)], [5e-324, 0.0], [-0.0])
-        families = tuple(
-            fam._replace(values=np.array(v), g=np.array(g))
-            for fam, v, g in zip(basis.vectors.families, heads, level_values)
-        )
+        families = tuple(fam._replace(g=np.array(g)) for fam, g in zip(basis.vectors.families, level_values))
+        lines = basis.vectors.lines
+        values = np.array([heads[f][i] for f, i in zip(lines.family.tolist(), lines.position.tolist())])
         basis = dataclasses.replace(
             basis,
-            vectors=dataclasses.replace(basis.vectors, families=families),
+            vectors=dataclasses.replace(basis.vectors, families=families, lines=lines._replace(values=values)),
             residuals=tuple(np.array(r) for r in residuals),
         )
         monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
@@ -502,9 +501,9 @@ class TestEigvecs:
         basis = full_eigenbasis(spec)
         n = spec.vertex_count()
         held = list(held_sequences(basis))
-        assert n == 1291 and len(basis.vectors.order) == 33
+        assert n == 1291 and len(basis.vectors.lines.values) == 33
         assert all(len(a) < n for a in held)
-        assert [len(r) for r in basis.residuals] == [len(fam.values) for fam in basis.vectors.families]
+        assert [len(r) for r in basis.residuals] == [len(fam.g) for fam in basis.vectors.families]
         assert all(any(a is r for a in held) for r in basis.residuals)
 
     def test_finds_the_runs_of_each_row_layout_once(self, tmp_path, monkeypatch):

@@ -248,8 +248,9 @@ class TestSpectrumFromParts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(spectrum_parts())
     def test_orders_as_the_stable_sort(self, parts):
+        # the first value of a level-0 part is the exact zero
         lines = [
-            (value, side, l0, f, pos)
+            (0.0 if l0 == 0 and pos == 0 else value, side, l0, f, pos)
             for f, (side, l0, _, values) in enumerate(parts)
             for pos, value in enumerate(values.tolist())
         ]
@@ -572,8 +573,16 @@ class TestFullEigenbasis:
     def test_family_residuals_match_the_per_vector_loop_on_wide_levels(self, children):
         assert_residuals_per_vector(SymmetricTreeSpec(children))
 
+    @pytest.mark.parametrize(
+        "children, nbytes", [([3, 1, 4, 1, 3, 2, 4, 3], 2216), ([4, 4, 3, 2, 2, 2], 1568), ([2] * 9, 3960)]
+    )
+    def test_nbytes(self, children, nbytes):
+        # the level values plus 16 bytes per line: the family and position
+        # columns of its lines
+        assert full_eigenbasis(SymmetricTreeSpec(children)).vectors.nbytes == nbytes
+
     def test_peak_memory_is_one_basis(self):
-        # no n x n array: the basis is its level values and one entry per
+        # no n x n array: the basis is its level values and one line per
         # run of rows, and a family's residuals are taken on one vector of
         # length n at a time
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
@@ -624,6 +633,8 @@ def eigenbasis_by_vector(spec):
         if l0 and c == 1:
             continue
         vals, gs = stratified_levels(t, l0)
+        if l0 == 0:
+            vals[0] = 0.0  # the Laplacian's zero, which LAPACK returns as +-1e-16
         for lam, g in zip(vals.tolist(), gs):
             for p in range(1 if l0 == 0 else pops[l0 - 1]):
                 for s in range(1) if l0 == 0 else range(1, c):
@@ -692,28 +703,45 @@ class TestFullRank:
 
     def test_repeated_run_key(self):
         basis = full_eigenbasis(self.SPEC)
-        order = basis.vectors.order.copy()
-        order[5] = order[4]
-        assert both_ranks(with_vectors(basis, order=order)) == (False, False)
+        lines = basis.vectors.lines
+        family, position = lines.family.copy(), lines.position.copy()
+        family[5], position[5] = family[4], position[4]
+        lines = lines._replace(family=family, position=position)
+        assert both_ranks(with_vectors(basis, lines=lines)) == (False, False)
 
     def test_run_position_out_of_range(self):
-        # position i = k - l0 has no level values: an order of the right
-        # size, but not the layout the certificate assumes
+        # position i = k - l0 has no level values: lines of the right
+        # number, but not the layout the certificate assumes
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        order = basis.vectors.order.copy()
-        run = np.flatnonzero(order[:, 0] == 2)[0]
-        order[run, 1] = 1
-        assert basis.full_rank() and not with_vectors(basis, order=order).full_rank()
+        lines = basis.vectors.lines
+        position = lines.position.copy()
+        run = np.flatnonzero(lines.family == 2)[0]
+        position[run] = 1
+        lines = lines._replace(position=position)
+        assert basis.full_rank() and not with_vectors(basis, lines=lines).full_rank()
 
     def test_two_families_at_one_level(self):
         # [2, 2] with its level-2 family replaced by a copy of the level-1
-        # family and both its positions in the order: each (family, i) once
+        # family and both its positions in the lines: each (family, i) once
         # and runs that hold |V| rows, the level-1 rows twice
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        families = basis.vectors.families
-        order = np.concatenate([basis.vectors.order, [[2, 1]]])
-        broken = with_vectors(basis, families=(*families[:2], families[1]), order=order)
+        families, lines = basis.vectors.families, basis.vectors.lines
+        lines = lines._replace(
+            family=np.append(lines.family, 2), position=np.append(lines.position, 1), multiplicities=(1, 1, 1)
+        )
+        broken = with_vectors(basis, families=(*families[:2], families[1]), lines=lines)
         assert both_ranks(broken) == (False, False)
+
+    def test_multiplicity_its_family_does_not_give(self):
+        # [2, 2] without its level-2 family, whose two rows per position the
+        # level-1 lines claim instead: |V| rows counted, five built
+        basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
+        lines = basis.vectors.lines
+        keep = lines.family < 2
+        lines = lines._replace(family=lines.family[keep], position=lines.position[keep], multiplicities=(1, 2))
+        broken = with_vectors(basis, families=basis.vectors.families[:2], lines=lines)
+        assert broken.n == 7 and len(dense_rows(broken.vectors)) == 5
+        assert not broken.full_rank()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -96,6 +97,21 @@ def test_populations_product_formula():
     assert spec.populations() == [1, 3, 6]
     assert spec.vertex_count() == 10
     assert realize(spec).n == 10
+
+
+def test_single_child_levels_share_their_population():
+    # a hundred 301-digit fan-outs above 20,000 single-child levels: the
+    # population of each single-child level is its parent level's int, not
+    # a copy, so the 30,000-digit count is held once (a copy per level is
+    # some 250 MB)
+    spec = SymmetricTreeSpec([10**300] * 100 + [1] * 20000)
+    tracemalloc.start()
+    try:
+        n = spec.vertex_count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 10**30000 and peak < 5_000_000
 
 
 @pytest.mark.parametrize("children", [[0], [2, 0], [-1], [2, -3], [-(10**5000)]])
