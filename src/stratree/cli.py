@@ -206,49 +206,79 @@ _EIGVECS_JSON_ROW = (
     '\n    "residual": {},\n    "vector": [\n      '
 )
 
+# Characters of ``eigvecs`` text handed to the output per write.  While a
+# row is shorter than this (|V| below about 5000), a piece and its encoded
+# bytes stay under glibc's default 128 KiB mmap threshold and reuse heap
+# pages; 256 KiB pieces were mapped and faulted in afresh for each write,
+# which made a fresh process's writer slower than one write per row at
+# |V| >= 1291.
+EIGVECS_CHUNK = 64 * 1024
+
 
 def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
-    """Write ``basis`` one row at a time, in the layout of ``_json_columns``
-    or of ``_csv_columns`` with the vector column as compact JSON.
+    """Write ``basis`` in the layout of ``_json_columns``, or of
+    ``_csv_columns`` with the vector column as compact JSON, in pieces of
+    at least ``EIGVECS_CHUNK`` characters (the last may be shorter).
 
     Each run is one line of ``vectors.lines``, of family f and position i,
     so the fields before the vector (the line's eigenvalue and origin
-    level, and the basis's residual of (f, i)) and the run's entries (a
-    level value g[i, j], its negation or zero) are formatted once per run,
-    by ``_spell``: the text matches the JSON encoder's (0.0 and -0.0 stay
-    apart; NaN and Infinity are spelled its way).  A row is then a few runs
-    of one number each, ``text + sep`` repeated, with the last number
-    written without ``sep``.  The runs of each (family, p, s) are found
-    once and serve every position.
+    level, and the basis's residual of (f, i)) and the run's block values
+    (a level value g[i, j] or its negation) are formatted once per run, by
+    ``_spell``: the text matches the JSON encoder's (0.0 and -0.0 stay
+    apart; NaN and Infinity are spelled its way).  Each block is spelled
+    out (cell and separator, width times) once per run, and a row is its
+    blocks between the zero runs of its family's ``layout``, its last
+    number written without a separator.  The pieces of the rows are
+    collected and joined into one string per write.
     """
     vectors, lines = basis.vectors, basis.vectors.lines
     sep = ", " if fmt == "csv" else ",\n      "
+    zero = "0.0" + sep
+    layouts = [vectors.layout(f) for f in range(len(vectors.families))]
+    gaps = [lay.gaps.tolist() for lay in layouts]
     if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "origin_level", "construction", "residual", "vector"])
-    layouts = [[vectors.runs(f, p, s) for p, s in vectors.pairs(f)] for f in range(len(vectors.families))]
-    start = "[\n"
+        # the vector cell holds ", " and is quoted, as csv quotes it, unless
+        # the tree has one vertex
+        quote = '"' if basis.n > 1 else ""
+        start, row_sep, close = "", "", "]" + quote + "\n"
+        chunk = ["lambda,origin_level,construction,residual,vector\n"]
+    else:
+        start, row_sep, close = "[\n", ",\n", "\n    ]\n  }"
+        chunk = []
+    size = 0
     for lam, level, f, i in zip(
         lines.values.tolist(), lines.origin_level.tolist(), lines.family.tolist(), lines.position.tolist()
     ):
-        cells = [text + sep for text in _spell(vectors.entries(f, i).tolist())]
         res = float(basis.residuals[f][i])
         kind = "stratified" if level == 0 else "antisym"
         if fmt == "csv":
-            head = [_fmt_float(lam), level, kind, _fmt_float(res)]
+            head = f"{_fmt_float(lam)},{level},{kind},{_fmt_float(res)},{quote}["
         else:
             head = _EIGVECS_JSON_ROW.format(*_spell([lam, level, kind, res]))
-        for *body, (last, count) in layouts[f]:
-            pieces = [cells[entry] * width for entry, width in body]
-            pieces.append(cells[last] * (count - 1))
-            pieces.append(cells[last][: -len(sep)])
-            if fmt == "csv":
-                writer.writerow([*head, "".join(["[", *pieces, "]"])])
+        cells = _spell(vectors.block_values(f, i).tolist())
+        widths = layouts[f].widths.tolist()
+        blocks = [(cell + sep) * width for cell, width in zip(cells, widths)]
+        last_block = (cells[-1] + sep) * (widths[-1] - 1) + cells[-1]
+        for row_gaps in gaps[f]:
+            pieces = [start, head]
+            for gap, block in zip(row_gaps, blocks):
+                pieces.append(zero * gap)
+                pieces.append(block)
+            tail = row_gaps[-1]
+            if tail:
+                pieces += (zero * (tail - 1), "0.0")
             else:
-                fh.write("".join([start, head, *pieces, "\n    ]\n  }"]))
-                start = ",\n"
+                pieces[-1] = last_block
+            pieces.append(close)
+            chunk += pieces
+            size += sum(map(len, pieces))
+            if size >= EIGVECS_CHUNK:
+                fh.write("".join(chunk))
+                chunk, size = [], 0
+            start = row_sep
     if fmt != "csv":
-        fh.write("\n]\n")
+        chunk.append("\n]\n")
+    fh.write("".join(chunk))
 
 
 def cmd_eigvecs(config: RunConfig) -> int:

@@ -20,15 +20,14 @@ constant per block.  The eigenbasis is therefore held implicitly
 ``Spectrum``, whose lines are its runs of rows in order: O(k^3) numbers
 plus O(k^2) lines, not |V|^2.  The rows of a run share their line's
 eigenvalue, origin level and residual, so nothing in the basis has |V|
-rows.  A row is written as runs of equal entries
-(``BlockVectors.runs``), and the basis's rank is certified from the
+rows.  A family's rows are zeros around 2m blocks of one value each, at
+columns one numpy broadcast finds for all of them
+(``BlockVectors.layout``), and the basis's rank is certified from the
 level families (``EigenBasis.full_rank``).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,11 +136,14 @@ def level_spectra(spec: SymmetricTreeSpec, first_level: int = 0, side: str | Non
 
     The level-l0 recurrence contributes each of its k-l0 simple eigenvalues
     with multiplicity ``vectors_per_value``.  All slices are solved by one
-    ``trailing_eigenvalues`` call.
+    ``trailing_eigenvalues`` call.  Its ``SOLVE_CAP`` check comes before
+    the exact populations are built, which hold O(k^2) bits on a deep
+    growing tree.  A level gives vectors unless its parent level has one
+    child.
     """
-    pops = spec.populations()
-    levels = [l0 for l0 in range(first_level, spec.levels) if vectors_per_value(pops, l0)]
+    levels = [l0 for l0 in range(first_level, spec.levels) if not l0 or spec.children[l0 - 1] > 1]
     spectra = trailing_eigenvalues(level_matrix(spec), levels)
+    pops = spec.populations()
     return [(side, l0, vectors_per_value(pops, l0), vals) for l0, vals in zip(levels, spectra)]
 
 
@@ -181,6 +183,19 @@ class LevelFamily(NamedTuple):
     g: np.ndarray
 
 
+class RowLayout(NamedTuple):
+    """Where the blocks of one level family's rows sit.
+
+    Row r of a run (the r-th (parent rank p, sibling s), p-major) is
+    ``gaps[r, 0]`` zeros, block 0 (``widths[0]`` columns of one value),
+    ``gaps[r, 1]`` zeros, block 1, and so on, ending with ``gaps[r, -1]``
+    zeros after the last block.
+    """
+
+    gaps: np.ndarray
+    widths: np.ndarray
+
+
 @dataclass(frozen=True)
 class BlockVectors:
     """The vectors of an eigenbasis, held as their level values.
@@ -188,9 +203,10 @@ class BlockVectors:
     Line r of ``lines`` is the r-th run of rows, of family f =
     ``lines.family[r]`` and position i = ``lines.position[r]``.  The run's
     rows are g[i] of ``families[f]`` on the subtree of p's first child minus
-    its copy on the subtree of p's child s, one per (parent rank p, sibling
-    s) of ``pairs(f)``, or the one vector g[i] on the whole tree at the root
-    level (where p = s = 0).
+    its copy on the subtree of p's child s, one per parent rank p at level
+    l0-1 and sibling 1 <= s < c(l0-1), p-major, or the one vector g[i] on
+    the whole tree at the root level.  ``layout(f)`` places their blocks
+    and ``block_values(f, i)`` fills them.
     """
 
     populations: tuple[int, ...]
@@ -204,49 +220,52 @@ class BlockVectors:
         lines = self.lines
         return sum(fam.g.nbytes for fam in self.families) + lines.family.nbytes + lines.position.nbytes
 
-    def pairs(self, family: int) -> Iterator[tuple[int, int]]:
-        """The (parent rank p, sibling s) of each row of a run of ``family``,
-        p-major: p < n(l0-1) and 1 <= s < c(l0-1), or (0, 0) alone at the
-        root level."""
-        l0, pops = self.families[family].level, self.populations
-        if not l0:
-            return iter([(0, 0)])
-        return itertools.product(range(pops[l0 - 1]), range(1, pops[l0] // pops[l0 - 1]))
+    def layout(self, family: int) -> RowLayout:
+        """The ``RowLayout`` of every row of a run of ``family``, from one
+        broadcast over its (p, s).
 
-    def runs(self, family: int, p: int, s: int) -> list[tuple[int, int]]:
-        """The rows of ``family`` with parent rank p and sibling s, as runs
-        of equal entries in column order.
-
-        A subtree holds one contiguous block of columns per level, so such a
-        row is g[i, j] on p's first child's block at the family's level j
-        and, below the root level, 0.0 - g[i, j] on p's child s's block.  A
-        run is (entry, count), where the entry indexes the row's values
-        (0.0, g[i, 0], ..., g[i, m-1], 0.0 - g[i, 0], ..., 0.0 - g[i, m-1])
-        and m is the family's level count; ``entries`` gives those values.
-        Runs of zeros are merged across levels.
+        A subtree holds one contiguous block of columns per level, so at
+        the family's level j = 0, ..., m-1 (m levels from l0 down) a row has
+        one block of w_j = n(l0+j)/n(l0) columns at first_j(p) = offset(l0+j)
+        + p c w_j, where c = c(l0-1), and one at first_j(p) + s w_j, in
+        that order: 2m blocks.  The root level's one row has m blocks, the
+        whole levels, with no zeros between them.
         """
         l0, pops = self.families[family].level, self.populations
-        m = len(pops) - l0
-        out, end, offset = [], 0, sum(pops[:l0])
-        for j, pop in enumerate(pops[l0:]):
-            width = pop // pops[l0]  # one subtree's block at this level
-            first = offset + p * (pop // pops[l0 - 1] if l0 else 0)  # p's children's blocks
-            blocks = [(first, 1 + j), (first + s * width, 1 + m + j)] if l0 else [(first, 1 + j)]
-            for start, entry in blocks:
-                if start > end:
-                    out.append((0, start - end))
-                out.append((entry, width))
-                end = start + width
-            offset += pop
-        if end < offset:
-            out.append((0, offset - end))
-        return out
+        offsets = np.cumsum([0, *pops], dtype=np.int64)
+        w = np.array(pops[l0:], dtype=np.int64) // pops[l0]
+        if l0:
+            c = pops[l0] // pops[l0 - 1]
+            p = np.arange(pops[l0 - 1], dtype=np.int64)[:, None, None]
+            s = np.arange(1, c, dtype=np.int64)[None, :, None]
+            first = offsets[l0:-1] + p * c * w
+            starts = np.stack(np.broadcast_arrays(first, first + s * w), axis=-1).reshape(-1, 2 * len(w))
+            widths = np.repeat(w, 2)
+        else:
+            starts, widths = offsets[None, :-1], w
+        ends = starts + widths
+        rows = len(starts)
+        gaps = np.hstack((starts, np.full((rows, 1), offsets[-1])))
+        gaps -= np.hstack((np.zeros((rows, 1), np.int64), ends))
+        return RowLayout(gaps, widths)
 
-    def entries(self, family: int, i: int) -> np.ndarray:
-        """The values that ``runs`` indexes for position i of ``family``:
-        0.0, g[i] and 0.0 - g[i] (never -g, so a zero stays +0.0)."""
-        g = self.families[family].g[i]
-        return np.concatenate(([0.0], g, 0.0 - g))
+    def block_values(self, family: int, i: int) -> np.ndarray:
+        """The value of each block of ``layout(family)`` in the rows of
+        position i: g[i, j] and 0.0 - g[i, j] (never -g, so a zero stays
+        +0.0) for each level j, or g[i] alone at the root level."""
+        fam = self.families[family]
+        g = fam.g[i]
+        return np.column_stack((g, 0.0 - g)).ravel() if fam.level else g
+
+
+def expand_row(gaps, widths, values) -> np.ndarray:
+    """The dense row of one ``RowLayout`` row: ``gaps`` (one more than the
+    blocks) zeros around blocks of ``widths`` columns of ``values``."""
+    entries = np.zeros(2 * len(values) + 1)
+    entries[1::2] = values
+    counts = np.empty(len(entries), dtype=np.int64)
+    counts[0::2], counts[1::2] = gaps, widths
+    return np.repeat(entries, counts)
 
 
 @dataclass(frozen=True)
@@ -271,7 +290,7 @@ class EigenBasis:
     def full_rank(self, threshold: float = 1e-8) -> bool:
         """Whether the rows are independent, certified from the level families.
 
-        The certificate relies on the column layout that ``BlockVectors.runs``
+        The certificate relies on the column layout that ``BlockVectors.layout``
         codes, which the tests pin against a vector-by-vector build.  Under
         it, rows of different families are exactly orthogonal (a family-l0
         row sums to zero over the sibling subtrees below its parent, and a
@@ -336,10 +355,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     families = tuple(LevelFamily(l0, g) for l0, (_, g) in zip(levels, solved))
     vectors = BlockVectors(tuple(pops), families, lines)
     lap = assemble(realize(spec))
-    cols = []  # the entry of each column in the first row of each family
-    for f in range(len(families)):
-        entry, count = np.array(vectors.runs(f, *next(vectors.pairs(f)))).T
-        cols.append(entry.repeat(count))
+    first = [(lay.gaps[0], lay.widths) for lay in map(vectors.layout, range(len(families)))]
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a
     # level has the same row layout) or their exact negation, so their
@@ -347,6 +363,6 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     # which holds the exact zero.
     residuals = tuple(np.empty(len(fam.g)) for fam in families)
     for f, i, lam in zip(lines.family.tolist(), lines.position.tolist(), lines.values.tolist()):
-        v = vectors.entries(f, i)[cols[f]]
+        v = expand_row(*first[f], vectors.block_values(f, i))
         residuals[f][i] = np.max(np.abs(matvec(lap, v) - lam * v))
     return EigenBasis(vectors, residuals)

@@ -401,9 +401,9 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
         size = np.abs(q)
         top = np.max(size, axis=0)
         fuzzy = (size > 1e-13 * top) & (size < 1e-6 * top)
-        rows, cols = np.nonzero(fuzzy)
-        if not len(rows):
+        if not fuzzy.any():  # most clusters: far cheaper than an empty nonzero
             return q, retries
+        rows, cols = np.nonzero(fuzzy)
         if len(rows) < best_bad:
             best, best_bad = q, len(rows)
         cols = np.union1d(cols, np.argmax(size[rows], axis=1))

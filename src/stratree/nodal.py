@@ -49,9 +49,7 @@ def count_sign_graphs(
         raise ValueError(f"function of shape {f.shape} on a {tree.n}-vertex tree")
     cols = f.reshape(tree.n, -1)
     tol = np.asarray(zero_tol, dtype=float)
-    sign = np.zeros(cols.shape, dtype=np.int8)
-    sign[cols > tol] = 1
-    sign[cols < -tol] = -1
+    sign = (cols > tol).view(np.int8) - (cols < -tol).view(np.int8)  # NaN gives 0
     parents = tree.parents
     child = np.flatnonzero(parents >= 0)
     edge = sign[parents[child]] + sign[child]  # +-2 where both ends share a sign

@@ -11,6 +11,7 @@ first, so each level and each subtree occupies contiguous index ranges.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -76,16 +77,23 @@ class SymmetricTreeSpec:
     def levels(self) -> int:
         return len(self.children) + 1
 
+    def _level_populations(self) -> Iterator[int]:
+        pop = 1
+        yield pop
+        for c in self.children:
+            if c != 1:
+                pop *= c
+            yield pop
+
     def populations(self) -> list[int]:
         """Vertex count per level: n(0)=1, n(l)=n(l-1)*c(l-1).  Exact ints;
         a single-child level shares its parent level's int, not a copy."""
-        pops = [1]
-        for c in self.children:
-            pops.append(pops[-1] if c == 1 else pops[-1] * c)
-        return pops
+        return list(self._level_populations())
 
     def vertex_count(self) -> int:
-        return sum(self.populations())
+        """The sum of the populations, kept as a running sum: no list of
+        them is built, so a cap can refuse a deep tree cheaply."""
+        return sum(self._level_populations())
 
     def degree(self, level: int) -> int:
         """Degree shared by all vertices at ``level``."""

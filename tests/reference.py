@@ -23,14 +23,21 @@ from stratree.tree import GluedTreeSpec, digits
 
 
 def dense_rows(vectors):
-    """The rows of a ``BlockVectors`` as an n x n array, expanded run by run
-    from its ``runs`` and ``entries``."""
+    """The rows of a ``BlockVectors`` as an n x n array, each written block
+    by block from its family's ``layout`` and its ``block_values``."""
+    n = sum(vectors.populations)
     rows = []
     for f, i in zip(vectors.lines.family.tolist(), vectors.lines.position.tolist()):
-        values = vectors.entries(f, i)
-        for p, s in vectors.pairs(f):
-            entry, count = np.array(vectors.runs(f, p, s)).T
-            rows.append(values[entry.repeat(count)])
+        gaps, widths = vectors.layout(f)
+        values = vectors.block_values(f, i).tolist()
+        for row_gaps in gaps.tolist():
+            row, at = np.zeros(n), 0
+            for gap, width, value in zip(row_gaps, widths.tolist(), values):
+                at += gap
+                row[at : at + width] = value
+                at += width
+            assert at + row_gaps[-1] == n
+            rows.append(row)
     return np.array(rows)
 
 

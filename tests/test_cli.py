@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import stratree.cli as cli
 import stratree.eigen as eigen
 from stratree.cli import main
-from stratree.decompose import BlockVectors, full_eigenbasis
+from stratree.decompose import full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
 from reference import columns_of, csv_document, dense_rows, json_document, row_facts, spectrum_rows
@@ -228,6 +228,34 @@ class TestErrors:
         assert code == 3
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (
+                "spectrum",
+                "the slices of a 40000-row level matrix take 2.1e+13 squared rows of tridiagonal"
+                " solves, over the cap of 1e+09",
+            ),
+            ("verify", "|V|=<12042 digits> exceeds the oracle cap 2000"),
+            ("eigvecs", "basis of size <12042 digits> exceeds the cap of 100000"),
+        ],
+        ids=["spectrum", "verify", "eigvecs"],
+    )
+    def test_deep_growing_tree_refused_before_its_populations(self, capsys, command, message):
+        # 40,000 levels of 2: the exact populations hold 2^39999 and
+        # smaller, ~100 MB of ints in all, so every cap is checked first
+        argv = [command, "--children", ",".join(["2"] * 39999)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert peak < 5 << 20
 
     @pytest.mark.parametrize("route", ["spectrum", "glued", "bench"])
     def test_unallocatable_level_matrix(self, capsys, tmp_path, route):
@@ -506,20 +534,26 @@ class TestEigvecs:
         assert [len(r) for r in basis.residuals] == [len(fam.g) for fam in basis.vectors.families]
         assert all(any(a is r for a in held) for r in basis.residuals)
 
-    def test_finds_the_runs_of_each_row_layout_once(self, tmp_path, monkeypatch):
-        # once per (family, p, s) and once per family for its residuals: on
-        # [3, 1, 4, 1, 3, 2, 4, 3] the sum of n(l0) - n(l0-1) (1 at the
-        # root) over the levels telescopes to the 864 leaves, plus 7
-        # families, against |V| = 1291 rows
-        runs, calls = BlockVectors.runs, []
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writes_stdout_in_pieces_of_the_chunk_size(self, monkeypatch, fmt):
+        # 19 MB of JSON, 9 MB of CSV: every write but the last holds at
+        # least EIGVECS_CHUNK characters, and the stdout bytes are the
+        # recorded ones of --out
+        children = "3,1,4,1,3,2,4,3"
+        (digest,) = [d for c, f, d in (p.values for p in golden_eigvecs()) if (c, f) == (children, fmt)]
+        writes = []
 
-        def counted(self, *args):
-            calls.append(args)
-            return runs(self, *args)
+        class Sink:
+            def write(self, text):
+                writes.append(text)
 
-        monkeypatch.setattr(BlockVectors, "runs", counted)
-        assert main(["eigvecs", "--children", "3,1,4,1,3,2,4,3", "--out", str(tmp_path / "b.json")]) == 0
-        assert len(calls) == 864 + 7
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["eigvecs", "--children", children, "--format", fmt]) == 0
+        text = "".join(writes)
+        assert len(text) > 30 * cli.EIGVECS_CHUNK
+        assert len(writes) <= -(-len(text) // cli.EIGVECS_CHUNK) + 1
+        assert all(len(piece) >= cli.EIGVECS_CHUNK for piece in writes[:-1])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_streams_without_the_whole_document(self, tmp_path):
         # |V| = 1291: the basis is never an n x n array (13 MB), and the

@@ -14,10 +14,12 @@ from stratree.cli import main
 from stratree.decompose import (
     counting_identity,
     decompose_spectrum,
+    expand_row,
     expanded_spectrum,
     full_eigenbasis,
     level_matrix,
     stratified_levels,
+    vectors_per_value,
 )
 from stratree.eigen import dense_eigen, sturm_count, trailing_eigenvalues
 from stratree.laplacian import assemble, matvec
@@ -561,6 +563,21 @@ class TestFullEigenbasis:
         assert facts.origin_levels.tolist() == [e[1] for e in entries]
         assert dense_rows(basis.vectors).tobytes() == np.array([e[2] for e in entries]).tobytes()
 
+    @pytest.mark.parametrize("children", [[1, 1, 1, 1, 1], [9, 2], [3, 1, 4, 1, 3, 2, 4, 3]])
+    def test_each_family_layout_expands_to_the_level_block_rows(self, children):
+        # a path (one family, its root level's m blocks), a wide root, and
+        # interleaved families with many parents each: every row of a run
+        # of (family, i), from the family's one layout, is bitwise the
+        # vector built block by block from the same level values
+        spec = SymmetricTreeSpec(children)
+        vectors = full_eigenbasis(spec).vectors
+        for f, fam in enumerate(vectors.families):
+            gaps, widths = vectors.layout(f)
+            assert gaps.shape == (vectors_per_value(spec.populations(), fam.level), len(widths) + 1)
+            for i, g in enumerate(fam.g):
+                rows = [expand_row(row, widths, vectors.block_values(f, i)) for row in gaps]
+                assert np.array(rows).tobytes() == np.array(level_block_rows(spec, fam.level, g)).tobytes()
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
     def test_family_residuals_match_the_per_vector_loop(self, spec):
@@ -621,31 +638,40 @@ def assert_residuals_per_vector(spec):
     assert facts.residuals.tobytes() == np.array(loop).tobytes()
 
 
+def level_block_rows(spec, l0, g):
+    """The vectors of level values g at level l0, built one at a time in
+    (parent, sibling) order: g on p's first child's subtree minus its copy
+    on p's child s's subtree, or g on the whole tree at the root level."""
+    pops, off = spec.populations(), level_offsets(spec)
+    c = 1 if l0 == 0 else spec.children[l0 - 1]
+    rows = []
+    for p in range(1 if l0 == 0 else pops[l0 - 1]):
+        for s in range(1) if l0 == 0 else range(1, c):
+            f = np.zeros(off[-1])
+            for j, l in enumerate(range(l0, spec.levels)):
+                width = pops[l] // pops[l0]
+                first = off[l] + p * c * width
+                f[first : first + width] = g[j]
+                if l0:
+                    f[first + s * width : first + (s + 1) * width] -= g[j]
+            rows.append(f)
+    return rows
+
+
 def eigenbasis_by_vector(spec):
     """(value, origin level, vector) of every basis vector, built one vector
     at a time in (level, eigenvalue, parent, sibling) order and stably
     sorted by (value, origin level)."""
-    pops, off = spec.populations(), level_offsets(spec)
     t = level_matrix(spec)
     entries = []
     for l0 in range(spec.levels):
-        c = 1 if l0 == 0 else spec.children[l0 - 1]
-        if l0 and c == 1:
+        if l0 and spec.children[l0 - 1] == 1:
             continue
         vals, gs = stratified_levels(t, l0)
         if l0 == 0:
             vals[0] = 0.0  # the Laplacian's zero, which LAPACK returns as +-1e-16
         for lam, g in zip(vals.tolist(), gs):
-            for p in range(1 if l0 == 0 else pops[l0 - 1]):
-                for s in range(1) if l0 == 0 else range(1, c):
-                    f = np.zeros(off[-1])
-                    for j, l in enumerate(range(l0, spec.levels)):
-                        width = pops[l] // pops[l0]
-                        first = off[l] + p * c * width
-                        f[first : first + width] = g[j]
-                        if l0:
-                            f[first + s * width : first + (s + 1) * width] -= g[j]
-                    entries.append((lam, l0, f))
+            entries += [(lam, l0, f) for f in level_block_rows(spec, l0, g)]
     entries.sort(key=lambda e: (e[0], e[1]))
     return entries
 
