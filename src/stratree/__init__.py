@@ -12,7 +12,7 @@ from .decompose import (
 )
 from .eigen import TriDiag, dense_eigen, sturm_count, trailing_eigenvalues
 from .glued import glued_spectrum, glued_stratified_matrix
-from .laplacian import SparseSymMatrix, assemble, matvec
+from .laplacian import degrees, matvec, write_matrix_market
 from .nodal import SignGraphReport, count_sign_graphs, nodal_records
 from .tree import (
     CapacityError,
@@ -33,14 +33,13 @@ __all__ = [
     "InvalidSpecError",
     "RootedTree",
     "SignGraphReport",
-    "SparseSymMatrix",
     "Spectrum",
     "SymmetricTreeSpec",
     "TriDiag",
-    "assemble",
     "count_sign_graphs",
     "counting_identity",
     "decompose_spectrum",
+    "degrees",
     "dense_eigen",
     "expanded_spectrum",
     "full_eigenbasis",
@@ -53,4 +52,5 @@ __all__ = [
     "realize_glued",
     "sturm_count",
     "trailing_eigenvalues",
+    "write_matrix_market",
 ]

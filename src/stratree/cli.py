@@ -24,7 +24,7 @@ from typing import NoReturn, TextIO
 
 from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
 from .glued import glued_spectrum
-from .laplacian import assemble
+from .laplacian import write_matrix_market
 from .nodal import nodal_records
 from .tree import (
     CapacityError,
@@ -102,26 +102,31 @@ def _load_spec_file(path: str) -> SymmetricTreeSpec | GluedTreeSpec:
     )
 
 
-def _create(path: str) -> TextIO:
-    """``path`` opened for writing; one that cannot be opened is an input error."""
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """``path`` opened for writing, or stdout when there is none, flushed
+    (and a file closed) at the end.  A path that cannot be opened is an
+    input error, and a write that fails (a full disk) a resource error."""
     try:
-        return open(path, "w")
+        fh = open(path, "w") if path else sys.stdout
     except OSError as exc:
         raise InvalidSpecError(f"cannot write {path}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _output(config: RunConfig) -> Iterator[TextIO]:
-    """The ``--out`` file, or stdout when there is none."""
-    if config.out:
-        with _create(config.out) as fh:
+    try:
+        with fh if path else contextlib.nullcontext(fh):
             yield fh
-    else:
-        yield sys.stdout
+            fh.flush()
+    except OSError as exc:
+        if not path:
+            # what stdout still buffers would fail again at exit, with a
+            # second message and exit 120, so its descriptor takes devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CapacityError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
 def _emit(config: RunConfig, text: str) -> None:
-    with _output(config) as fh:
+    with _output(config.out) as fh:
         fh.write(text)
 
 
@@ -194,9 +199,9 @@ def cmd_spectrum(config: RunConfig) -> int:
     if glued:
         columns["origin_side"] = spectrum.origin_side.tolist()
     if config.export_matrix:
-        lap = assemble(realize(config.spec))
-        with _create(config.export_matrix) as fh:
-            lap.to_matrix_market(fh)
+        tree = realize(config.spec)
+        with _output(config.export_matrix) as fh:
+            write_matrix_market(tree, fh)
     _emit(config, _WRITERS[config.fmt](columns))
     return EXIT_OK
 
@@ -285,7 +290,7 @@ def cmd_eigvecs(config: RunConfig) -> int:
     if isinstance(config.spec, GluedTreeSpec):
         raise InvalidSpecError("eigvecs supports symmetric trees only")
     basis = full_eigenbasis(config.spec, basis_cap=config.basis_cap)
-    with _output(config) as fh:
+    with _output(config.out) as fh:
         _write_eigenbasis(fh, basis, config.fmt)
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eigen import TriDiag, trailing_eigenvalues
-from .laplacian import assemble, matvec
+from .laplacian import matvec
 from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 
 DEFAULT_BASIS_CAP = 100_000
@@ -354,7 +354,7 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     )
     families = tuple(LevelFamily(l0, g) for l0, (_, g) in zip(levels, solved))
     vectors = BlockVectors(tuple(pops), families, lines)
-    lap = assemble(realize(spec))
+    tree = realize(spec)
     first = [(lay.gaps[0], lay.widths) for lay in map(vectors.layout, range(len(families)))]
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a
@@ -364,5 +364,5 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     residuals = tuple(np.empty(len(fam.g)) for fam in families)
     for f, i, lam in zip(lines.family.tolist(), lines.position.tolist(), lines.values.tolist()):
         v = expand_row(*first[f], vectors.block_values(f, i))
-        residuals[f][i] = np.max(np.abs(matvec(lap, v) - lam * v))
+        residuals[f][i] = np.max(np.abs(matvec(tree, v) - lam * v))
     return EigenBasis(vectors, residuals)

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .laplacian import assemble
+from .laplacian import degrees, dense
 from .nodal import cluster_spectrum
 from .tree import CapacityError, RootedTree
 
@@ -423,10 +423,10 @@ def dense_eigen(tree: RootedTree):
     other are refined so they span the cluster eigenspace to working
     precision.  A matrix that cannot be allocated is a ``CapacityError``.
     """
-    a = assemble(tree).to_dense()
-    diag = a.diagonal().copy()
-    vals, vecs = np.linalg.eigh(a)
-    del a  # purification needs only the diagonal, not the n x n matrix
+    # the n x n matrix is dropped when eigh returns: purification reads the
+    # tree and its degrees
+    vals, vecs = np.linalg.eigh(dense(tree))
+    diag = degrees(tree)
     if not log.isEnabledFor(logging.DEBUG):
         return vals, _purify_degenerate(tree, diag, vals, vecs)
     tally = Counter(worst=0.0)

@@ -1,12 +1,12 @@
-"""Sparse assembly of tree Laplacians.
+"""Tree Laplacians, held as the tree's own parent array.
 
 The Laplacian has the vertex degree on the diagonal and -1 on every tree
-edge.
+edge, so the parent array and the degrees are all of it: no matrix object
+is built to apply it, write it out densely or export it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -17,63 +17,53 @@ from .tree import CapacityError, RootedTree
 _LINES_PER_WRITE = 1 << 16
 
 
-@dataclass(frozen=True)
-class SparseSymMatrix:
-    """Symmetric matrix in compressed-row layout (both triangles stored).
-
-    Diagonal entries are stored explicitly even when zero, so every row is
-    nonempty and matvec can use reduceat without special cases.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def _rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        """The n x n array; one that cannot be allocated is a ``CapacityError``."""
-        try:
-            a = np.zeros((self.n, self.n))
-        except MemoryError:
-            raise CapacityError(f"a dense {self.n}x{self.n} matrix does not fit in memory") from None
-        a[self._rows(), self.indices] = self.data
-        return a
-
-    def to_matrix_market(self, stream: IO[str]) -> None:
-        """Write the lower triangle in Matrix Market symmetric coordinate form."""
-        rows = self._rows()
-        lower = self.indices <= rows
-        i, j, values = rows[lower] + 1, self.indices[lower] + 1, self.data[lower]
-        stream.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        stream.write(f"{self.n} {self.n} {len(values)}\n")
-        for lo in range(0, len(values), _LINES_PER_WRITE):
-            part = slice(lo, lo + _LINES_PER_WRITE)
-            lines = zip(i[part].tolist(), j[part].tolist(), values[part].tolist())
-            stream.write("".join([f"{a} {b} {v:.17g}\n" for a, b, v in lines]))
+def degrees(tree: RootedTree) -> np.ndarray:
+    """Each vertex's degree (int64): its children, plus its parent edge."""
+    p = tree.parents
+    # bin v + 1 counts the children of v; bin 0, the root's -1, is dropped
+    return np.bincount(p + 1, minlength=tree.n + 1)[1:] + (p >= 0)
 
 
-def assemble(tree: RootedTree) -> SparseSymMatrix:
-    """Laplacian of a tree: degree diagonal, -1 on edges.  Row sums are 0."""
-    parents = tree.parents
-    n = len(parents)
-    child = np.flatnonzero(parents >= 0)
-    parent = parents[child]
-    deg = np.bincount(parent, minlength=n)
-    deg[child] += 1
-    rows = np.concatenate((np.arange(n), child, parent))
-    cols = np.concatenate((np.arange(n), parent, child))
-    data = np.concatenate((deg.astype(float), np.full(2 * len(child), -1.0)))
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseSymMatrix(n, indptr, cols[order], data[order])
-
-
-def matvec(m: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
+def matvec(tree: RootedTree, x: np.ndarray) -> np.ndarray:
+    """The Laplacian of ``tree`` times ``x``: each vertex's degree times its
+    x, minus its parent's x and the sum of its children's."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.n,):
-        raise ValueError(f"vector of length {x.shape} against matrix of size {m.n}")
-    return np.add.reduceat(m.data * x[m.indices], m.indptr[:-1])
+    if x.shape != (tree.n,):
+        raise ValueError(f"vector of length {x.shape} against matrix of size {tree.n}")
+    p = tree.parents
+    y = degrees(tree) * x
+    y -= np.where(p >= 0, x[p], 0.0)  # the root's x[-1] is dropped
+    return y - np.bincount(p + 1, weights=x, minlength=tree.n + 1)[1:]
+
+
+def dense(tree: RootedTree) -> np.ndarray:
+    """The n x n array; one that cannot be allocated is a ``CapacityError``."""
+    try:
+        a = np.zeros((tree.n, tree.n))
+    except MemoryError:
+        raise CapacityError(f"a dense {tree.n}x{tree.n} matrix does not fit in memory") from None
+    child = np.flatnonzero(tree.parents >= 0)
+    parent = tree.parents[child]
+    a[child, parent] = a[parent, child] = -1.0
+    np.fill_diagonal(a, degrees(tree))
+    return a
+
+
+def write_matrix_market(tree: RootedTree, stream: IO[str]) -> None:
+    """Write the lower triangle in Matrix Market symmetric coordinate form:
+    each vertex's degree and each edge's -1, sorted row-major, so the text
+    does not depend on the order of the parent array."""
+    n = tree.n
+    child = np.flatnonzero(tree.parents >= 0)
+    parent = tree.parents[child]
+    i = np.concatenate((np.arange(n), np.maximum(child, parent))) + 1
+    j = np.concatenate((np.arange(n), np.minimum(child, parent))) + 1
+    values = np.concatenate((degrees(tree), np.full(len(child), -1)))
+    order = np.lexsort((j, i))
+    i, j, values = i[order], j[order], values[order]
+    stream.write("%%MatrixMarket matrix coordinate real symmetric\n")
+    stream.write(f"{n} {n} {len(values)}\n")
+    for lo in range(0, len(values), _LINES_PER_WRITE):
+        part = slice(lo, lo + _LINES_PER_WRITE)
+        lines = zip(i[part].tolist(), j[part].tolist(), values[part].tolist())
+        stream.write("".join([f"{a} {b} {v}\n" for a, b, v in lines]))

@@ -26,7 +26,7 @@ class InvalidSpecError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Raised when a request exceeds a configured size cap."""
+    """Raised when a request exceeds a size cap, or the memory or disk it needs."""
 
 
 def digits(n: int) -> str:

@@ -1,11 +1,11 @@
 """Cross-checks of the fast decomposition against the brute-force oracle.
 
 Every check here pits two independent routes against each other: the
-tridiagonal decomposition versus a dense eigensolve of the assembled
-Laplacian, the constructed eigenbasis versus its residuals and rank, and
-the nodal-domain theorems versus sign counts on oracle eigenpairs.  The
-oracle is solved once per spec and its eigenpairs are handed to every
-check that needs them.
+tridiagonal decomposition versus a dense eigensolve of the Laplacian
+written out from the tree's parent array, the constructed eigenbasis
+versus its residuals and rank, and the nodal-domain theorems versus sign
+counts on oracle eigenpairs.  The oracle is solved once per spec and its
+eigenpairs are handed to every check that needs them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def oracle(
     """The realized tree and the dense eigenpairs of its Laplacian.
 
     Refused from the spec's vertex count, before the tree is realized or
-    anything is assembled, so an oversized request costs no memory.
+    anything is built, so an oversized request costs no memory.
     """
     n = spec.vertex_count()
     if n > cap:

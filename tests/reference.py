@@ -1,12 +1,14 @@
 """Plain references for the library's compact forms, shared by the test
 modules.
 
-The library never writes its basis out as an n x n array; these helpers
-do, so the tests can check the level-block layout and the rank
-certificate against plain dense linear algebra at desk size.  It holds a
-spectrum as columns and writes documents a column at a time; the helpers
-below build one dict per spectral line instead, sort them with Python's
-sort and write them with the json and csv encoders.
+The library holds a tree's Laplacian as its parent array;
+``laplacian_of`` writes the matrix out one edge at a time.  It never
+writes its basis out as an n x n array; these helpers do, so the tests
+can check the level-block layout and the rank certificate against plain
+dense linear algebra at desk size.  It holds a spectrum as columns and
+writes documents a column at a time; the helpers below build one dict
+per spectral line instead, sort them with Python's sort and write them
+with the json and csv encoders.
 """
 
 import csv
@@ -20,6 +22,32 @@ from stratree.decompose import level_spectra
 from stratree.eigen import trailing_eigenvalues
 from stratree.glued import glued_stratified_matrix
 from stratree.tree import GluedTreeSpec, digits
+
+
+def laplacian_of(parents):
+    """The dense Laplacian of a parent array, written edge by edge."""
+    n = len(parents)
+    a = np.zeros((n, n))
+    for v, p in enumerate(parents):
+        if p >= 0:
+            a[v, p] = a[p, v] = -1.0
+            a[v, v] += 1.0
+            a[p, p] += 1.0
+    return a
+
+
+def matrix_market_by_entry(parents):
+    """The Matrix Market text of ``laplacian_of(parents)``, one entry of
+    its lower triangle at a time, row by row: every diagonal entry (a lone
+    vertex's 0 too) and every nonzero below it."""
+    a = laplacian_of(parents)
+    n = len(a)
+    entries = [(i + 1, j + 1, a[i, j]) for i in range(n) for j in range(i + 1) if i == j or a[i, j]]
+    text = "%%MatrixMarket matrix coordinate real symmetric\n"
+    text += f"{n} {n} {len(entries)}\n"
+    for i, j, val in entries:
+        text += f"{i} {j} {val:.17g}\n"
+    return text
 
 
 def dense_rows(vectors):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -149,6 +150,34 @@ class TestErrors:
         code = main(["eigvecs", "--children", "4,4,4", "--basis-cap", "10", "--out", str(target)])
         assert code == 3
         assert not target.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--children", "2", "--out", "/dev/full"],
+            ["spectrum", "--children", "2", "--export-matrix", "/dev/full"],
+            ["eigvecs", "--children", "2,2", "--out", "/dev/full"],
+            ["spectrum", "--children", "2"],
+        ],
+        ids=["out", "export_matrix", "eigvecs_out", "stdout"],
+    )
+    def test_failed_write_is_a_resource_error(self, argv):
+        # Every write to /dev/full fails with ENOSPC.  Stdout is /dev/full
+        # too, buffered as Python buffers it by default: a failed write must
+        # not fail again when the interpreter flushes stdout at exit, with
+        # an "Exception ignored" message and exit 120.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stratree.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(env, PYTHONPATH=src),
+            )
+        target = "/dev/full" if "/dev/full" in argv else "stdout"
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: cannot write {target}: [Errno 28] No space left on device\n"
 
     def test_unallocatable_export_matrix(self, capsys, tmp_path):
         # 10^15 + 1 vertices: under the indexing cap, but the parent array's
@@ -547,6 +576,9 @@ class TestEigvecs:
             def write(self, text):
                 writes.append(text)
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Sink())
         assert main(["eigvecs", "--children", children, "--format", fmt]) == 0
         text = "".join(writes)
@@ -584,8 +616,9 @@ def golden_eigvecs():
 
 @pytest.mark.parametrize("children, fmt, digest", golden_eigvecs())
 def test_eigvecs_golden_bytes(tmp_path, children, fmt, digest):
-    # recorded before the basis was held as level blocks, from the n x n
-    # array, with the numpy the data file names
+    # every byte but the residuals was first recorded from the n x n array,
+    # before the basis was held as level blocks, with the numpy the data
+    # file names
     target = tmp_path / "out"
     assert main(["eigvecs", "--children", children, "--format", fmt, "--out", str(target)]) == 0
     digest_now = hashlib.sha256(target.read_bytes()).hexdigest()

@@ -22,7 +22,7 @@ from stratree.decompose import (
     vectors_per_value,
 )
 from stratree.eigen import dense_eigen, sturm_count, trailing_eigenvalues
-from stratree.laplacian import assemble, matvec
+from stratree.laplacian import dense, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 from stratree.verify import check_eigenbasis
 
@@ -143,7 +143,7 @@ class TestLevelMatrixSlices:
         # The Dirichlet Laplacian of the first level-l0 subtree is the
         # principal submatrix of the Laplacian on its vertices, and each
         # eigenvalue of the level-l0 slice is one of its eigenvalues.
-        lap = assemble(realize(spec)).to_dense()
+        lap = dense(realize(spec))
         pops, off = spec.populations(), level_offsets(spec)
         t = level_matrix(spec)
         for l0 in range(spec.levels):
@@ -369,14 +369,14 @@ class TestStratifiedLift:
 
     def test_whole_tree_lift_is_eigenfunction(self):
         spec = SymmetricTreeSpec([3, 2, 2])
-        lap = assemble(realize(spec))
+        tree = realize(spec)
         basis = full_eigenbasis(spec)
         vectors, facts = dense_rows(basis.vectors), row_facts(basis)
         strat = [i for i in range(basis.n) if facts.construction[i] == "stratified"]
         assert len(strat) == spec.levels
         for i in strat:
             lam, f = facts.values[i], vectors[i]
-            assert np.max(np.abs(matvec(lap, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
+            assert np.max(np.abs(matvec(tree, f) - lam * f)) <= 1e-9 * np.max(np.abs(f))
 
     def test_constant_per_level(self):
         spec = SymmetricTreeSpec([3, 2])
@@ -414,8 +414,7 @@ class TestAntisymLift:
         basis = full_eigenbasis(SymmetricTreeSpec([2]))
         (out,) = rows_of(basis, "antisym")
         assert out.tolist() == [0.0, 1.0, -1.0]
-        lap = assemble(realize(SymmetricTreeSpec([2])))
-        assert np.allclose(matvec(lap, out), out)  # eigenvalue 1
+        assert np.allclose(matvec(realize(SymmetricTreeSpec([2])), out), out)  # eigenvalue 1
 
     def test_three_leaf_star(self):
         basis = full_eigenbasis(SymmetricTreeSpec([3]))
@@ -424,9 +423,9 @@ class TestAntisymLift:
             [0.0, 1.0, -1.0, 0.0],
             [0.0, 1.0, 0.0, -1.0],
         ]
-        lap = assemble(realize(SymmetricTreeSpec([3])))
+        tree = realize(SymmetricTreeSpec([3]))
         for o in outs:
-            assert np.allclose(matvec(lap, o), o)
+            assert np.allclose(matvec(tree, o), o)
 
     def test_outputs_sum_to_zero_per_level(self):
         spec = SymmetricTreeSpec([3, 2, 2])
@@ -630,9 +629,9 @@ def assert_residuals_per_vector(spec):
     """The basis's residuals are bitwise those of one matvec per vector."""
     basis = full_eigenbasis(spec)
     facts = row_facts(basis)
-    lap = assemble(realize(spec))
+    tree = realize(spec)
     loop = [
-        float(np.max(np.abs(matvec(lap, f) - lam * f)))
+        float(np.max(np.abs(matvec(tree, f) - lam * f)))
         for lam, f in zip(facts.values.tolist(), dense_rows(basis.vectors))
     ]
     assert facts.residuals.tobytes() == np.array(loop).tobytes()

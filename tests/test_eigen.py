@@ -25,9 +25,9 @@ import stratree.cli as cli
 import stratree.eigen as eigen
 import stratree.verify as verify
 from stratree.decompose import decompose_spectrum, level_matrix
-from stratree.laplacian import assemble
 from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
+from reference import laplacian_of
 from strategies import trees
 
 SQRT2 = math.sqrt(2.0)
@@ -35,7 +35,7 @@ SQRT2 = math.sqrt(2.0)
 
 def laplacian(spec):
     tree = realize(spec)
-    return tree, assemble(tree).to_dense()
+    return tree, laplacian_of(tree.parents)
 
 
 def tridiag_matvec(t, x):
@@ -393,7 +393,7 @@ def test_tree_solve_spans_the_dense_solve_cluster(spec):
 @given(trees())
 def test_tree_solve_matches_a_dense_solve_on_any_numbering(tree):
     # shifts below the Laplacian's spectrum keep both solves well conditioned
-    a = assemble(tree).to_dense()
+    a = laplacian_of(tree.parents)
     shifts, owner = np.array([-0.5, -1.5]), np.array([0, 1, 1])
     b = np.random.default_rng(tree.n).standard_normal((tree.n, 3))
     order, up, starts = _breadth_first(tree)
@@ -450,17 +450,6 @@ def test_no_dense_solve(monkeypatch):
     assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(a, 2)
 
 
-def parent_array_laplacian(tree):
-    """The Laplacian written out from the parent array, apart from ``assemble``."""
-    a = np.zeros((tree.n, tree.n))
-    for v, p in enumerate(tree.parents.tolist()):
-        if p >= 0:
-            a[v, p] = a[p, v] = -1.0
-            a[v, v] += 1.0
-            a[p, p] += 1.0
-    return a
-
-
 # a purified cluster at 0.26795 whose neighbour sits 1.9e-3 away: the
 # cluster's solve left 1.8e-12 of that neighbour in it
 CLOSE_NEIGHBOUR = (
@@ -474,7 +463,7 @@ CLOSE_NEIGHBOUR = (
 @example(RootedTree((-1,)))
 @example(RootedTree(CLOSE_NEIGHBOUR))
 def test_dense_eigen_on_any_numbering(tree):
-    a = parent_array_laplacian(tree)
+    a = laplacian_of(tree.parents)
     vals, vecs = dense_eigen(tree)
     norm = np.linalg.norm(a, 2)
     assert np.all(np.diff(vals) >= 0)
