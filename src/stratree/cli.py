@@ -22,6 +22,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn, TextIO
 
+import numpy as np
+
 from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
 from .glued import glued_spectrum
 from .laplacian import write_matrix_market
@@ -228,42 +230,52 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     Each run is one line of ``vectors.lines``, of family f and position i,
     so the fields before the vector (the line's eigenvalue and origin
     level, and the basis's residual of (f, i)) and the run's block values
-    (a level value g[i, j] or its negation) are formatted once per run, by
-    ``_spell``: the text matches the JSON encoder's (0.0 and -0.0 stay
-    apart; NaN and Infinity are spelled its way).  Each block is spelled
-    out (cell and separator, width times) once per run, and a row is its
-    blocks between the zero runs of its family's ``layout``, its last
-    number written without a separator.  The pieces of the rows are
-    collected and joined into one string per write.
+    (a level value g[i, j] or its negation) are spelled once per run: each
+    head column by one ``_spell`` call (CSV floats by ``_fmt_float``), and
+    the block values of every (f, i) by one more.  The text matches the
+    JSON encoder's (0.0 and -0.0 stay apart; NaN and Infinity are spelled
+    its way).  Each block is spelled out (cell and separator, width times)
+    once per run, and a row is its blocks between the zero runs of its
+    family's ``layout``, its last number written without a separator.  The
+    pieces of the rows are collected and joined into one string per write.
     """
     vectors, lines = basis.vectors, basis.vectors.lines
+    families = range(len(vectors.families))
     sep = ", " if fmt == "csv" else ",\n      "
     zero = "0.0" + sep
-    layouts = [vectors.layout(f) for f in range(len(vectors.families))]
+    layouts = [vectors.layout(f) for f in families]
     gaps = [lay.gaps.tolist() for lay in layouts]
+    widths = [lay.widths.tolist() for lay in layouts]
+    # the block values and residuals of every (f, i), family-major; line r
+    # holds pair[r], whose cells start at cell_at[r]
+    values = [vectors.block_values(f) for f in families]
+    cells = _spell(np.concatenate([v.ravel() for v in values]).tolist())
+    pair = np.cumsum([0, *(len(v) for v in values)])[lines.family] + lines.position
+    residuals = np.concatenate(basis.residuals)[pair].tolist()
+    row_cells = np.repeat([v.shape[1] for v in values], [len(v) for v in values])
+    cell_at = np.concatenate(([0], np.cumsum(row_cells)))[pair]
+    levels = lines.origin_level.tolist()
+    kinds = ["stratified" if level == 0 else "antisym" for level in levels]
     if fmt == "csv":
         # the vector cell holds ", " and is quoted, as csv quotes it, unless
         # the tree has one vertex
         quote = '"' if basis.n > 1 else ""
+        lams, res = ([_fmt_float(v) for v in column] for column in (lines.values.tolist(), residuals))
+        heads = [f"{a},{b},{c},{d},{quote}[" for a, b, c, d in zip(lams, levels, kinds, res)]
         start, row_sep, close = "", "", "]" + quote + "\n"
         chunk = ["lambda,origin_level,construction,residual,vector\n"]
     else:
+        columns = (lines.values.tolist(), levels, kinds, residuals)
+        heads = [_EIGVECS_JSON_ROW.format(*row) for row in zip(*map(_spell, columns))]
         start, row_sep, close = "[\n", ",\n", "\n    ]\n  }"
         chunk = []
     size = 0
-    for lam, level, f, i in zip(
-        lines.values.tolist(), lines.origin_level.tolist(), lines.family.tolist(), lines.position.tolist()
-    ):
-        res = float(basis.residuals[f][i])
-        kind = "stratified" if level == 0 else "antisym"
-        if fmt == "csv":
-            head = f"{_fmt_float(lam)},{level},{kind},{_fmt_float(res)},{quote}["
-        else:
-            head = _EIGVECS_JSON_ROW.format(*_spell([lam, level, kind, res]))
-        cells = _spell(vectors.block_values(f, i).tolist())
-        widths = layouts[f].widths.tolist()
-        blocks = [(cell + sep) * width for cell, width in zip(cells, widths)]
-        last_block = (cells[-1] + sep) * (widths[-1] - 1) + cells[-1]
+    for head, f, at in zip(heads, lines.family.tolist(), cell_at.tolist()):
+        run_widths = widths[f]
+        run_cells = cells[at : at + len(run_widths)]
+        blocks = [(cell + sep) * width for cell, width in zip(run_cells, run_widths)]
+        last_block = (run_cells[-1] + sep) * (run_widths[-1] - 1) + run_cells[-1]
+        row_size = None
         for row_gaps in gaps[f]:
             pieces = [start, head]
             for gap, block in zip(row_gaps, blocks):
@@ -276,7 +288,10 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
                 pieces[-1] = last_block
             pieces.append(close)
             chunk += pieces
-            size += sum(map(len, pieces))
+            if row_size is None:
+                # every row of a run has the same length ("[\n" and ",\n" too)
+                row_size = sum(map(len, pieces))
+            size += row_size
             if size >= EIGVECS_CHUNK:
                 fh.write("".join(chunk))
                 chunk, size = [], 0

@@ -20,7 +20,10 @@ constant per block.  The eigenbasis is therefore held implicitly
 ``Spectrum``, whose lines are its runs of rows in order: O(k^3) numbers
 plus O(k^2) lines, not |V|^2.  The rows of a run share their line's
 eigenvalue, origin level and residual, so nothing in the basis has |V|
-rows.  A family's rows are zeros around 2m blocks of one value each, at
+rows.  Only the residual certificate forms rows: the Laplacian times the
+first row of every run, an n x lines product taken ``RESIDUAL_BLOCK``
+entries at a time (one line at a time past |V| = ``RESIDUAL_BLOCK``).
+A family's rows are zeros around 2m blocks of one value each, at
 columns one numpy broadcast finds for all of them
 (``BlockVectors.layout``), and the basis's rank is certified from the
 level families (``EigenBasis.full_rank``).
@@ -38,6 +41,11 @@ from .laplacian import matvec
 from .tree import CapacityError, SymmetricTreeSpec, count_text, realize
 
 DEFAULT_BASIS_CAP = 100_000
+# Entries of one block of the residual product: 64 KiB per array, under
+# glibc's default 128 KiB mmap threshold, so a fresh process reuses heap
+# pages for each block; 1 MiB blocks were mapped and faulted in afresh and
+# made full_eigenbasis slower than one product per line.
+RESIDUAL_BLOCK = 1 << 13
 
 
 class Spectrum(NamedTuple):
@@ -206,7 +214,7 @@ class BlockVectors:
     its copy on the subtree of p's child s, one per parent rank p at level
     l0-1 and sibling 1 <= s < c(l0-1), p-major, or the one vector g[i] on
     the whole tree at the root level.  ``layout(f)`` places their blocks
-    and ``block_values(f, i)`` fills them.
+    and row i of ``block_values(f)`` fills them.
     """
 
     populations: tuple[int, ...]
@@ -249,23 +257,30 @@ class BlockVectors:
         gaps -= np.hstack((np.zeros((rows, 1), np.int64), ends))
         return RowLayout(gaps, widths)
 
-    def block_values(self, family: int, i: int) -> np.ndarray:
-        """The value of each block of ``layout(family)`` in the rows of
+    def block_values(self, family: int) -> np.ndarray:
+        """The value of each block of ``layout(family)``, one row per
         position i: g[i, j] and 0.0 - g[i, j] (never -g, so a zero stays
         +0.0) for each level j, or g[i] alone at the root level."""
         fam = self.families[family]
-        g = fam.g[i]
-        return np.column_stack((g, 0.0 - g)).ravel() if fam.level else g
+        g = fam.g
+        return np.stack((g, 0.0 - g), axis=-1).reshape(len(g), -1) if fam.level else g
+
+
+def _row_runs(gaps, widths, values) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of rows of ``values`` (one row per row of values, all on
+    one ``RowLayout`` row ``gaps``) and how often each repeats: zeros of
+    ``gaps`` around blocks of ``widths`` columns of the row's values."""
+    entries = np.zeros((len(values), 2 * values.shape[1] + 1))
+    entries[:, 1::2] = values
+    counts = np.empty(entries.shape[1], dtype=np.int64)
+    counts[0::2], counts[1::2] = gaps, widths
+    return entries.ravel(), np.tile(counts, len(values))
 
 
 def expand_row(gaps, widths, values) -> np.ndarray:
     """The dense row of one ``RowLayout`` row: ``gaps`` (one more than the
     blocks) zeros around blocks of ``widths`` columns of ``values``."""
-    entries = np.zeros(2 * len(values) + 1)
-    entries[1::2] = values
-    counts = np.empty(len(entries), dtype=np.int64)
-    counts[0::2], counts[1::2] = gaps, widths
-    return np.repeat(entries, counts)
+    return np.repeat(*_row_runs(gaps, widths, np.reshape(values, (1, -1))))
 
 
 @dataclass(frozen=True)
@@ -337,7 +352,11 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
     those level values and the families' ``Spectrum``, one line per run of
-    rows, with one residual per line; no array of |V| rows is built.  The
+    rows, with one residual per line, the largest entry of |L v - lambda v|
+    on the run's first row v.  Those rows are built only for that n x lines
+    product, in blocks of at most ``RESIDUAL_BLOCK`` entries (at least one
+    line each), so the certificate holds O(max(|V|, RESIDUAL_BLOCK))
+    numbers at a time; the basis holds no array of |V| rows.  The
     families sit at distinct levels, so runs are sorted by (eigenvalue, l0,
     i), and the rows of a run by p and s; runs tie in (eigenvalue, l0) only
     when one family has two bitwise-equal eigenvalues.
@@ -355,14 +374,32 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     families = tuple(LevelFamily(l0, g) for l0, (_, g) in zip(levels, solved))
     vectors = BlockVectors(tuple(pops), families, lines)
     tree = realize(spec)
-    first = [(lay.gaps[0], lay.widths) for lay in map(vectors.layout, range(len(families)))]
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a
     # level has the same row layout) or their exact negation, so their
-    # residuals are bitwise the same.  Its eigenvalue comes from the line,
-    # which holds the exact zero.
-    residuals = tuple(np.empty(len(fam.g)) for fam in families)
-    for f, i, lam in zip(lines.family.tolist(), lines.position.tolist(), lines.values.tolist()):
-        v = expand_row(*first[f], vectors.block_values(f, i))
-        residuals[f][i] = np.max(np.abs(matvec(tree, v) - lam * v))
-    return EigenBasis(vectors, residuals)
+    # residuals are bitwise the same.  The first rows of all (family,
+    # position) pairs, family-major, are one run-length code, so each block
+    # of RESIDUAL_BLOCK entries is one np.repeat and one matvec.
+    entries, counts, row_sizes = [], [], []
+    for f, fam in enumerate(families):
+        layout = vectors.layout(f)
+        e, c = _row_runs(layout.gaps[0], layout.widths, vectors.block_values(f))
+        entries.append(e)
+        counts.append(c)
+        row_sizes += [len(e) // len(fam.g)] * len(fam.g)
+    entries, counts = np.concatenate(entries), np.concatenate(counts)
+    row_starts = np.cumsum([0, *row_sizes])
+    # the eigenvalue of each pair comes from its line, which holds the exact zero
+    first = np.cumsum([0, *(len(fam.g) for fam in families)])
+    lam = np.empty(first[-1])
+    lam[first[lines.family] + lines.position] = lines.values
+    res = np.empty(len(lam))
+    step = max(1, RESIDUAL_BLOCK // n)
+    for lo in range(0, len(lam), step):
+        hi = min(lo + step, len(lam))
+        run = slice(row_starts[lo], row_starts[hi])
+        x = np.repeat(entries[run], counts[run]).reshape(hi - lo, n).T
+        r = matvec(tree, x)
+        r -= lam[lo:hi] * x
+        res[lo:hi] = np.max(np.abs(r, out=r), axis=0)
+    return EigenBasis(vectors, tuple(np.split(res, first[1:-1])))

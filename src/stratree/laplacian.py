@@ -25,15 +25,27 @@ def degrees(tree: RootedTree) -> np.ndarray:
 
 
 def matvec(tree: RootedTree, x: np.ndarray) -> np.ndarray:
-    """The Laplacian of ``tree`` times ``x``: each vertex's degree times its
-    x, minus its parent's x and the sum of its children's."""
+    """The Laplacian of ``tree`` times ``x``, a vector or the m columns of
+    an (n, m) array: each vertex's degree times its x, minus its parent's x
+    and the sum of its children's.
+
+    The children's sums of all columns are one ``bincount`` over (parent,
+    column) bins, which adds each bin's children in vertex order, as it
+    does for a vector: each column is bitwise the product of that column.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (tree.n,):
-        raise ValueError(f"vector of length {x.shape} against matrix of size {tree.n}")
+    n = tree.n
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"array of shape {x.shape} against a tree of {n} vertices")
     p = tree.parents
-    y = degrees(tree) * x
-    y -= np.where(p >= 0, x[p], 0.0)  # the root's x[-1] is dropped
-    return y - np.bincount(p + 1, weights=x, minlength=tree.n + 1)[1:]
+    rows = x.T if x.ndim == 2 else x[None]  # one row of n per column of x
+    m = len(rows)
+    y = degrees(tree) * rows
+    y -= np.where(p >= 0, np.take(rows, p, axis=1), 0.0)  # the root's x[-1] is dropped
+    # bin (j, v + 1) sums row j's entries of the children of v
+    bins = (p + (1 + (n + 1) * np.arange(m))[:, None]).ravel()
+    y -= np.bincount(bins, weights=rows.ravel(), minlength=(n + 1) * m).reshape(m, n + 1)[:, 1:]
+    return y.T if x.ndim == 2 else y[0]
 
 
 def dense(tree: RootedTree) -> np.ndarray:

@@ -57,7 +57,7 @@ def dense_rows(vectors):
     rows = []
     for f, i in zip(vectors.lines.family.tolist(), vectors.lines.position.tolist()):
         gaps, widths = vectors.layout(f)
-        values = vectors.block_values(f, i).tolist()
+        values = vectors.block_values(f)[i].tolist()
         for row_gaps in gaps.tolist():
             row, at = np.zeros(n), 0
             for gap, width, value in zip(row_gaps, widths.tolist(), values):

@@ -574,7 +574,7 @@ class TestFullEigenbasis:
             gaps, widths = vectors.layout(f)
             assert gaps.shape == (vectors_per_value(spec.populations(), fam.level), len(widths) + 1)
             for i, g in enumerate(fam.g):
-                rows = [expand_row(row, widths, vectors.block_values(f, i)) for row in gaps]
+                rows = [expand_row(row, widths, vectors.block_values(f)[i]) for row in gaps]
                 assert np.array(rows).tobytes() == np.array(level_block_rows(spec, fam.level, g)).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -599,8 +599,8 @@ class TestFullEigenbasis:
 
     def test_peak_memory_is_one_basis(self):
         # no n x n array: the basis is its level values and one line per
-        # run of rows, and a family's residuals are taken on one vector of
-        # length n at a time
+        # run of rows, and the residuals are taken on blocks of at most
+        # RESIDUAL_BLOCK entries
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
         n = spec.vertex_count()
         tracemalloc.start()
@@ -610,6 +610,31 @@ class TestFullEigenbasis:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * 8 * n * n
+
+    def test_residual_blocks_bound_the_peak_memory(self):
+        # [2]*15, |V| = 65,535 and 136 lines: the residual product is taken
+        # RESIDUAL_BLOCK entries at a time, one line at a time at this |V|;
+        # one product of every line's columns traced 274 MiB
+        spec = SymmetricTreeSpec([2] * 15)
+        tracemalloc.start()
+        try:
+            basis = full_eigenbasis(spec, basis_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis.vectors.lines.values) == 136
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("children", [[2, 20, 3], [4, 4, 3, 2, 2, 2]])
+    def test_residuals_do_not_depend_on_the_block_size(self, monkeypatch, children):
+        # one line per block, blocks that split a family's lines, and one
+        # block of every line give the same bits
+        spec = SymmetricTreeSpec(children)
+        n = spec.vertex_count()
+        expected = np.concatenate(full_eigenbasis(spec).residuals).tobytes()
+        for entries in (1, 3 * n, 10**9):
+            monkeypatch.setattr(decompose, "RESIDUAL_BLOCK", entries)
+            assert np.concatenate(full_eigenbasis(spec).residuals).tobytes() == expected
 
     def test_stratified_vectors_exactly_constant_per_level(self):
         spec = SymmetricTreeSpec([2, 3, 2])

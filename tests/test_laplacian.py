@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,12 @@ def test_matvec_dimension_mismatch():
         matvec(star(2), np.ones(4))
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 2, 1), ()], ids=["length", "rows", "3d", "scalar"])
+def test_matvec_shape_error_names_the_shape_and_the_vertex_count(shape):
+    with pytest.raises(ValueError, match=rf"^array of shape {re.escape(str(shape))} against a tree of 3 vertices$"):
+        matvec(star(2), np.ones(shape))
+
+
 def test_quadratic_form_is_edge_sum():
     tree = realize(SymmetricTreeSpec([3, 2, 2]))
     rng = np.random.default_rng(0)
@@ -127,6 +134,17 @@ class TestAssemblyProperties:
         x = np.random.default_rng(tree.n).standard_normal(tree.n)
         bound = 2 * (np.max(degrees(tree)) + 1) * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
         assert np.all(np.abs(matvec(tree, x) - a @ x) <= bound)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(any_tree, st.sampled_from([0, 1, 5]), st.booleans())
+    def test_matvec_of_columns_is_each_column_bitwise(self, tree, m, fortran):
+        # wide and numbered-at-random parents: each column's children sums
+        # must be added in the vector's order
+        x = np.random.default_rng(tree.n).standard_normal((tree.n, m)) * np.logspace(0, 8, m)
+        y = matvec(tree, np.asfortranarray(x) if fortran else x)
+        columns = [matvec(tree, np.ascontiguousarray(x[:, j])) for j in range(m)]
+        assert y.shape == (tree.n, m)
+        assert y.tobytes() == np.array(columns).T.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(any_tree)
