@@ -25,6 +25,7 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
+from .eigen import SOLVE_CAP
 from .glued import glued_spectrum
 from .laplacian import write_matrix_market
 from .nodal import nodal_records
@@ -340,6 +341,11 @@ def cmd_bench(config: RunConfig) -> int:
     if config.levels is not None:
         if not base:
             raise InvalidSpecError("--levels needs a nonempty children pattern")
+        if config.levels**2 > SOLVE_CAP:  # before the pattern is built
+            raise CapacityError(
+                f"--levels {config.levels} is over {math.isqrt(SOLVE_CAP)}, the most whose root"
+                f" slice alone fits the cap of {SOLVE_CAP:.0g} squared rows of tridiagonal solves"
+            )
         reps = [base[i % len(base)] for i in range(config.levels - 1)]
         spec = SymmetricTreeSpec(reps)
     else:

@@ -110,25 +110,27 @@ def level_matrix(spec: SymmetricTreeSpec) -> TriDiag:
     return TriDiag(diag, np.sqrt(np.asarray(spec.children, dtype=float)))
 
 
-def stratified_levels(t: TriDiag, root_level: int):
-    """Eigenvalues and per-level eigenvectors of the recurrence at ``root_level``.
+def stratified_levels(t: TriDiag, root_level: int) -> np.ndarray:
+    """Per-level eigenvectors of the recurrence at ``root_level``, row i
+    that of its i-th smallest eigenvalue.
 
-    ``t`` is the tree's ``level_matrix``.  The vectors come back one per row
-    in level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
+    ``t`` is the tree's ``level_matrix``.  The vectors are in
+    level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
     population of level j within the subtree), where that square root is
     the running product of the slice's off-diagonals sqrt(c); each is signed
     so that its root value is positive.  A root value that rounds to zero
     (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
-    it is still an eigenvector.  The pairs come from ``eigh`` of the
-    densified slice; a slice too large to densify is a ``CapacityError``.
+    it is still an eigenvector.  They come from ``eigh`` of the densified
+    slice, whose values are dropped for ``level_spectra``'s; a slice too
+    large to densify is a ``CapacityError``.
     """
     s = t.trailing(root_level)
-    vals, w = np.linalg.eigh(s.to_dense())
+    w = np.linalg.eigh(s.to_dense())[1]
     scale = np.concatenate(([1.0], np.cumprod(s.off)))
     sign = np.where(np.arange(s.m) % 2, -1.0, 1.0)
     g = (w * (sign / scale)[:, None]).T
     g[g[:, 0] < 0] *= -1.0
-    return vals, g
+    return g
 
 
 def vectors_per_value(pops, l0: int) -> int:
@@ -277,12 +279,6 @@ def _row_runs(gaps, widths, values) -> tuple[np.ndarray, np.ndarray]:
     return entries.ravel(), np.tile(counts, len(values))
 
 
-def expand_row(gaps, widths, values) -> np.ndarray:
-    """The dense row of one ``RowLayout`` row: ``gaps`` (one more than the
-    blocks) zeros around blocks of ``widths`` columns of ``values``."""
-    return np.repeat(*_row_runs(gaps, widths, np.reshape(values, (1, -1))))
-
-
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
@@ -351,28 +347,25 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     gives, for each eigenvalue i, parent p at level l0-1 and sibling s >= 1,
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
-    those level values and the families' ``Spectrum``, one line per run of
-    rows, with one residual per line, the largest entry of |L v - lambda v|
-    on the run's first row v.  Those rows are built only for that n x lines
-    product, in blocks of at most ``RESIDUAL_BLOCK`` entries (at least one
-    line each), so the certificate holds O(max(|V|, RESIDUAL_BLOCK))
-    numbers at a time; the basis holds no array of |V| rows.  The
-    families sit at distinct levels, so runs are sorted by (eigenvalue, l0,
-    i), and the rows of a run by p and s; runs tie in (eigenvalue, l0) only
-    when one family has two bitwise-equal eigenvalues.
+    those level values and ``decompose_spectrum``'s lines, bit for bit, one
+    per run of rows: only g comes from ``stratified_levels``.  Each line
+    has one residual, the largest entry of |L v - lambda v| on the run's
+    first row v.  Those rows are built only for that n x lines product, in
+    blocks of at most ``RESIDUAL_BLOCK`` entries (at least one line each),
+    so the certificate holds O(max(|V|, RESIDUAL_BLOCK)) numbers at a time;
+    the basis holds no array of |V| rows.  The families sit at distinct
+    levels, so runs are sorted by (eigenvalue, l0, i), and the rows of a
+    run by p and s; runs tie in (eigenvalue, l0) only when one family has
+    two bitwise-equal eigenvalues.
     """
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {count_text(n)} exceeds the cap of {basis_cap}")
-    pops = spec.populations()
+    parts = level_spectra(spec)
+    lines = spectrum_from_parts(parts)
     t = level_matrix(spec)
-    levels = [l0 for l0 in range(spec.levels) if vectors_per_value(pops, l0)]
-    solved = [stratified_levels(t, l0) for l0 in levels]
-    lines = spectrum_from_parts(
-        [(None, l0, vectors_per_value(pops, l0), vals) for l0, (vals, _) in zip(levels, solved)]
-    )
-    families = tuple(LevelFamily(l0, g) for l0, (_, g) in zip(levels, solved))
-    vectors = BlockVectors(tuple(pops), families, lines)
+    families = tuple(LevelFamily(l0, stratified_levels(t, l0)) for _, l0, _, _ in parts)
+    vectors = BlockVectors(tuple(spec.populations()), families, lines)
     tree = realize(spec)
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a

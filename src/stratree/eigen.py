@@ -11,7 +11,9 @@ tridiagonal) matrix in O(m^3) and then calls the same ``dsterf`` on the
 same entries, so the two routes give bitwise-equal values, except where
 ``dsyevd`` first rescales the matrix.  ``eigvalsh`` is kept for those
 slices and for installs whose numpy bundles no ``dsterf``.  Vectors,
-needed only for the eigenbasis, come from a dense ``eigh``.
+needed only for the eigenbasis, come from a dense ``eigh`` whose
+eigenvalues are dropped, so every command takes its values from this one
+route.
 ``sturm_count`` is kept apart from both routes so the test suite can check
 LAPACK's eigenvalue counts with it.
 
@@ -78,15 +80,6 @@ class TriDiag:
     @property
     def m(self) -> int:
         return len(self.diag)
-
-    def norm_inf(self) -> float:
-        m = self.m
-        if m == 1:
-            return abs(float(self.diag[0]))
-        rows = np.abs(self.diag).copy()
-        rows[:-1] += np.abs(self.off)
-        rows[1:] += np.abs(self.off)
-        return float(rows.max())
 
     def trailing(self, start: int) -> TriDiag:
         """Trailing principal submatrix from row ``start`` on."""

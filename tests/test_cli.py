@@ -601,6 +601,29 @@ class TestEigvecs:
         assert peak < 8 * n * n
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("children", ["1,1", ",".join(["2"] * 10)])
+def test_eigvecs_lambdas_are_the_spectrum_lambdas(tmp_path, children, fmt):
+    # one values route: the lambda cells of eigvecs are the text of
+    # spectrum's, each repeated by its multiplicity ([1, 1]'s root slice
+    # has the value that JSON spells 0.9999999999999998)
+    def cells(command, columns):
+        target = tmp_path / f"{command}.{fmt}"
+        assert main([command, "--children", children, "--format", fmt, "--out", str(target)]) == 0
+        with open(target) as fh:
+            if fmt == "csv":
+                next(fh)
+                return [line.split(",", columns)[:columns] for line in fh]
+            keys = ('    "lambda": ', '    "multiplicity": ')[:columns]
+            found = [line[len(key) : -2] for line in fh for key in keys if line.startswith(key)]
+            return [found[i : i + columns] for i in range(0, len(found), columns)]
+
+    expected = [lam for lam, multiplicity in cells("spectrum", 2) for _ in range(int(multiplicity))]
+    assert [lam for (lam,) in cells("eigvecs", 1)] == expected
+    if children == "1,1":
+        assert 0.9999999999999998 in map(float, expected)
+
+
 def golden_eigvecs():
     """(children, format, SHA-256) of each line of ``data/eigvecs.sha256``,
     a ``sha256sum`` file whose names are ``eigvecs-<children>.<format>``."""
@@ -684,6 +707,21 @@ class TestBench:
         assert row["vertices"] == "31"
         assert float(row["decompose_ms"]) >= 0.0
         assert float(row["dense_ms"]) >= 0.0
+
+    def test_levels_over_the_solve_cap_refused_before_the_pattern(self, capsys):
+        # a root slice of 10^9 rows alone is over SOLVE_CAP; the pattern's
+        # 10^9 - 1 entries (8 GB of list) are never built
+        tracemalloc.start()
+        try:
+            code = main(["bench", "--children", "2", "--levels", str(10**9)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --levels 1000000000 is over 31622")
+        assert peak < 2**20
 
 
 # floats the encoder must keep apart or spell its own way

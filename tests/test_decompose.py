@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stratree.decompose as decompose
@@ -14,10 +14,10 @@ from stratree.cli import main
 from stratree.decompose import (
     counting_identity,
     decompose_spectrum,
-    expand_row,
     expanded_spectrum,
     full_eigenbasis,
     level_matrix,
+    level_spectra,
     stratified_levels,
     vectors_per_value,
 )
@@ -110,9 +110,11 @@ class TestBalance:
 
     def test_unbalanced_eigenvector_solves_recurrence(self):
         spec = SymmetricTreeSpec([3, 2, 2])
+        t = level_matrix(spec)
         for l0 in range(spec.levels):
             r = recurrence(spec, l0)
-            vals, gs = stratified_levels(level_matrix(spec), l0)
+            [vals] = trailing_eigenvalues(t, [l0])
+            gs = stratified_levels(t, l0)
             for lam, g in zip(vals, gs):
                 assert g[0] > 0
                 assert np.allclose(r @ g, lam * g, atol=1e-10)
@@ -131,7 +133,7 @@ class TestLevelMatrixSlices:
     @given(level_specs)
     def test_consecutive_slices_interlace(self, spec):
         t = level_matrix(spec)
-        tol = 1e-10 * t.norm_inf()
+        tol = 1e-10 * np.linalg.norm(t.to_dense(), np.inf)
         spectra = trailing_eigenvalues(t, range(t.m))
         for outer, inner in zip(spectra, spectra[1:]):
             assert np.all(outer[:-1] <= inner + tol)
@@ -317,10 +319,10 @@ def vanishing_at(level):
     solve = decompose.stratified_levels
 
     def solved(t, root_level):
-        vals, g = solve(t, root_level)
+        g = solve(t, root_level)
         if root_level == level:
             g[-1, 0] = 0.0
-        return vals, g
+        return g
 
     return solved
 
@@ -465,10 +467,10 @@ class TestAntisymLift:
         solve = decompose.stratified_levels
 
         def zero_at_level_two(t, root_level):
-            vals, g = solve(t, root_level)
+            g = solve(t, root_level)
             if root_level == 1:
                 g[:, 1] = 0.0
-            return vals, g
+            return g
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
@@ -554,6 +556,21 @@ class TestFullEigenbasis:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
+    @example(SymmetricTreeSpec([1, 1]))
+    @example(SymmetricTreeSpec([3, 2]))
+    def test_lines_are_the_spectrum(self, spec):
+        # one values route: the basis's lines are those `spectrum` prints,
+        # column by column and value by value, bit for bit (eigh's values
+        # of [1, 1]'s root slice, say, differ from them in the last bit)
+        lines, spectrum = full_eigenbasis(spec).vectors.lines, decompose_spectrum(spec)
+        assert lines.values.tobytes() == spectrum.values.tobytes()
+        for column in ("origin_level", "position", "family"):
+            assert getattr(lines, column).tolist() == getattr(spectrum, column).tolist()
+        assert lines.multiplicities == spectrum.multiplicities
+        assert lines.origin_side is spectrum.origin_side is None
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(symmetric_specs)
     def test_matches_the_vector_by_vector_build(self, spec):
         basis = full_eigenbasis(spec)
         entries = eigenbasis_by_vector(spec)
@@ -566,15 +583,17 @@ class TestFullEigenbasis:
     def test_each_family_layout_expands_to_the_level_block_rows(self, children):
         # a path (one family, its root level's m blocks), a wide root, and
         # interleaved families with many parents each: every row of a run
-        # of (family, i), from the family's one layout, is bitwise the
-        # vector built block by block from the same level values
+        # of (family, i), from the family's one layout expanded by the
+        # residual product's run-length code, is bitwise the vector built
+        # block by block from the same level values
         spec = SymmetricTreeSpec(children)
         vectors = full_eigenbasis(spec).vectors
         for f, fam in enumerate(vectors.families):
             gaps, widths = vectors.layout(f)
             assert gaps.shape == (vectors_per_value(spec.populations(), fam.level), len(widths) + 1)
             for i, g in enumerate(fam.g):
-                rows = [expand_row(row, widths, vectors.block_values(f)[i]) for row in gaps]
+                values = vectors.block_values(f)[i : i + 1]
+                rows = [np.repeat(*decompose._row_runs(row, widths, values)) for row in gaps]
                 assert np.array(rows).tobytes() == np.array(level_block_rows(spec, fam.level, g)).tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -685,16 +704,14 @@ def level_block_rows(spec, l0, g):
 def eigenbasis_by_vector(spec):
     """(value, origin level, vector) of every basis vector, built one vector
     at a time in (level, eigenvalue, parent, sibling) order and stably
-    sorted by (value, origin level)."""
+    sorted by (value, origin level); the values are ``level_spectra``'s and
+    the level values ``stratified_levels``'."""
     t = level_matrix(spec)
     entries = []
-    for l0 in range(spec.levels):
-        if l0 and spec.children[l0 - 1] == 1:
-            continue
-        vals, gs = stratified_levels(t, l0)
+    for _, l0, _, vals in level_spectra(spec):
         if l0 == 0:
             vals[0] = 0.0  # the Laplacian's zero, which LAPACK returns as +-1e-16
-        for lam, g in zip(vals.tolist(), gs):
+        for lam, g in zip(vals.tolist(), stratified_levels(t, l0)):
             entries += [(lam, l0, f) for f in level_block_rows(spec, l0, g)]
     entries.sort(key=lambda e: (e[0], e[1]))
     return entries
