@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NoReturn, TextIO
@@ -65,6 +66,12 @@ class RunConfig:
             raise InvalidSpecError("basis cap must be >= 1")
         if self.levels is not None and self.levels < 1:
             raise InvalidSpecError(f"--levels must be >= 1, not {self.levels}")
+        paths = (self.out, self.export_matrix)
+        if all(paths) and (
+            os.path.realpath(self.out) == os.path.realpath(self.export_matrix)
+            or all(map(os.path.exists, paths)) and os.path.samefile(*paths)
+        ):
+            raise InvalidSpecError(f"--out and --export-matrix name the same file {self.out}")
 
 
 def _fmt_float(x: float) -> str:
@@ -75,17 +82,29 @@ def _parse_children(text: str) -> SymmetricTreeSpec:
     text = text.strip()
     if not text:
         return SymmetricTreeSpec(())
+    parts = [part.strip() for part in text.split(",")]
     try:
-        children = [int(part) for part in text.split(",")]
+        for part in parts:
+            if not (part.isascii() and part.isdigit()):
+                raise ValueError(f"{part!r} is not a count in ASCII digits")
+        children = [int(part) for part in parts]
     except ValueError as exc:
         raise InvalidSpecError(f"bad children list {text!r}: {exc}") from exc
     return SymmetricTreeSpec(children)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, or a ValueError naming a key it repeats."""
+    counts = Counter(key for key, _ in pairs)
+    if len(counts) < len(pairs):
+        raise ValueError(f"repeated key {json.dumps(max(counts, key=counts.get))}")
+    return dict(pairs)
+
+
 def _load_spec_file(path: str) -> SymmetricTreeSpec | GluedTreeSpec:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidSpecError(f"cannot read spec file {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -316,18 +335,13 @@ def cmd_nodal(config: RunConfig) -> int:
     records = nodal_records(tree, vals, vecs, cluster_tol=config.tol)
     fields = {"lambda": "value", "position": "position", "multiplicity": "multiplicity",
               "sign_graphs": "sign_graphs", "bound": "bound", "pass": "passed"}
-    columns = {name: [getattr(r, attr) for r in records] for name, attr in fields.items()}
+    columns = {name: getattr(records, attr).tolist() for name, attr in fields.items()}
     _emit(config, _WRITERS[config.fmt](columns))
     return EXIT_OK if all(columns["pass"]) else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(config: RunConfig) -> int:
-    results = run_all_checks(
-        config.spec,
-        tol=config.tol,
-        oracle_cap=config.oracle_cap,
-        basis_cap=config.basis_cap,
-    )
+    results = run_all_checks(config.spec, tol=config.tol, oracle_cap=config.oracle_cap)
     fields = {"check": "name", "pass": "passed", "max_deviation": "max_deviation"}
     columns = {name: [getattr(r, attr) for r in results] for name, attr in fields.items()}
     _emit(config, _WRITERS[config.fmt](columns))
@@ -393,7 +407,7 @@ _COMMANDS = {
     "spectrum": (cmd_spectrum, "eigenvalues with multiplicities", "format out export-matrix"),
     "eigvecs": (cmd_eigvecs, "full eigenbasis with residual certificates", "format out basis-cap"),
     "nodal": (cmd_nodal, "sign-graph report against the Courant bound", "format out tol oracle-cap"),
-    "verify": (cmd_verify, "run all oracle cross-checks", "format out tol oracle-cap basis-cap"),
+    "verify": (cmd_verify, "run all oracle cross-checks", "format out tol oracle-cap"),
     "bench": (cmd_bench, "decomposition timing table", "out oracle-cap levels"),
 }
 

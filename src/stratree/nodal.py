@@ -1,7 +1,7 @@
 """Sign graphs (strong nodal domains) of functions on trees, and the two
 nodal statements checked on computed eigenpairs: the discrete Courant
-bound and the tree equality for zero-free eigenvectors, both carried by
-one ``NodalRecord`` per eigenpair.
+bound and the tree equality for zero-free eigenvectors, both carried as
+columns of ``NodalRecords``, one entry per eigenpair.
 
 A positive (negative) sign graph is a maximal connected subgraph on which
 the function is strictly positive (negative).  On trees the induced
@@ -12,6 +12,7 @@ vertices minus same-sign edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,53 +70,53 @@ def oracle_zero_tol(f: np.ndarray) -> float | np.ndarray:
 
 
 def cluster_spectrum(values: np.ndarray, tol: float = 1e-8) -> list[tuple[int, int]]:
-    """(start, size) runs of numerically-equal eigenvalues, sorted input.
-
-    A run ends wherever the next value is more than ``tol`` above it.
-    """
-    values = np.asarray(values, dtype=float)
-    edges = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    """(start, size) runs of numerically-equal eigenvalues, sorted input."""
+    edges = _cluster_edges(values, tol).tolist()
     return [(lo, hi - lo) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
-@dataclass(frozen=True)
-class NodalRecord:
-    """Both nodal verdicts on one eigenpair.
+def _cluster_edges(values: np.ndarray, tol: float) -> np.ndarray:
+    """Each run's first index, then ``len(values)``: a run ends wherever
+    the next value is more than ``tol`` above it."""
+    breaks = np.flatnonzero(np.diff(np.asarray(values, dtype=float)) > tol) + 1
+    return np.concatenate(([0], breaks, [len(values)]))
+
+
+class NodalRecords(NamedTuple):
+    """Both nodal verdicts on each eigenpair, as columns.
 
     ``passed`` is the Courant bound: at most ``bound`` = position +
-    multiplicity - 1 sign graphs for an eigenfunction in a
-    multiplicity-``multiplicity`` cluster starting at ``position``
-    (1-based).  ``zero_free`` is the tree equality: an eigenvector with no
-    vanishing coordinate belongs to a simple eigenvalue and has exactly
-    ``position`` sign graphs; it holds trivially when ``zero_count > 0``.
+    multiplicity - 1 sign graphs for an eigenfunction in a cluster of
+    ``multiplicity`` equal eigenvalues starting at ``position`` (1-based).
+    ``zero_free`` is the tree equality: an eigenvector with no vanishing
+    coordinate belongs to a simple eigenvalue and has exactly ``position``
+    sign graphs; it holds trivially when ``zero_count > 0``.
     """
 
-    value: float
-    position: int
-    multiplicity: int
-    sign_graphs: int
-    zero_count: int
-    bound: int
-    passed: bool
-    zero_free: bool
+    value: np.ndarray
+    position: np.ndarray
+    multiplicity: np.ndarray
+    sign_graphs: np.ndarray
+    zero_count: np.ndarray
+    bound: np.ndarray
+    passed: np.ndarray
+    zero_free: np.ndarray
 
 
 def nodal_records(
     tree: RootedTree, values: np.ndarray, vectors: np.ndarray, cluster_tol: float = 1e-8
-) -> list[NodalRecord]:
-    """One record per eigenpair, from one sign-graph count of all
+) -> NodalRecords:
+    """Both verdicts on every eigenpair, from one sign-graph count of all
     eigenvectors at the oracle threshold.
 
     ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
     """
     rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
-    totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
-    records = []
-    for start, size in cluster_spectrum(values, cluster_tol):
-        bound = start + size  # (start+1) + size - 1
-        for i in range(start, start + size):
-            zero_free = zeros[i] > 0 or (size == 1 and totals[i] == start + 1)
-            records.append(NodalRecord(
-                float(values[i]), start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound, zero_free
-            ))
-    return records
+    totals, zeros = rep.total, rep.zero_count
+    edges = _cluster_edges(values, cluster_tol)
+    sizes = np.diff(edges)
+    start, size = np.repeat(edges[:-1], sizes), np.repeat(sizes, sizes)
+    bound = start + size  # (start+1) + size - 1
+    zero_free = (zeros > 0) | ((size == 1) & (totals == start + 1))
+    value = np.asarray(values, dtype=float)
+    return NodalRecords(value, start + 1, size, totals, zeros, bound, totals <= bound, zero_free)

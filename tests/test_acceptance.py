@@ -118,14 +118,10 @@ def test_criterion_5_nodal_bounds(sweep):
     bad = 0
     checked = 0
     for spec, tree, vals, vecs in sweep:
-        for r in nodal_records(tree, vals, vecs, cluster_tol=SPECTRUM_TOL):
-            checked += 1
-            if not r.passed:
-                bad += 1
-            if r.zero_count == 0:
-                checked += 1
-                if not r.zero_free:
-                    bad += 1
+        records = nodal_records(tree, vals, vecs, cluster_tol=SPECTRUM_TOL)
+        zero_free = records.zero_count == 0
+        checked += len(records.passed) + int(np.count_nonzero(zero_free))
+        bad += int(np.count_nonzero(~records.passed) + np.count_nonzero(zero_free & ~records.zero_free))
     report("criterion-5 nodal bounds", bad == 0, f"{checked} checks, {bad} failures")
 
 

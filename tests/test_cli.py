@@ -140,6 +140,23 @@ class TestErrors:
         code = main([command, "--children", "2", "--out", str(target)])
         assert_input_error(code, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_export_matrix_onto_the_output(self, capsys, tmp_path, exists):
+        # the matrix would be written first, then truncated by the spectrum
+        target = tmp_path / "m"
+        (tmp_path / "sub").mkdir()
+        others = [tmp_path / "sub" / ".." / "m"]
+        if exists:
+            target.write_text("kept")
+            (tmp_path / "link").hardlink_to(target)
+            others.append(tmp_path / "link")
+        for other in others:
+            code = main(["spectrum", "--children", "2", "--out", str(target), "--export-matrix", str(other)])
+            assert_input_error(code, capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["link", "m", "sub"] if exists else ["sub"])
+        if exists:
+            assert target.read_text() == "kept"
+
     def test_unwritable_export_matrix(self, capsys, tmp_path):
         target = tmp_path / "missing" / "lap.mtx"
         code = main(["spectrum", "--children", "2", "--export-matrix", str(target)])
@@ -306,9 +323,7 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "command, cap", [("eigvecs", "-5"), ("eigvecs", "0"), ("verify", "0"), ("verify", "-1")]
-    )
+    @pytest.mark.parametrize("command, cap", [("eigvecs", "-5"), ("eigvecs", "0")])
     def test_bad_basis_cap(self, capsys, command, cap):
         code = main([command, "--children", "2", "--basis-cap", cap])
         assert_input_error(code, capsys.readouterr().err)
@@ -328,6 +343,10 @@ class TestErrors:
             ("eigvecs", "--tol", "1e-6"),
             ("eigvecs", "--oracle-cap", "10"),
             ("nodal", "--basis-cap", "10"),
+            # --oracle-cap bounds |V| for every verify row
+            ("verify", "--basis-cap", "10"),
+            ("verify", "--basis-cap", "0"),
+            ("verify", "--basis-cap", "-1"),
             ("bench", "--tol", "1e-6"),
             ("bench", "--basis-cap", "10"),
             ("bench", "--format", "json"),
@@ -414,6 +433,8 @@ BAD_SPECS = {
     "not_utf8": b"\xff\xfe{",
     "unknown_key": '{"children": [2], "rigth": [3]}',
     "mixed_keys": '{"children": [2], "left": [1], "right": [1]}',
+    "repeated_children": '{"children": [2], "children": [3]}',
+    "repeated_left": '{"left": [2], "right": [3], "left": [5]}',
 }
 
 
@@ -426,6 +447,20 @@ class TestStrictSpecs:
     def test_rejected_children_flag(self, capsys):
         assert main(["spectrum", "--children", "1" + "0" * 400]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # int() takes 1_0, +3 and an Arabic-Indic 3; a spec file takes none
+    @pytest.mark.parametrize("children", ["1_0", "+3", "\u0663", "2,+3", "2,,3"])
+    def test_rejected_children_token(self, capsys, children):
+        assert_input_error(main(["spectrum", "--children", children]), capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, key", [("repeated_children", "children"), ("repeated_left", "left")])
+    def test_repeated_key_is_named(self, name, key):
+        code, out, err = run_spec_text(BAD_SPECS[name])
+        assert_input_error(code, err)
+        assert out == "" and err.rstrip().endswith(f'repeated key "{key}"')
+
+    def test_spaces_around_children(self, capsys):
+        assert run(capsys, "spectrum", "--children", " 2 , 3 ") == run(capsys, "spectrum", "--children", "2,3")
 
 
 def valid_children(value):

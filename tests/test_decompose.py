@@ -346,7 +346,7 @@ class TestStratifiedLift:
         spec = SymmetricTreeSpec(children)
         basis = full_eigenbasis(spec)
         assert any(np.any(fam.g[:, 0] == 0.0) for fam in basis.vectors.families)
-        assert check_eigenbasis(spec).passed
+        assert check_eigenbasis(full_eigenbasis(spec)).passed
         arg = ",".join(map(str, children))
         assert main(["verify", "--children", arg, "--out", str(tmp_path / "v.json")]) == 0
         assert all(row["pass"] for row in json.loads((tmp_path / "v.json").read_text()))
@@ -366,7 +366,7 @@ class TestStratifiedLift:
         facts = row_facts(basis)
         (i,) = np.flatnonzero(facts.residuals > 1e-3)
         assert facts.origin_levels[i] == 0 and dense_rows(basis.vectors)[i][0] == 0.0
-        result = check_eigenbasis(spec)
+        result = check_eigenbasis(full_eigenbasis(spec))
         assert not result.passed and result.max_deviation > 1e-3
 
     def test_whole_tree_lift_is_eigenfunction(self):
@@ -459,7 +459,7 @@ class TestAntisymLift:
         assert facts.origin_levels[i] == 1
         row = dense_rows(basis.vectors)[i]
         assert np.all(row[:3] == 0.0) and np.any(row != 0.0)
-        result = check_eigenbasis(spec)
+        result = check_eigenbasis(full_eigenbasis(spec))
         assert not result.passed and result.max_deviation > 1e-3
 
     def test_zero_level_value_is_positive_zero_on_both_subtrees(self, monkeypatch):
@@ -536,7 +536,7 @@ class TestFullEigenbasis:
             basis = full_eigenbasis(spec)
             peaks = np.max(np.abs(dense_rows(basis.vectors)), axis=1)
             rel = float(np.max(row_facts(basis).residuals / peaks))
-            assert check_eigenbasis(spec).max_deviation.hex() == rel.hex()
+            assert check_eigenbasis(full_eigenbasis(spec)).max_deviation.hex() == rel.hex()
 
     def test_construction_tags(self):
         construction = row_facts(full_eigenbasis(SymmetricTreeSpec([3, 2]))).construction

@@ -191,49 +191,92 @@ class TestCourant:
     def test_constant_eigenfunction_bound_one(self):
         tree, vals, vecs = oracle([2, 2])
         records = nodal_records(tree, vals, vecs)
-        first = records[0]
-        assert first.position == 1 and first.bound == 1
-        assert first.sign_graphs == 1 and first.passed
+        assert records.position[0] == 1 and records.bound[0] == 1
+        assert records.sign_graphs[0] == 1 and records.passed[0]
 
     def test_star_second_eigenpair(self):
         tree = tree_of([2])
         vals = np.array([0.0, 1.0, 3.0])
         vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
-        rec = nodal_records(tree, vals, vecs)[1]
-        assert rec.bound == 2 and rec.sign_graphs == 2 and rec.passed
+        records = nodal_records(tree, vals, vecs)
+        assert records.bound[1] == 2 and records.sign_graphs[1] == 2 and records.passed[1]
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2], [4, 1, 2]])
     def test_all_oracle_pairs_pass(self, children):
         tree, vals, vecs = oracle(children)
-        assert all(r.passed for r in nodal_records(tree, vals, vecs))
+        assert np.all(nodal_records(tree, vals, vecs).passed)
 
 
 class TestZeroFree:
     def test_constant_is_position_one(self):
         tree, vals, vecs = oracle([2, 2])
-        rec = nodal_records(tree, vals, vecs)[0]
-        assert rec.zero_count == 0 and rec.zero_free
-        assert rec.sign_graphs == 1 and rec.multiplicity == 1
+        records = nodal_records(tree, vals, vecs)
+        assert records.zero_count[0] == 0 and records.zero_free[0]
+        assert records.sign_graphs[0] == 1 and records.multiplicity[0] == 1
 
     def test_two_vertex_path(self):
         tree, vals, vecs = oracle([1])
         records = nodal_records(tree, vals, vecs)
         assert np.isclose(vals[1], 2.0)
-        top = records[1]
-        assert top.zero_count == 0 and top.zero_free and top.sign_graphs == 2
+        assert records.zero_count[1] == 0 and records.zero_free[1] and records.sign_graphs[1] == 2
 
     def test_pairs_with_zeros_are_skipped(self):
         tree = tree_of([2])
         vals = np.array([0.0, 1.0, 3.0])
         vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
         records = nodal_records(tree, vals, vecs)
-        assert records[1].zero_count != 0  # (0, 1, -1) vanishes at the root
-        assert records[1].zero_free
+        assert records.zero_count[1] != 0  # (0, 1, -1) vanishes at the root
+        assert records.zero_free[1]
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2]])
     def test_all_oracle_pairs_pass(self, children):
         tree, vals, vecs = oracle(children)
-        assert all(r.zero_free for r in nodal_records(tree, vals, vecs))
+        assert np.all(nodal_records(tree, vals, vecs).zero_free)
+
+
+def records_by_loop(tree, values, vectors, cluster_tol=1e-8):
+    """The verdicts of ``nodal_records`` as one tuple of its fields per
+    eigenpair, built cluster by cluster and pair by pair."""
+    rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
+    totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
+    records = []
+    for start, size in clusters_by_loop(values, cluster_tol):
+        bound = start + size  # (start+1) + size - 1
+        for i in range(start, start + size):
+            zero_free = zeros[i] > 0 or (size == 1 and totals[i] == start + 1)
+            records.append((
+                float(values[i]), start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound, zero_free
+            ))
+    return records
+
+
+SPECS = [
+    SymmetricTreeSpec([3, 2]),
+    SymmetricTreeSpec([2, 2, 2]),
+    SymmetricTreeSpec([4, 1, 2]),
+    SymmetricTreeSpec([1]),
+    SymmetricTreeSpec([]),
+    GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3])),
+    GluedTreeSpec(SymmetricTreeSpec([2, 1, 3]), SymmetricTreeSpec([1, 1])),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("cluster_tol", [1e-15, 1e-8, 0.5])
+def test_columns_match_the_loop(spec, cluster_tol):
+    tree = realize(spec)
+    vals, vecs = dense_eigen(tree)
+    records = nodal_records(tree, vals, vecs, cluster_tol=cluster_tol)
+    expected = records_by_loop(tree, vals, vecs, cluster_tol)
+    assert records._fields == (
+        "value", "position", "multiplicity", "sign_graphs", "zero_count", "bound", "passed", "zero_free"
+    )
+    for field, column in zip(records._fields, zip(*expected)):
+        got = getattr(records, field)
+        assert got.shape == (len(vals),)
+        # the CLI writes the columns' tolist(): their cells must be the
+        # loop's Python values, type for type
+        assert [(type(x), x) for x in got.tolist()] == [(type(x), x) for x in column], field
 
 
 @pytest.mark.parametrize(
@@ -249,13 +292,15 @@ def test_one_record_per_eigenpair_carries_both_verdicts(spec):
     tree = realize(spec)
     vals, vecs = dense_eigen(tree)
     records = nodal_records(tree, vals, vecs)
-    assert len(records) == len(vals)
+    assert all(len(column) == len(vals) for column in records)
     clusters = [(start + 1, size) for start, size in cluster_spectrum(vals) for _ in range(size)]
-    assert [(r.position, r.multiplicity) for r in records] == clusters
-    for r in records:
-        assert r.bound == r.position + r.multiplicity - 1
-        assert r.passed == (r.sign_graphs <= r.bound)
-        assert r.zero_free == (r.zero_count > 0 or (r.multiplicity == 1 and r.sign_graphs == r.position))
+    assert list(zip(records.position.tolist(), records.multiplicity.tolist())) == clusters
+    assert np.array_equal(records.bound, records.position + records.multiplicity - 1)
+    assert np.array_equal(records.passed, records.sign_graphs <= records.bound)
+    assert np.array_equal(
+        records.zero_free,
+        (records.zero_count > 0) | ((records.multiplicity == 1) & (records.sign_graphs == records.position)),
+    )
 
 
 def common_zeros(vectors, zero_tol_factor=1e-9):

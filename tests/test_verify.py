@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stratree.decompose as decompose
 import stratree.nodal as nodal
 import stratree.verify as verify
 from stratree.tree import CapacityError, GluedTreeSpec, SymmetricTreeSpec, realize
@@ -64,6 +65,28 @@ def test_oracle_returns_the_realized_tree():
     assert tree.parents.tolist() == realize(GLUED).parents.tolist()
 
 
+def test_one_eigenbasis_and_one_level_solve_per_symmetric_spec(monkeypatch):
+    # the basis's lines are the spectrum the spectrum_oracle and
+    # multiplicity rows check, so the level slices are solved once
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(decompose, "level_spectra")
+    count(verify, "full_eigenbasis")
+    results = verify.run_all_checks(SYMMETRIC)
+    assert sorted(calls) == ["full_eigenbasis", "level_spectra"]
+    assert [r.name for r in results] == SYMMETRIC_ROWS
+    assert all(r.passed for r in results)
+
+
 def test_one_sign_count_per_oracle_vector(monkeypatch):
     calls = []
     count = nodal.count_sign_graphs
@@ -86,7 +109,7 @@ def test_eigenbasis_row_holds_no_n_by_n_array():
     n = spec.vertex_count()
     tracemalloc.start()
     try:
-        result = verify.check_eigenbasis(spec)
+        result = verify.check_eigenbasis(verify.full_eigenbasis(spec))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
