@@ -10,7 +10,7 @@ from .decompose import (
     full_eigenbasis,
     level_matrix,
 )
-from .eigen import TriDiag, dense_eigen, sturm_count, trailing_eigenvalues
+from .eigen import TriDiag, dense_eigen, dense_eigenvalues, sturm_count, trailing_eigenvalues
 from .glued import glued_spectrum, glued_stratified_matrix
 from .laplacian import degrees, matvec, write_matrix_market
 from .nodal import SignGraphReport, count_sign_graphs, nodal_records
@@ -41,6 +41,7 @@ __all__ = [
     "decompose_spectrum",
     "degrees",
     "dense_eigen",
+    "dense_eigenvalues",
     "expanded_spectrum",
     "full_eigenbasis",
     "glued_spectrum",

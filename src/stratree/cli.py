@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -26,7 +27,7 @@ from typing import NoReturn, TextIO
 import numpy as np
 
 from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
-from .eigen import SOLVE_CAP
+from .eigen import SOLVE_CAP, dense_eigenvalues
 from .glued import glued_spectrum
 from .laplacian import write_matrix_market
 from .nodal import nodal_records
@@ -38,7 +39,7 @@ from .tree import (
     digits,
     realize,
 )
-from .verify import DEFAULT_ORACLE_CAP, SPECTRUM_TOL, oracle, run_all_checks
+from .verify import DEFAULT_ORACLE_CAP, SPECTRUM_TOL, oracle, oracle_tree, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -72,6 +73,20 @@ class RunConfig:
             or all(map(os.path.exists, paths)) and os.path.samefile(*paths)
         ):
             raise InvalidSpecError(f"--out and --export-matrix name the same file {self.out}")
+        if self.export_matrix and not self.out and _names_stdout_file(self.export_matrix):
+            raise InvalidSpecError(f"--export-matrix {self.export_matrix} names the file stdout writes to")
+
+
+def _names_stdout_file(path: str) -> bool:
+    """Whether ``path`` is the regular file that stdout writes to.  The
+    matrix would be written to it through a descriptor of its own, then
+    overwritten by the spectrum through stdout's; a pipe or a terminal
+    takes both documents in turn."""
+    try:
+        target, stdout = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return stat.S_ISREG(stdout.st_mode) and os.path.samestat(target, stdout)
 
 
 def _fmt_float(x: float) -> str:
@@ -369,7 +384,7 @@ def cmd_bench(config: RunConfig) -> int:
     decompose_ms = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
     try:
-        oracle(spec, config.oracle_cap)
+        dense_eigenvalues(oracle_tree(spec, config.oracle_cap))
         dense_ms: float | str = (time.perf_counter() - t0) * 1000.0
     except CapacityError:
         dense_ms = "skipped(cap)"

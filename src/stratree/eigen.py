@@ -17,7 +17,10 @@ route.
 ``sturm_count`` is kept apart from both routes so the test suite can check
 LAPACK's eigenvalue counts with it.
 
-The oracle's repeated eigenvalues are sharpened by inverse iteration.  A
+The oracle comes in two forms.  ``dense_eigenvalues`` is ``eigvalsh`` of
+the dense Laplacian, for checks that read eigenvalues only.
+``dense_eigen`` runs ``eigh`` for the eigenvectors too, and its vectors of
+repeated eigenvalues are sharpened by inverse iteration.  A
 tree Laplacian (degrees on the diagonal, -1 on every edge) minus a shift
 factors from the leaves to the root with no fill-in (Parter 1961; Jacobs &
 Trevisan, "Locating the eigenvalues of trees", 2011).  So every cluster is
@@ -312,15 +315,25 @@ def _purify_degenerate(
     cols = np.concatenate([np.arange(lo, hi) for lo, hi in clusters])
     owner = np.repeat(np.arange(len(clusters)), sizes)
     order, up, starts = _breadth_first(tree)
-    solved = _tree_solve(up, starts, diag[order], shifts, owner, vecs[np.ix_(order, cols)])
+    # realize numbers a symmetric tree breadth-first already, so its rows
+    # need no gather into that order and its solved blocks no scatter out of
+    # it.  np.take gathers in C order, as the ix_ gather does, so every
+    # column sum adds in the same order and the vectors keep their bits.
+    in_order = np.array_equal(order, np.arange(n))
+    if in_order:
+        solved = _tree_solve(up, starts, diag, shifts, owner, np.take(vecs, cols, axis=1))
+    else:
+        solved = _tree_solve(up, starts, diag[order], shifts, owner, vecs[np.ix_(order, cols)])
     reach = np.finfo(float).eps * scale / BLEED_TOL
     windows = np.searchsorted(vals, np.add.outer(shifts, [-reach, reach])).tolist()
     blocks = np.split(solved, np.cumsum(sizes)[:-1], axis=1)
     counts = Counter() if tally is None else tally
     counts["clusters"] += len(clusters)
     for (lo, hi), (a, b), block in zip(clusters, windows, blocks):
-        w = np.empty_like(block)
-        w[order] = block
+        w = block
+        if not in_order:
+            w = np.empty_like(block)
+            w[order] = block
         q, steps = _orthonormalize(w) if np.all(np.isfinite(w)) else (None, 0)
         counts["steps"] += steps
         if q is None:
@@ -406,6 +419,15 @@ def _avoid_fuzzy_zeros(q: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
         q = q.copy()
         q[:, cols] -= np.outer(q[:, cols] @ (2.0 * u), u)
     return best, 10
+
+
+def dense_eigenvalues(tree: RootedTree) -> np.ndarray:
+    """Nondecreasing eigenvalues of ``tree``'s Laplacian, by ``eigvalsh``
+    of its dense form: no vectors are computed and none is purified.
+
+    A matrix that cannot be allocated is a ``CapacityError``.
+    """
+    return np.linalg.eigvalsh(dense(tree))
 
 
 def dense_eigen(tree: RootedTree):

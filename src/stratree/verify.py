@@ -5,7 +5,11 @@ tridiagonal decomposition versus a dense eigensolve of the Laplacian
 written out from the tree's parent array, the constructed eigenbasis
 versus its residuals and rank, and the nodal-domain theorems versus sign
 counts on oracle eigenpairs.  The oracle is solved once per spec and its
-eigenpairs are handed to every check that needs them.
+results are handed to every check that needs them.  A glued tree's rows
+read eigenvalues only, so its oracle is the values-only
+``dense_eigenvalues``: no eigenvectors and no purification.  A symmetric
+tree's nodal rows read the vectors, so it takes the eigenpairs of
+``oracle``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import EigenBasis, Spectrum, counting_identity, expanded_spectrum, full_eigenbasis
-from .eigen import dense_eigen
+from .eigen import dense_eigen, dense_eigenvalues
 from .glued import glued_spectrum
 from .nodal import nodal_records
 from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, count_text, realize
@@ -33,10 +37,8 @@ class CheckResult:
     max_deviation: float
 
 
-def oracle(
-    spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORACLE_CAP
-) -> tuple[RootedTree, np.ndarray, np.ndarray]:
-    """The realized tree and the dense eigenpairs of its Laplacian.
+def oracle_tree(spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORACLE_CAP) -> RootedTree:
+    """The realized tree of a spec whose dense oracle fits under ``cap``.
 
     Refused from the spec's vertex count, before the tree is realized or
     anything is built, so an oversized request costs no memory.
@@ -44,7 +46,15 @@ def oracle(
     n = spec.vertex_count()
     if n > cap:
         raise CapacityError(f"|V|={count_text(n)} exceeds the oracle cap {cap}")
-    tree = realize(spec)
+    return realize(spec)
+
+
+def oracle(
+    spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORACLE_CAP
+) -> tuple[RootedTree, np.ndarray, np.ndarray]:
+    """The realized tree and the dense eigenpairs of its Laplacian, under
+    ``oracle_tree``'s cap."""
+    tree = oracle_tree(spec, cap)
     vals, vecs = dense_eigen(tree)
     return tree, vals, vecs
 
@@ -103,14 +113,16 @@ def run_all_checks(
     for a symmetric tree, one eigenbasis, whose lines are the spectrum.
 
     The oracle comes first, so a tree over the cap is refused before any
-    other work; the basis is then no larger than the cap.
+    other work; the basis is then no larger than the cap.  A glued tree's
+    oracle is values only.
     """
-    tree, vals, vecs = oracle(spec, oracle_cap)
     if isinstance(spec, GluedTreeSpec):
+        vals = dense_eigenvalues(oracle_tree(spec, oracle_cap))
         return [
             check_spectrum_oracle("glued_spectrum_oracle", glued_spectrum(spec), vals, tol),
             check_counting(spec.left, spec.right),
         ]
+    tree, vals, vecs = oracle(spec, oracle_cap)
     basis = full_eigenbasis(spec, basis_cap=oracle_cap)
     spectrum = basis.vectors.lines
     return [

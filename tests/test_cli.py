@@ -196,6 +196,30 @@ class TestErrors:
         assert proc.returncode == 3
         assert proc.stderr == f"error: cannot write {target}: [Errno 28] No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("stdout", ["file", "pipe"])
+    def test_export_matrix_onto_stdout(self, tmp_path, stdout):
+        # Redirected to a file, stdout would take the matrix through a
+        # descriptor of its own, then the spectrum over it through its own
+        # at offset 0: refused.  A pipe takes both documents in turn.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [sys.executable, "-m", "stratree.cli", "spectrum", "--children", "2"]
+        argv += ["--export-matrix", "/dev/stdout"]
+        kwargs = dict(stderr=subprocess.PIPE, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        if stdout == "pipe":
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, **kwargs)
+            assert proc.returncode == 0 and proc.stderr == ""
+            matrix, spectrum = proc.stdout.split("[\n", 1)
+            assert matrix.startswith("%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n")
+            assert [r["lambda"] for r in json.loads("[\n" + spectrum)] == [0.0, 1.0, 3.0]
+            return
+        target = tmp_path / "both.txt"
+        with open(target, "w") as fh:
+            proc = subprocess.run(argv, stdout=fh, **kwargs)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --export-matrix /dev/stdout names the file stdout writes to\n"
+        assert target.read_text() == ""
+
     def test_unallocatable_export_matrix(self, capsys, tmp_path):
         # 10^15 + 1 vertices: under the indexing cap, but the parent array's
         # allocation is refused at once, before the file is created
@@ -742,6 +766,24 @@ class TestBench:
         assert row["vertices"] == "31"
         assert float(row["decompose_ms"]) >= 0.0
         assert float(row["dense_ms"]) >= 0.0
+
+    def test_dense_ms_times_the_values_only_solve(self, capsys, monkeypatch):
+        # decompose_ms times values, so dense_ms times the values-only oracle
+        calls, solve = [], cli.dense_eigenvalues
+
+        def counted(tree):
+            calls.append(tree.n)
+            return solve(tree)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvector solve was called")
+
+        monkeypatch.setattr(cli, "dense_eigenvalues", counted)
+        monkeypatch.setattr(cli, "oracle", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        code, out = run(capsys, "bench", "--children", "3,2")
+        assert code == 0 and calls == [10]
+        assert float(parse_csv(out)[0]["dense_ms"]) >= 0.0
 
     def test_levels_over_the_solve_cap_refused_before_the_pattern(self, capsys):
         # a root slice of 10^9 rows alone is over SOLVE_CAP; the pattern's

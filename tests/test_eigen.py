@@ -18,6 +18,7 @@ from stratree.eigen import (
     _purify_degenerate,
     _tree_solve,
     dense_eigen,
+    dense_eigenvalues,
     sturm_count,
     trailing_eigenvalues,
 )
@@ -25,6 +26,7 @@ import stratree.cli as cli
 import stratree.eigen as eigen
 import stratree.verify as verify
 from stratree.decompose import decompose_spectrum, level_matrix
+from stratree.laplacian import degrees
 from stratree.tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, realize
 
 from reference import laplacian_of
@@ -296,6 +298,21 @@ def test_dense_residuals():
         assert res <= 1e-10 * n * norm
 
 
+PURIFIED = [
+    SymmetricTreeSpec([3, 2, 2]),
+    SymmetricTreeSpec([4, 4, 3, 2, 2, 2]),
+    GluedTreeSpec(SymmetricTreeSpec([3, 3, 2]), SymmetricTreeSpec([2, 2, 2, 2])),
+]
+PURIFIED_SYMMETRIC = [*PURIFIED[:2], SymmetricTreeSpec([2] * 8)]
+
+# a purified cluster at 0.26795 whose neighbour sits 1.9e-3 away: the
+# cluster's solve left 1.8e-12 of that neighbour in it
+CLOSE_NEIGHBOUR = (
+    -1, 0, 0, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 1, 0, 6, 0, 0, 0,
+    0, 0, 5, 13, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 7, 9, 9, 0, 12, 0, 0,
+)
+
+
 def counted_dense_solves(monkeypatch):
     calls = []
     solve = verify.dense_eigen
@@ -335,6 +352,62 @@ def test_dense_cap_refused_before_copying(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        realize(SymmetricTreeSpec([3])),
+        *(realize(spec) for spec in PURIFIED_SYMMETRIC),
+        RootedTree(CLOSE_NEIGHBOUR),
+    ],
+    ids=["star", "3,2,2", "4,4,3,2,2,2", "2x8", "close-neighbour"],
+)
+def test_dense_eigenvalues_are_eigvalsh_of_the_laplacian(tree):
+    a = laplacian_of(tree.parents)
+    vals = dense_eigenvalues(tree)
+    assert np.array_equal(vals, np.linalg.eigvalsh(a))
+    assert np.allclose(vals, dense_eigen(tree)[0], rtol=0, atol=1e-12 * np.linalg.norm(a, 2))
+
+
+class _Numpy:
+    """numpy in the eigen module's namespace, counting the purifier's
+    breadth-first gathers; with ``in_order`` False no two arrays compare
+    equal, so every tree takes the gather and scatter route."""
+
+    def __init__(self, in_order):
+        self.in_order, self.gathers = in_order, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array_equal(self, a, b):
+        return self.in_order and np.array_equal(a, b)
+
+    def ix_(self, *args):
+        self.gathers += 1
+        return np.ix_(*args)
+
+
+@pytest.mark.parametrize(
+    "spec", [*PURIFIED_SYMMETRIC, PURIFIED[-1]], ids=["3,2,2", "4,4,3,2,2,2", "2x8", "glued"]
+)
+def test_purifier_skips_the_identity_permutation(monkeypatch, spec):
+    # realize numbers a symmetric tree breadth-first, so its clusters are
+    # gathered and solved in place, and the vectors keep every bit of the
+    # route through the breadth-first permutation; a glued tree takes that
+    # route
+    tree, a = laplacian(spec)
+    vals, vecs = np.linalg.eigh(a)
+    out = []
+    for in_order in (True, False):
+        shim = _Numpy(in_order)
+        monkeypatch.setattr(eigen, "np", shim)
+        out.append(_purify_degenerate(tree, degrees(tree), vals, vecs.copy()))
+        monkeypatch.setattr(eigen, "np", np)
+        assert shim.gathers == (0 if in_order and isinstance(spec, SymmetricTreeSpec) else 1)
+    assert np.array_equal(*out)
+    assert not np.array_equal(out[0], vecs)
+
+
 def test_oracle_drops_the_dense_laplacian_before_purifying():
     # purification reads only the Laplacian's diagonal, so the n x n matrix
     # is released after eigh; held through purification it peaked at 5.0x
@@ -365,13 +438,6 @@ def dense_purified(a, tol=1e-8):
             out.append((start, i, q))
         start = i
     return out
-
-
-PURIFIED = [
-    SymmetricTreeSpec([3, 2, 2]),
-    SymmetricTreeSpec([4, 4, 3, 2, 2, 2]),
-    GluedTreeSpec(SymmetricTreeSpec([3, 3, 2]), SymmetricTreeSpec([2, 2, 2, 2])),
-]
 
 
 @pytest.mark.parametrize("spec", PURIFIED, ids=["3,2,2", "4,4,3,2,2,2", "glued"])
@@ -448,14 +514,6 @@ def test_no_dense_solve(monkeypatch):
     tree, a = laplacian(SymmetricTreeSpec([4, 3, 2]))
     vals, vecs = dense_eigen(tree)
     assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * np.linalg.norm(a, 2)
-
-
-# a purified cluster at 0.26795 whose neighbour sits 1.9e-3 away: the
-# cluster's solve left 1.8e-12 of that neighbour in it
-CLOSE_NEIGHBOUR = (
-    -1, 0, 0, 1, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 1, 0, 6, 0, 0, 0,
-    0, 0, 5, 13, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 7, 9, 9, 0, 12, 0, 0,
-)
 
 
 @settings(max_examples=60, deadline=None)

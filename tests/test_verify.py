@@ -24,26 +24,62 @@ GLUED = GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3]))
 
 @pytest.fixture
 def dense_calls(monkeypatch):
+    """(solver, |V|) of every dense solve, eigenpairs or values only."""
     calls = []
-    solve = verify.dense_eigen
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].n)
-        return solve(*args, **kwargs)
+    def count(name):
+        solve = getattr(verify, name)
 
-    monkeypatch.setattr(verify, "dense_eigen", counted)
+        def counted(*args, **kwargs):
+            calls.append((name, args[0].n))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    count("dense_eigen")
+    count("dense_eigenvalues")
     return calls
 
 
 @pytest.mark.parametrize(
-    "spec,rows", [(SYMMETRIC, SYMMETRIC_ROWS), (GLUED, GLUED_ROWS)], ids=["symmetric", "glued"]
+    "spec,rows,solver",
+    [(SYMMETRIC, SYMMETRIC_ROWS, "dense_eigen"), (GLUED, GLUED_ROWS, "dense_eigenvalues")],
+    ids=["symmetric", "glued"],
 )
-def test_one_dense_solve_per_spec(dense_calls, spec, rows):
+def test_one_dense_solve_per_spec(dense_calls, spec, rows, solver):
+    # the glued rows read eigenvalues only, so their solve is values only
     results = verify.run_all_checks(spec)
     n = spec.vertex_count()
-    assert dense_calls == [n]
+    assert dense_calls == [(solver, n)]
     assert [r.name for r in results] == rows
     assert all(r.passed for r in results)
+
+
+def test_glued_verify_computes_no_eigenvectors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvector solve was called")
+
+    monkeypatch.setattr(verify, "dense_eigen", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    results = verify.run_all_checks(GLUED)
+    assert [r.name for r in results] == GLUED_ROWS
+    assert all(r.passed for r in results)
+
+
+def test_glued_verify_peaks_near_one_dense_matrix():
+    # |V| = 701: eigh's vectors and the purifier's gathers peaked at 3.9
+    # times the n x n matrix; the values-only solve holds that matrix alone
+    spec = GluedTreeSpec(SymmetricTreeSpec([5, 1, 3, 2, 1, 5]), SymmetricTreeSpec([1, 4, 5, 2, 2, 1, 3]))
+    n = spec.vertex_count()
+    assert n == 701
+    tracemalloc.start()
+    try:
+        results = verify.run_all_checks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("spec", [SYMMETRIC, GLUED], ids=["symmetric", "glued"])
