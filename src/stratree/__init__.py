@@ -13,7 +13,7 @@ from .decompose import (
 from .eigen import TriDiag, dense_eigen, dense_eigenvalues, sturm_count, trailing_eigenvalues
 from .glued import glued_spectrum, glued_stratified_matrix
 from .laplacian import degrees, matvec, write_matrix_market
-from .nodal import SignGraphReport, count_sign_graphs, nodal_records
+from .nodal import SignGraphReport, count_sign_graphs, level_nodal_records, level_sign_graphs, nodal_records
 from .tree import (
     CapacityError,
     GluedTreeSpec,
@@ -47,6 +47,8 @@ __all__ = [
     "glued_spectrum",
     "glued_stratified_matrix",
     "level_matrix",
+    "level_nodal_records",
+    "level_sign_graphs",
     "matvec",
     "nodal_records",
     "realize",

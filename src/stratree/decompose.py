@@ -31,7 +31,7 @@ level families (``EigenBasis.full_rank``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -222,6 +222,7 @@ class BlockVectors:
     populations: tuple[int, ...]
     families: tuple[LevelFamily, ...]
     lines: Spectrum
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -240,7 +241,12 @@ class BlockVectors:
         + p c w_j, where c = c(l0-1), and one at first_j(p) + s w_j, in
         that order: 2m blocks.  The root level's one row has m blocks, the
         whole levels, with no zeros between them.
+
+        Each family's layout is built once and kept, read-only, so the
+        residual product and the ``eigvecs`` writer share its arrays.
         """
+        if family in self._layouts:
+            return self._layouts[family]
         l0, pops = self.families[family].level, self.populations
         offsets = np.cumsum([0, *pops], dtype=np.int64)
         w = np.array(pops[l0:], dtype=np.int64) // pops[l0]
@@ -257,7 +263,9 @@ class BlockVectors:
         rows = len(starts)
         gaps = np.hstack((starts, np.full((rows, 1), offsets[-1])))
         gaps -= np.hstack((np.zeros((rows, 1), np.int64), ends))
-        return RowLayout(gaps, widths)
+        gaps.flags.writeable = widths.flags.writeable = False
+        self._layouts[family] = layout = RowLayout(gaps, widths)
+        return layout
 
     def block_values(self, family: int) -> np.ndarray:
         """The value of each block of ``layout(family)``, one row per

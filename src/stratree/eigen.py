@@ -18,8 +18,10 @@ route.
 LAPACK's eigenvalue counts with it.
 
 The oracle comes in two forms.  ``dense_eigenvalues`` is ``eigvalsh`` of
-the dense Laplacian, for checks that read eigenvalues only.
-``dense_eigen`` runs ``eigh`` for the eigenvectors too, and its vectors of
+the dense Laplacian: every ``verify`` row reads eigenvalues only (its
+nodal rows count the constructed basis), as ``bench`` does.
+``dense_eigen`` runs ``eigh`` for the eigenvectors too, for the ``nodal``
+command, which reports the oracle's eigenvectors, and its vectors of
 repeated eigenvalues are sharpened by inverse iteration.  A
 tree Laplacian (degrees on the diagonal, -1 on every edge) minus a shift
 factors from the leaves to the root with no fill-in (Parter 1961; Jacobs &

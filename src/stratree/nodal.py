@@ -6,17 +6,28 @@ columns of ``NodalRecords``, one entry per eigenpair.
 A positive (negative) sign graph is a maximal connected subgraph on which
 the function is strictly positive (negative).  On trees the induced
 subgraph on any vertex subset is a forest, so its component count is just
-vertices minus same-sign edges.
+vertices minus same-sign edges.  The counts come from one of two sources,
+judged by one verdict code: ``count_sign_graphs`` on vectors written out
+on the tree (the dense oracle's, for ``nodal_records``), or
+``level_sign_graphs`` on an eigenbasis held as its level values (the
+constructed basis, for ``level_nodal_records``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .tree import RootedTree
+
+if TYPE_CHECKING:
+    from .decompose import BlockVectors
+
+# An entry of a floating eigenvector at most this fraction of the vector's
+# largest magnitude counts as zero, for oracle vectors and level values alike.
+ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,50 @@ def oracle_zero_tol(f: np.ndarray) -> float | np.ndarray:
     """Zero threshold for floating eigenvectors from the dense oracle, one
     per column of an (n, m) array.  max|f| is taken as max(max f, -min f),
     which is exact and allocates no array the size of ``f``."""
-    return 1e-9 * np.maximum(np.max(f, axis=0), -np.min(f, axis=0))
+    return ZERO_TOL * np.maximum(np.max(f, axis=0), -np.min(f, axis=0))
+
+
+def level_sign_graphs(vectors: BlockVectors) -> SignGraphReport:
+    """Counts of every row of an eigenbasis held as level values, one
+    entry per line of ``vectors.lines``, as exact integers from O(k) work
+    per line: no row is written out.
+
+    Row i of a family at level l0 takes its sign s_j on each level j of the
+    family, with |g_ij| <= ``ZERO_TOL`` * max_j |g_ij| as 0.  On one
+    subtree, where level j has w_j = n(l0+j)/n(l0) vertices each below one
+    of level j-1, a sign graph starts at each vertex of level j with
+    s_j != 0 and s_j != s_{j-1} (s_{-1} = 0).  A root-family row is that
+    subtree, the whole tree.  A sibling difference is the subtree's values
+    minus their copy on a disjoint subtree, both cut off by their zero
+    parent, so it has twice the subtree's sign graphs, as many positive as
+    negative, and |V| - 2 sum_j w_j [s_j != 0] zeros.  Every row of a run
+    has its line's counts: the rows are congruent by a tree automorphism,
+    or negated, which leaves the counts of a sibling difference alone.
+    """
+    pops, lines = vectors.populations, vectors.lines
+    n = sum(pops)
+    pos, neg, zero = [], [], []
+    for fam in vectors.families:
+        l0, g = fam.level, fam.g
+        w = np.array(pops[l0:], dtype=np.int64) // pops[l0]
+        tol = ZERO_TOL * np.max(np.abs(g), axis=1, keepdims=True)
+        s = (g > tol).view(np.int8) - (g < -tol).view(np.int8)  # NaN gives 0
+        above = np.zeros_like(s)
+        above[:, 1:] = s[:, :-1]
+        up = ((s == 1) & (above != 1)) @ w
+        down = ((s == -1) & (above != -1)) @ w
+        support = (s != 0) @ w
+        if l0:
+            pos.append(up + down)
+            neg.append(up + down)
+            zero.append(n - 2 * support)
+        else:
+            pos.append(up)
+            neg.append(down)
+            zero.append(n - support)
+    first = np.cumsum([0, *(len(fam.g) for fam in vectors.families)])
+    pair = first[lines.family] + lines.position
+    return SignGraphReport(*(np.concatenate(counts)[pair] for counts in (pos, neg, zero)))
 
 
 def cluster_spectrum(values: np.ndarray, tol: float = 1e-8) -> list[tuple[int, int]]:
@@ -112,7 +166,29 @@ def nodal_records(
     ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
     """
     rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
-    totals, zeros = rep.total, rep.zero_count
+    return _judge(values, rep.total, rep.zero_count, cluster_tol)
+
+
+def level_nodal_records(
+    values: np.ndarray, vectors: BlockVectors, cluster_tol: float = 1e-8
+) -> NodalRecords:
+    """Both verdicts on every row of an eigenbasis held as level values,
+    from ``level_sign_graphs``.
+
+    ``values`` are the |V| sorted eigenvalues of an independent solve,
+    which set each row's position and cluster.  The rows are taken in line
+    order, each line's counts repeated by its multiplicity; the lines are
+    sorted by value, so row r is paired with ``values[r]``.
+    """
+    rep = level_sign_graphs(vectors)
+    mult = vectors.lines.multiplicity()
+    return _judge(values, np.repeat(rep.total, mult), np.repeat(rep.zero_count, mult), cluster_tol)
+
+
+def _judge(values: np.ndarray, totals: np.ndarray, zeros: np.ndarray, cluster_tol: float) -> NodalRecords:
+    """``NodalRecords`` of eigenvectors with ``totals`` sign graphs and
+    ``zeros`` vanishing entries, the r-th one of eigenvalue ``values[r]``,
+    eigenvalues within ``cluster_tol`` of each other clustered as equal."""
     edges = _cluster_edges(values, cluster_tol)
     sizes = np.diff(edges)
     start, size = np.repeat(edges[:-1], sizes), np.repeat(sizes, sizes)

@@ -4,12 +4,16 @@ Every check here pits two independent routes against each other: the
 tridiagonal decomposition versus a dense eigensolve of the Laplacian
 written out from the tree's parent array, the constructed eigenbasis
 versus its residuals and rank, and the nodal-domain theorems versus sign
-counts on oracle eigenpairs.  The oracle is solved once per spec and its
-results are handed to every check that needs them.  A glued tree's rows
-read eigenvalues only, so its oracle is the values-only
-``dense_eigenvalues``: no eigenvectors and no purification.  A symmetric
-tree's nodal rows read the vectors, so it takes the eigenpairs of
-``oracle``.
+counts on the constructed eigenbasis.  The oracle is solved once per spec,
+for eigenvalues only (``dense_eigenvalues``: no eigenvectors and no
+purification), and its values are handed to every check that needs them.
+A symmetric tree's nodal rows count the sign graphs of the residual- and
+rank-certified constructed basis from its level values
+(``level_nodal_records``), with the oracle's values setting each row's
+position and cluster: the discrete nodal domain theorem (Davies, Gladwell,
+Leydold & Stadler 2001) bounds every vector of an eigenspace, so it holds
+for the constructed vectors as for any other.  ``oracle``, the eigenpair
+solve, serves the ``nodal`` command, which reports oracle eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .decompose import EigenBasis, Spectrum, counting_identity, expanded_spectrum, full_eigenbasis
 from .eigen import dense_eigen, dense_eigenvalues
 from .glued import glued_spectrum
-from .nodal import nodal_records
+from .nodal import level_nodal_records
 from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, count_text, realize
 
 SPECTRUM_TOL = 1e-8
@@ -84,11 +88,13 @@ def check_eigenbasis(basis: EigenBasis) -> CheckResult:
 
 
 def check_nodal(
-    tree: RootedTree, vals: np.ndarray, vecs: np.ndarray, tol: float = SPECTRUM_TOL
+    basis: EigenBasis, vals: np.ndarray, tol: float = SPECTRUM_TOL
 ) -> tuple[CheckResult, CheckResult]:
-    """Courant bound and zero-free equality on all oracle eigenpairs, with
-    eigenvalues within ``tol`` of each other clustered as equal."""
-    records = nodal_records(tree, vals, vecs, cluster_tol=tol)
+    """Courant bound and zero-free equality on every vector of the
+    constructed basis, at the positions of the sorted oracle eigenvalues
+    ``vals``, with eigenvalues within ``tol`` of each other clustered as
+    equal."""
+    records = level_nodal_records(vals, basis.vectors, cluster_tol=tol)
     c_ok, z_ok = bool(np.all(records.passed)), bool(np.all(records.zero_free))
     return (
         CheckResult("courant_bound", c_ok, 0.0 if c_ok else 1.0),
@@ -109,26 +115,25 @@ def check_multiplicity_bound(spectrum: Spectrum, vals: np.ndarray, tol: float = 
 def run_all_checks(
     spec: SymmetricTreeSpec | GluedTreeSpec, tol: float = SPECTRUM_TOL, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> list[CheckResult]:
-    """The full verification battery for one spec, on one oracle solve and,
-    for a symmetric tree, one eigenbasis, whose lines are the spectrum.
+    """The full verification battery for one spec, on one values-only
+    oracle solve and, for a symmetric tree, one eigenbasis, whose lines are
+    the spectrum.
 
     The oracle comes first, so a tree over the cap is refused before any
-    other work; the basis is then no larger than the cap.  A glued tree's
-    oracle is values only.
+    other work; the basis is then no larger than the cap.
     """
+    vals = dense_eigenvalues(oracle_tree(spec, oracle_cap))
     if isinstance(spec, GluedTreeSpec):
-        vals = dense_eigenvalues(oracle_tree(spec, oracle_cap))
         return [
             check_spectrum_oracle("glued_spectrum_oracle", glued_spectrum(spec), vals, tol),
             check_counting(spec.left, spec.right),
         ]
-    tree, vals, vecs = oracle(spec, oracle_cap)
     basis = full_eigenbasis(spec, basis_cap=oracle_cap)
     spectrum = basis.vectors.lines
     return [
         check_spectrum_oracle("spectrum_oracle", spectrum, vals, tol),
         check_counting(spec),
         check_eigenbasis(basis),
-        *check_nodal(tree, vals, vecs, tol),
+        *check_nodal(basis, vals, tol),
         check_multiplicity_bound(spectrum, vals, tol),
     ]

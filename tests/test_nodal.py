@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratree.decompose import decompose_spectrum
-from stratree.eigen import dense_eigen
-from stratree.nodal import cluster_spectrum, count_sign_graphs, nodal_records, oracle_zero_tol
+from stratree.decompose import decompose_spectrum, full_eigenbasis
+from stratree.eigen import dense_eigen, dense_eigenvalues
+from stratree.nodal import (
+    ZERO_TOL,
+    cluster_spectrum,
+    count_sign_graphs,
+    level_nodal_records,
+    level_sign_graphs,
+    nodal_records,
+    oracle_zero_tol,
+)
 from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize
 
+from reference import dense_rows
 from strategies import trees
 
 
@@ -360,3 +369,60 @@ class TestCommonVanishing:
 def test_oracle_zero_tol_scale():
     f = np.array([0.0, 2.0, -4.0])
     assert oracle_zero_tol(f) == pytest.approx(4e-9)
+
+
+# six trees of a verify_desk pool, then small, wide, deep and path-like
+# trees; [1,1], [1]*5, [2]*9 and [1,1,1,1,4], among others, have level
+# values that vanish in exact arithmetic and come out at rounding size
+LEVEL_COUNT_SPECS = [
+    [3, 4, 2, 3], [4, 2, 1, 4, 3], [2, 1, 1, 2, 3, 2, 2, 2], [3, 2, 4, 2, 5], [4, 1, 3, 1, 2, 5, 2],
+    [4, 2, 1, 1, 4, 3, 4], [1, 1], [2], [], [2, 2], [3, 2], [1] * 5, [9, 2], [2] * 9,
+    [3, 1, 4, 1, 3, 2, 4, 3], [4, 4, 3, 2, 2, 2], [2, 20, 3], [1, 1, 1, 1, 4], [1] * 30 + [3],
+    [5, 1, 1, 1, 1, 1],
+]
+
+
+@pytest.mark.parametrize("children", LEVEL_COUNT_SPECS, ids=str)
+def test_level_counts_match_the_realized_rows(children):
+    # the counts from the level values equal count_sign_graphs on the first
+    # row of each (family, i) written out on the tree, at the oracle
+    # threshold of that row, whose largest magnitude is max_j |g_ij|
+    spec = SymmetricTreeSpec(children)
+    vectors = full_eigenbasis(spec).vectors
+    rep = level_sign_graphs(vectors)
+    first = np.cumsum([0, *vectors.lines.multiplicity()])[:-1]
+    rows = dense_rows(vectors)[first].T
+    expected = count_sign_graphs(realize(spec), rows, oracle_zero_tol(rows))
+    for field in ("positive_count", "negative_count", "zero_count"):
+        got = getattr(rep, field)
+        assert got.dtype == np.int64
+        assert got.tolist() == getattr(expected, field).tolist(), field
+
+
+def test_level_counts_read_a_vanishing_level_value_as_zero():
+    # the path [1,1] at lambda = 1 is (1, 0, -1); LAPACK's middle level
+    # value is a rounding-size number, not 0.0
+    vectors = full_eigenbasis(SymmetricTreeSpec([1, 1])).vectors
+    g = vectors.families[0].g[1]
+    assert g[1] != 0.0 and abs(g[1]) <= ZERO_TOL * np.max(np.abs(g))
+    rep = level_sign_graphs(vectors)
+    assert (rep.positive_count[1], rep.negative_count[1], rep.zero_count[1]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "children", [[3, 2], [2, 2, 2], [4, 1, 2], [1], [], [1, 1], [3, 3], [4, 4, 3, 2, 2, 2]]
+)
+@pytest.mark.parametrize("cluster_tol", [1e-15, 1e-8, 0.5])
+def test_level_records_are_the_records_of_the_written_rows(children, cluster_tol):
+    # every row of the basis, in line order and each line's counts repeated
+    # by its multiplicity, judged at the sorted values of an independent
+    # solve, as nodal_records judges the same rows written out
+    spec = SymmetricTreeSpec(children)
+    tree = realize(spec)
+    vals = dense_eigenvalues(tree)
+    vectors = full_eigenbasis(spec).vectors
+    records = level_nodal_records(vals, vectors, cluster_tol=cluster_tol)
+    expected = nodal_records(tree, vals, dense_rows(vectors).T, cluster_tol=cluster_tol)
+    for field in records._fields:
+        got, want = getattr(records, field).tolist(), getattr(expected, field).tolist()
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want], field

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import stratree.decompose as decompose
-import stratree.nodal as nodal
 import stratree.verify as verify
 from stratree.tree import CapacityError, GluedTreeSpec, SymmetricTreeSpec, realize
 
@@ -42,27 +41,41 @@ def dense_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec,rows,solver",
-    [(SYMMETRIC, SYMMETRIC_ROWS, "dense_eigen"), (GLUED, GLUED_ROWS, "dense_eigenvalues")],
-    ids=["symmetric", "glued"],
+    "spec,rows", [(SYMMETRIC, SYMMETRIC_ROWS), (GLUED, GLUED_ROWS)], ids=["symmetric", "glued"]
 )
-def test_one_dense_solve_per_spec(dense_calls, spec, rows, solver):
-    # the glued rows read eigenvalues only, so their solve is values only
+def test_one_dense_solve_per_spec(dense_calls, spec, rows):
+    # every row reads the oracle's eigenvalues only (the nodal rows count
+    # the constructed basis), so the one solve is values only
     results = verify.run_all_checks(spec)
     n = spec.vertex_count()
-    assert dense_calls == [(solver, n)]
+    assert dense_calls == [("dense_eigenvalues", n)]
     assert [r.name for r in results] == rows
     assert all(r.passed for r in results)
 
 
-def test_glued_verify_computes_no_eigenvectors(monkeypatch):
+@pytest.mark.parametrize(
+    "spec,rows,widest",
+    [(SYMMETRIC, SYMMETRIC_ROWS, SYMMETRIC.levels), (GLUED, GLUED_ROWS, 0)],
+    ids=["symmetric", "glued"],
+)
+def test_verify_computes_no_laplacian_eigenvectors(monkeypatch, spec, rows, widest):
+    # eigh may solve the level matrix's slices of at most k rows, for the
+    # level values of a symmetric tree's basis, but never the |V|-row
+    # Laplacian; a glued tree calls it not at all
     def refuse(*args, **kwargs):
-        raise AssertionError("an eigenvector solve was called")
+        raise AssertionError("the eigenpair oracle was called")
+
+    eigh, sizes = np.linalg.eigh, []
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(verify, "dense_eigen", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    results = verify.run_all_checks(GLUED)
-    assert [r.name for r in results] == GLUED_ROWS
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    results = verify.run_all_checks(spec)
+    assert max(sizes, default=0) == widest
+    assert [r.name for r in results] == rows
     assert all(r.passed for r in results)
 
 
@@ -72,6 +85,23 @@ def test_glued_verify_peaks_near_one_dense_matrix():
     spec = GluedTreeSpec(SymmetricTreeSpec([5, 1, 3, 2, 1, 5]), SymmetricTreeSpec([1, 4, 5, 2, 2, 1, 3]))
     n = spec.vertex_count()
     assert n == 701
+    tracemalloc.start()
+    try:
+        results = verify.run_all_checks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 1.5 * 8 * n * n
+
+
+def test_symmetric_verify_peaks_near_one_dense_matrix():
+    # |V| = 1291: eigh's vectors and the purifier peaked at 3.5 times the
+    # n x n matrix; the values-only solve holds that matrix alone, and the
+    # nodal rows count the basis from its level values
+    spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
+    n = spec.vertex_count()
+    assert n == 1291
     tracemalloc.start()
     try:
         results = verify.run_all_checks(spec)
@@ -120,21 +150,6 @@ def test_one_eigenbasis_and_one_level_solve_per_symmetric_spec(monkeypatch):
     results = verify.run_all_checks(SYMMETRIC)
     assert sorted(calls) == ["full_eigenbasis", "level_spectra"]
     assert [r.name for r in results] == SYMMETRIC_ROWS
-    assert all(r.passed for r in results)
-
-
-def test_one_sign_count_per_oracle_vector(monkeypatch):
-    calls = []
-    count = nodal.count_sign_graphs
-
-    def counted(tree, f, *args, **kwargs):
-        calls.append(np.shape(f))
-        return count(tree, f, *args, **kwargs)
-
-    monkeypatch.setattr(nodal, "count_sign_graphs", counted)
-    results = verify.run_all_checks(SYMMETRIC)
-    n = SYMMETRIC.vertex_count()
-    assert calls == [(n, n)]  # every oracle vector, in one batched call
     assert all(r.passed for r in results)
 
 
