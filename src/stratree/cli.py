@@ -275,20 +275,19 @@ def _write_eigenbasis(fh: TextIO, basis: EigenBasis, fmt: str) -> None:
     pieces of the rows are collected and joined into one string per write.
     """
     vectors, lines = basis.vectors, basis.vectors.lines
-    families = range(len(vectors.families))
+    families = range(len(vectors.levels))
     sep = ", " if fmt == "csv" else ",\n      "
     zero = "0.0" + sep
     layouts = [vectors.layout(f) for f in families]
     gaps = [lay.gaps.tolist() for lay in layouts]
     widths = [lay.widths.tolist() for lay in layouts]
-    # the block values and residuals of every (f, i), family-major; line r
-    # holds pair[r], whose cells start at cell_at[r]
+    # the block values of every (f, i), family-major as the stack rows; line
+    # r holds stack row line_row[r], whose cells start at cell_at[r]
     values = [vectors.block_values(f) for f in families]
     cells = _spell(np.concatenate([v.ravel() for v in values]).tolist())
-    pair = np.cumsum([0, *(len(v) for v in values)])[lines.family] + lines.position
-    residuals = np.concatenate(basis.residuals)[pair].tolist()
+    residuals = basis.residuals[vectors.line_row].tolist()
     row_cells = np.repeat([v.shape[1] for v in values], [len(v) for v in values])
-    cell_at = np.concatenate(([0], np.cumsum(row_cells)))[pair]
+    cell_at = np.concatenate(([0], np.cumsum(row_cells)))[vectors.line_row]
     levels = lines.origin_level.tolist()
     kinds = ["stratified" if level == 0 else "antisym" for level in levels]
     if fmt == "csv":

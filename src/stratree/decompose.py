@@ -16,22 +16,27 @@ yields exactly n(l0) - n(l0-1) independent vectors per recurrence
 eigenvalue at level l0.  In breadth-first numbering a subtree holds one
 contiguous block of columns per level, so every eigenvector is one
 constant per block.  The eigenbasis is therefore held implicitly
-(``BlockVectors``), as each level family's values g and the basis's
-``Spectrum``, whose lines are its runs of rows in order: O(k^3) numbers
-plus O(k^2) lines, not |V|^2.  The rows of a run share their line's
-eigenvalue, origin level and residual, so nothing in the basis has |V|
-rows.  Only the residual certificate forms rows: the Laplacian times the
-first row of every run, an n x lines product taken ``RESIDUAL_BLOCK``
-entries at a time (one line at a time past |V| = ``RESIDUAL_BLOCK``).
-A family's rows are zeros around 2m blocks of one value each, at
-columns one numpy broadcast finds for all of them
-(``BlockVectors.layout``), and the basis's rank is certified from the
-level families (``EigenBasis.full_rank``).
+(``BlockVectors``), as one stack of level values, a row of k numbers per
+(level family, position), and the basis's ``Spectrum``, whose lines are
+its runs of rows in order: O(k^3) numbers plus O(k^2) lines, not |V|^2.
+The rows of a run share their line's eigenvalue, origin level and
+residual, so nothing in the basis has |V| rows.  The checks on the basis
+read the stack whole, in a number of numpy calls that does not grow with
+the number of families: the residual certificate multiplies the
+Laplacian into the first row of every run, one run-length code of the
+stack (``BlockVectors.first_row_runs``) expanded ``RESIDUAL_BLOCK``
+entries at a time (one line at a time past |V| = ``RESIDUAL_BLOCK``);
+the rank certificate is one population-weighted Gram of the stack
+(``EigenBasis.full_rank``); and ``nodal.level_sign_graphs`` counts sign
+graphs on it.  Only ``eigvecs`` writes every row: a family's rows are
+zeros around 2m blocks of one value each, at columns one numpy
+broadcast finds for all of them (``BlockVectors.layout``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +115,11 @@ def level_matrix(spec: SymmetricTreeSpec) -> TriDiag:
     return TriDiag(diag, np.sqrt(np.asarray(spec.children, dtype=float)))
 
 
-def stratified_levels(t: TriDiag, root_level: int) -> np.ndarray:
-    """Per-level eigenvectors of the recurrence at ``root_level``, row i
-    that of its i-th smallest eigenvalue.
+def stratified_levels(t: TriDiag, levels) -> np.ndarray:
+    """Per-level eigenvectors of the recurrences rooted at each of
+    ``levels``, as one stack: the k - l0 rows of each level l0 in turn, row
+    i that of the i-th smallest eigenvalue of its slice, in columns of
+    absolute level, zero above l0.
 
     ``t`` is the tree's ``level_matrix``.  The vectors are in
     level-recurrence coordinates, g[j] = (-1)^j w[j] / sqrt(relative
@@ -120,17 +127,33 @@ def stratified_levels(t: TriDiag, root_level: int) -> np.ndarray:
     the running product of the slice's off-diagonals sqrt(c); each is signed
     so that its root value is positive.  A root value that rounds to zero
     (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
-    it is still an eigenvector.  They come from ``eigh`` of the densified
-    slice, whose values are dropped for ``level_spectra``'s; a slice too
-    large to densify is a ``CapacityError``.
+    it is still an eigenvector.  They come from ``eigh`` of each densified
+    slice, whose values are dropped for ``level_spectra``'s, and are written
+    scaled into the stack; a slice too large to densify is a
+    ``CapacityError``.  The stack is taken from ``np.empty``: on a path its
+    one family is as large as the tree.
     """
-    s = t.trailing(root_level)
-    w = np.linalg.eigh(s.to_dense())[1]
-    scale = np.concatenate(([1.0], np.cumprod(s.off)))
-    sign = np.where(np.arange(s.m) % 2, -1.0, 1.0)
-    g = (w * (sign / scale)[:, None]).T
-    g[g[:, 0] < 0] *= -1.0
-    return g
+    k = t.m
+    levels = np.asarray(levels, dtype=np.int64)
+    row_level = np.repeat(levels, k - levels)
+    column = np.arange(k)
+    # one row per family: the alternating sign over the running product of
+    # sqrt(c) from its level down, both 1 at the level itself
+    running = np.ones((len(levels), k))
+    running[:, 1:] = np.where(column[1:] > levels[:, None], t.off, 1.0)
+    sign = np.where((column - levels[:, None]) % 2, -1.0, 1.0)
+    factor = sign / np.cumprod(running, axis=1)
+    values = np.empty((len(row_level), k))
+    above = column < row_level[:, None]
+    values[above] = 0.0
+    at = 0
+    for l0, f in zip(levels.tolist(), factor):
+        w = np.linalg.eigh(t.trailing(l0).to_dense())[1]
+        np.multiply(w.T, f[l0:], out=values[at : at + k - l0, l0:])
+        at += k - l0
+    flip = values[np.arange(len(values)), row_level] < 0
+    np.negative(values, out=values, where=flip[:, None] & ~above)
+    return values
 
 
 def vectors_per_value(pops, l0: int) -> int:
@@ -210,26 +233,93 @@ class RowLayout(NamedTuple):
 class BlockVectors:
     """The vectors of an eigenbasis, held as their level values.
 
-    Line r of ``lines`` is the r-th run of rows, of family f =
-    ``lines.family[r]`` and position i = ``lines.position[r]``.  The run's
-    rows are g[i] of ``families[f]`` on the subtree of p's first child minus
-    its copy on the subtree of p's child s, one per parent rank p at level
-    l0-1 and sibling 1 <= s < c(l0-1), p-major, or the one vector g[i] on
-    the whole tree at the root level.  ``layout(f)`` places their blocks
-    and row i of ``block_values(f)`` fills them.
+    ``values`` is one stack of every family's level values, as
+    ``stratified_levels`` writes it: the k - l0 rows of the family at level
+    l0 = ``levels[f]``, family-major, row i that of position i, in columns
+    of absolute level, zero above l0.  ``families[f].g`` is a view of family
+    f's rows from column l0.  Line r of ``lines`` is the r-th run of rows,
+    of family f = ``lines.family[r]`` and position i =
+    ``lines.position[r]``, stack row ``line_row[r]``.  The run's rows are
+    g[i] on the subtree of p's first child minus its copy on the subtree of
+    p's child s, one per parent rank p at level l0-1 and sibling
+    1 <= s < c(l0-1), p-major, or the one vector g[i] on the whole tree at
+    the root level.  At level L the subtree holds ``widths[f, L]`` columns.
+    ``first_row_runs()`` codes the first row of every run, and
+    ``layout(f)`` places the blocks of every row of a run of family f,
+    which row i of ``block_values(f)`` fills.
     """
 
     populations: tuple[int, ...]
-    families: tuple[LevelFamily, ...]
+    levels: tuple[int, ...]
+    values: np.ndarray
     lines: Spectrum
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The first column of each level, then |V|."""
+        return np.cumsum([0, *self.populations], dtype=np.int64)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """W[f, L] = n(L)/n(l0), family f's columns on one subtree at level
+        L, or 0 above its level l0: one row per family."""
+        pops = np.array(self.populations, dtype=np.int64)
+        levels = np.array(self.levels, dtype=np.int64)[:, None]
+        return np.where(np.arange(len(pops)) < levels, 0, pops // pops[levels])
+
+    @cached_property
+    def family_start(self) -> np.ndarray:
+        """The first stack row of each family, then the row count."""
+        k = len(self.populations)
+        return np.cumsum([0, *(k - l0 for l0 in self.levels)])
+
+    @cached_property
+    def row_family(self) -> np.ndarray:
+        """The family of each stack row."""
+        return np.repeat(np.arange(len(self.levels)), np.diff(self.family_start))
+
+    @cached_property
+    def line_row(self) -> np.ndarray:
+        """The stack row of each line."""
+        return self.family_start[self.lines.family] + self.lines.position
+
+    @cached_property
+    def families(self) -> tuple[LevelFamily, ...]:
+        """Each family's level and level values g, a view of its rows of
+        the stack from its level's column on."""
+        start = self.family_start.tolist()
+        return tuple(
+            LevelFamily(l0, self.values[start[f] : start[f + 1], l0:]) for f, l0 in enumerate(self.levels)
+        )
+
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays that hold the vectors: the level values and
-        the run order, the family and position columns of ``lines``."""
+        """Bytes of the arrays that hold the vectors: the stack of level
+        values and the run order, the family and position columns of
+        ``lines``."""
         lines = self.lines
-        return sum(fam.g.nbytes for fam in self.families) + lines.family.nbytes + lines.position.nbytes
+        return self.values.nbytes + lines.family.nbytes + lines.position.nbytes
+
+    def first_row_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row of every run, one per stack row, as a run-length
+        code: stack row r's is ``np.repeat(entries[r], counts[r])``.
+
+        At each level L the first row (parent rank p = 0, sibling s = 1)
+        holds W[f, L] columns of g[L] from the level's first column, then
+        W[f, L] columns of 0.0 - g[L] (none at the root level, whose one
+        row fills every level), then zeros to the level's end: the first
+        row of ``layout(f)``, from the same ``widths`` and ``offsets``.
+        Levels above l0 have W = 0, so they are zeros only.
+        """
+        v, family = self.values, self.row_family
+        a = self.widths[family]
+        b = a * (np.array(self.levels)[family] > 0)[:, None]
+        counts = np.stack((a, b, np.diff(self.offsets) - a - b), axis=-1)
+        entries = np.zeros((*v.shape, 3))
+        entries[..., 0] = v
+        np.subtract(0.0, v, out=entries[..., 1])
+        return entries.reshape(len(v), -1), counts.reshape(len(v), -1)
 
     def layout(self, family: int) -> RowLayout:
         """The ``RowLayout`` of every row of a run of ``family``, from one
@@ -237,19 +327,18 @@ class BlockVectors:
 
         A subtree holds one contiguous block of columns per level, so at
         the family's level j = 0, ..., m-1 (m levels from l0 down) a row has
-        one block of w_j = n(l0+j)/n(l0) columns at first_j(p) = offset(l0+j)
-        + p c w_j, where c = c(l0-1), and one at first_j(p) + s w_j, in
-        that order: 2m blocks.  The root level's one row has m blocks, the
-        whole levels, with no zeros between them.
+        one block of w_j = ``widths[family, l0+j]`` columns at first_j(p) =
+        ``offsets[l0+j]`` + p c w_j, where c = c(l0-1), and one at
+        first_j(p) + s w_j, in that order: 2m blocks.  The root level's one
+        row has m blocks, the whole levels, with no zeros between them.
 
         Each family's layout is built once and kept, read-only, so the
-        residual product and the ``eigvecs`` writer share its arrays.
+        ``eigvecs`` writer reads it once per family.
         """
         if family in self._layouts:
             return self._layouts[family]
-        l0, pops = self.families[family].level, self.populations
-        offsets = np.cumsum([0, *pops], dtype=np.int64)
-        w = np.array(pops[l0:], dtype=np.int64) // pops[l0]
+        l0, pops, offsets = self.levels[family], self.populations, self.offsets
+        w = self.widths[family, l0:]
         if l0:
             c = pops[l0] // pops[l0 - 1]
             p = np.arange(pops[l0 - 1], dtype=np.int64)[:, None, None]
@@ -276,17 +365,6 @@ class BlockVectors:
         return np.stack((g, 0.0 - g), axis=-1).reshape(len(g), -1) if fam.level else g
 
 
-def _row_runs(gaps, widths, values) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of rows of ``values`` (one row per row of values, all on
-    one ``RowLayout`` row ``gaps``) and how often each repeats: zeros of
-    ``gaps`` around blocks of ``widths`` columns of the row's values."""
-    entries = np.zeros((len(values), 2 * values.shape[1] + 1))
-    entries[:, 1::2] = values
-    counts = np.empty(entries.shape[1], dtype=np.int64)
-    counts[0::2], counts[1::2] = gaps, widths
-    return entries.ravel(), np.tile(counts, len(values))
-
-
 @dataclass(frozen=True)
 class EigenBasis:
     """Complete eigenbasis of the full Laplacian with residual certificates.
@@ -296,11 +374,12 @@ class EigenBasis:
     run of line r, of family f and position i, share the eigenvalue
     ``lines.values[r]``, the origin level ``lines.origin_level[r]``, the
     construction (a whole-tree "stratified" vector at level 0, else a
-    sibling difference, "antisym") and the residual ``residuals[f][i]``.
+    sibling difference, "antisym") and the residual of (f, i), held per
+    stack row of ``vectors.values``: ``residuals[vectors.line_row[r]]``.
     """
 
     vectors: BlockVectors
-    residuals: tuple[np.ndarray, ...]
+    residuals: np.ndarray
 
     @property
     def n(self) -> int:
@@ -319,9 +398,15 @@ class EigenBasis:
         So the rows are independent when (a) the families sit at distinct
         levels l0, ``lines`` holds each (family, i) with i < k-l0 once, with
         the multiplicity ``vectors_per_value`` of its family's level, and its
-        runs hold |V| rows in all, and (b) each family's Gram (g w) g^T,
+        runs hold |V| rows in all, and (b) each family's Gram G_f = (g w) g^T,
         w_j = n(l0+j)/n(l0), normalized to a unit diagonal, has its least
-        eigenvalue above ``threshold``.
+        eigenvalue above ``threshold``.  All the G_f come from the stack at
+        once, as the diagonal blocks of one Gram of its rows weighted by
+        ``widths`` with the blocks between families zeroed, whose least
+        eigenvalue is the least of theirs.  It is above ``threshold``
+        exactly when that Gram, normalized, minus ``threshold`` times the
+        identity has a Cholesky factor: one factorization of at most |V|
+        rows, whatever the number of families.
 
         This is no looser than a pivot threshold on a QR of the
         unit-normalized rows: their Gram is block diagonal with blocks
@@ -329,21 +414,29 @@ class EigenBasis:
         min_f lambda_min(G_f)/2, and every QR pivot is at least
         sqrt(threshold/2), 7e-5 at 1e-8.
         """
-        pops, fams, lines = self.vectors.populations, self.vectors.families, self.vectors.lines
-        keys = [(f, i) for f, fam in enumerate(fams) for i in range(len(pops) - fam.level)]
+        vectors = self.vectors
+        pops, levels, lines = vectors.populations, vectors.levels, vectors.lines
+        keys = [(f, i) for f, l0 in enumerate(levels) for i in range(len(pops) - l0)]
         if (
-            len({fam.level for fam in fams}) < len(fams)
+            len(set(levels)) < len(levels)
             or sorted(zip(lines.family.tolist(), lines.position.tolist())) != keys
-            or lines.multiplicities != tuple(vectors_per_value(pops, fam.level) for fam in fams)
+            or lines.multiplicities != tuple(vectors_per_value(pops, l0) for l0 in levels)
             or self.n != sum(pops)
         ):
             return False
-        for fam in fams:
-            l0 = fam.level
-            gram = (fam.g * (np.array(pops[l0:]) / pops[l0])) @ fam.g.T
-            d = np.sqrt(np.diagonal(gram))
-            if not (np.all(d > 0) and np.linalg.eigvalsh(gram / d / d[:, None])[0] > threshold):
-                return False
+        v, family = vectors.values, vectors.row_family
+        gram = (v * vectors.widths[family]) @ v.T
+        gram[family[:, None] != family] = 0.0
+        d = np.sqrt(np.diagonal(gram))
+        if not np.all(d > 0):
+            return False
+        gram /= d
+        gram /= d[:, None]
+        gram[np.diag_indices_from(gram)] -= threshold
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
         return True
 
 
@@ -370,37 +463,26 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     if n > basis_cap:
         raise CapacityError(f"basis of size {count_text(n)} exceeds the cap of {basis_cap}")
     parts = level_spectra(spec)
+    levels = tuple(l0 for _, l0, _, _ in parts)
     lines = spectrum_from_parts(parts)
-    t = level_matrix(spec)
-    families = tuple(LevelFamily(l0, stratified_levels(t, l0)) for _, l0, _, _ in parts)
-    vectors = BlockVectors(tuple(spec.populations()), families, lines)
+    vectors = BlockVectors(tuple(spec.populations()), levels, stratified_levels(level_matrix(spec), levels), lines)
     tree = realize(spec)
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a
     # level has the same row layout) or their exact negation, so their
-    # residuals are bitwise the same.  The first rows of all (family,
-    # position) pairs, family-major, are one run-length code, so each block
-    # of RESIDUAL_BLOCK entries is one np.repeat and one matvec.
-    entries, counts, row_sizes = [], [], []
-    for f, fam in enumerate(families):
-        layout = vectors.layout(f)
-        e, c = _row_runs(layout.gaps[0], layout.widths, vectors.block_values(f))
-        entries.append(e)
-        counts.append(c)
-        row_sizes += [len(e) // len(fam.g)] * len(fam.g)
-    entries, counts = np.concatenate(entries), np.concatenate(counts)
-    row_starts = np.cumsum([0, *row_sizes])
-    # the eigenvalue of each pair comes from its line, which holds the exact zero
-    first = np.cumsum([0, *(len(fam.g) for fam in families)])
-    lam = np.empty(first[-1])
-    lam[first[lines.family] + lines.position] = lines.values
+    # residuals are bitwise the same.  The first rows of all stack rows are
+    # one run-length code of 3k entries each, so each block of
+    # RESIDUAL_BLOCK entries is one np.repeat and one matvec.
+    entries, counts = vectors.first_row_runs()
+    # the eigenvalue of each row comes from its line, which holds the exact zero
+    lam = np.empty(len(entries))
+    lam[vectors.line_row] = lines.values
     res = np.empty(len(lam))
     step = max(1, RESIDUAL_BLOCK // n)
     for lo in range(0, len(lam), step):
         hi = min(lo + step, len(lam))
-        run = slice(row_starts[lo], row_starts[hi])
-        x = np.repeat(entries[run], counts[run]).reshape(hi - lo, n).T
+        x = np.repeat(entries[lo:hi].ravel(), counts[lo:hi].ravel()).reshape(hi - lo, n).T
         r = matvec(tree, x)
         r -= lam[lo:hi] * x
         res[lo:hi] = np.max(np.abs(r, out=r), axis=0)
-    return EigenBasis(vectors, tuple(np.split(res, first[1:-1])))
+    return EigenBasis(vectors, res)

@@ -96,31 +96,25 @@ def level_sign_graphs(vectors: BlockVectors) -> SignGraphReport:
     negative, and |V| - 2 sum_j w_j [s_j != 0] zeros.  Every row of a run
     has its line's counts: the rows are congruent by a tree automorphism,
     or negated, which leaves the counts of a sibling difference alone.
+    Every row of the stack ``vectors.values`` is counted at once, in
+    columns of absolute level (zero above l0) weighted by
+    ``vectors.widths``.
     """
-    pops, lines = vectors.populations, vectors.lines
-    n = sum(pops)
-    pos, neg, zero = [], [], []
-    for fam in vectors.families:
-        l0, g = fam.level, fam.g
-        w = np.array(pops[l0:], dtype=np.int64) // pops[l0]
-        tol = ZERO_TOL * np.max(np.abs(g), axis=1, keepdims=True)
-        s = (g > tol).view(np.int8) - (g < -tol).view(np.int8)  # NaN gives 0
-        above = np.zeros_like(s)
-        above[:, 1:] = s[:, :-1]
-        up = ((s == 1) & (above != 1)) @ w
-        down = ((s == -1) & (above != -1)) @ w
-        support = (s != 0) @ w
-        if l0:
-            pos.append(up + down)
-            neg.append(up + down)
-            zero.append(n - 2 * support)
-        else:
-            pos.append(up)
-            neg.append(down)
-            zero.append(n - support)
-    first = np.cumsum([0, *(len(fam.g) for fam in vectors.families)])
-    pair = first[lines.family] + lines.position
-    return SignGraphReport(*(np.concatenate(counts)[pair] for counts in (pos, neg, zero)))
+    g, family = vectors.values, vectors.row_family
+    w = vectors.widths[family]
+    tol = ZERO_TOL * np.max(np.abs(g), axis=1, keepdims=True)
+    s = (g > tol).view(np.int8) - (g < -tol).view(np.int8)  # NaN gives 0
+    above = np.zeros_like(s)
+    above[:, 1:] = s[:, :-1]
+    up = np.sum(((s == 1) & (above != 1)) * w, axis=1)
+    down = np.sum(((s == -1) & (above != -1)) * w, axis=1)
+    support = np.sum((s != 0) * w, axis=1)
+    root = np.array(vectors.levels)[family] == 0
+    pos = np.where(root, up, up + down)
+    neg = np.where(root, down, up + down)
+    zero = sum(vectors.populations) - np.where(root, support, 2 * support)
+    rows = vectors.line_row
+    return SignGraphReport(pos[rows], neg[rows], zero[rows])
 
 
 def cluster_spectrum(values: np.ndarray, tol: float = 1e-8) -> list[tuple[int, int]]:

@@ -12,8 +12,11 @@ rank-certified constructed basis from its level values
 (``level_nodal_records``), with the oracle's values setting each row's
 position and cluster: the discrete nodal domain theorem (Davies, Gladwell,
 Leydold & Stadler 2001) bounds every vector of an eigenspace, so it holds
-for the constructed vectors as for any other.  ``oracle``, the eigenpair
-solve, serves the ``nodal`` command, which reports oracle eigenvectors.
+for the constructed vectors as for any other.  A glued tree's rows read
+the oracle's values only too: its fast spectrum against them, and the
+multiplicity lower bound of each side's deep levels.  ``oracle``, the
+eigenpair solve, serves the ``nodal`` command, which reports oracle
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -80,9 +83,7 @@ def check_eigenbasis(basis: EigenBasis) -> CheckResult:
     """Residual certificates plus full rank of the constructed basis."""
     # each (family, position)'s residual relative to its rows' largest
     # magnitude, which is that of its level values g_i
-    rel = float(np.max(np.concatenate(
-        [res / np.max(np.abs(fam.g), axis=1) for fam, res in zip(basis.vectors.families, basis.residuals)]
-    )))
+    rel = float(np.max(basis.residuals / np.max(np.abs(basis.vectors.values), axis=1)))
     ok = rel <= RESIDUAL_TOL and basis.full_rank(RANK_THRESHOLD)
     return CheckResult("eigenbasis_certificate", ok, rel)
 
@@ -124,9 +125,11 @@ def run_all_checks(
     """
     vals = dense_eigenvalues(oracle_tree(spec, oracle_cap))
     if isinstance(spec, GluedTreeSpec):
+        spectrum = glued_spectrum(spec)
         return [
-            check_spectrum_oracle("glued_spectrum_oracle", glued_spectrum(spec), vals, tol),
+            check_spectrum_oracle("glued_spectrum_oracle", spectrum, vals, tol),
             check_counting(spec.left, spec.right),
+            check_multiplicity_bound(spectrum, vals, tol),
         ]
     basis = full_eigenbasis(spec, basis_cap=oracle_cap)
     spectrum = basis.vectors.lines

@@ -18,10 +18,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stratree.decompose import level_spectra
-from stratree.eigen import trailing_eigenvalues
+from stratree.decompose import decompose_spectrum, full_eigenbasis, level_spectra
+from stratree.eigen import dense_eigenvalues, trailing_eigenvalues
 from stratree.glued import glued_stratified_matrix
-from stratree.tree import GluedTreeSpec, digits
+from stratree.laplacian import matvec
+from stratree.nodal import nodal_records
+from stratree.tree import GluedTreeSpec, digits, realize
+from stratree.verify import (
+    RANK_THRESHOLD,
+    RESIDUAL_TOL,
+    CheckResult,
+    check_counting,
+    check_multiplicity_bound,
+    check_spectrum_oracle,
+)
 
 
 def laplacian_of(parents):
@@ -57,16 +67,21 @@ def dense_rows(vectors):
     rows = []
     for f, i in zip(vectors.lines.family.tolist(), vectors.lines.position.tolist()):
         gaps, widths = vectors.layout(f)
-        values = vectors.block_values(f)[i].tolist()
-        for row_gaps in gaps.tolist():
-            row, at = np.zeros(n), 0
-            for gap, width, value in zip(row_gaps, widths.tolist(), values):
-                at += gap
-                row[at : at + width] = value
-                at += width
-            assert at + row_gaps[-1] == n
-            rows.append(row)
+        values = vectors.block_values(f)[i]
+        rows += [block_row(row_gaps, widths, values, n) for row_gaps in gaps]
     return np.array(rows)
+
+
+def block_row(gaps, widths, values, n):
+    """The length-n row of one ``RowLayout`` row ``gaps``: zeros of
+    ``gaps`` around blocks of ``widths`` columns of ``values``."""
+    row, at = np.zeros(n), 0
+    for gap, width, value in zip(gaps.tolist(), widths.tolist(), values.tolist()):
+        at += gap
+        row[at : at + width] = value
+        at += width
+    assert at + gaps[-1] == n
+    return row
 
 
 class RowFacts(NamedTuple):
@@ -82,9 +97,11 @@ def row_facts(basis):
     repeated over its run of rows."""
     lines = basis.vectors.lines
     keys, counts = list(zip(lines.family.tolist(), lines.position.tolist())), lines.multiplicity()
+    # the stack holds each family's rows in turn, one per position
+    first = np.cumsum([0, *(len(fam.g) for fam in basis.vectors.families)])
     values = np.repeat(lines.values, counts)
     levels = np.repeat(lines.origin_level, counts)
-    residuals = np.repeat([basis.residuals[f][i] for f, i in keys], counts)
+    residuals = np.repeat([basis.residuals[first[f] + i] for f, i in keys], counts)
     construction = ["stratified" if l == 0 else "antisym" for l in levels.tolist()]
     return RowFacts(values, levels, construction, residuals)
 
@@ -99,6 +116,33 @@ def qr_full_rank(rows, threshold):
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     pivots = np.abs(np.diagonal(np.linalg.qr(q.T, mode="r")))
     return len(pivots) == len(q) and bool(np.all(pivots > threshold))
+
+
+def written_out_verify_rows(spec):
+    """``verify``'s rows of a symmetric tree at the default tolerance, with
+    its eigenbasis written out by ``dense_rows``: each row's residual from
+    its own matvec, relative to the row's largest magnitude, the rank by
+    ``qr_full_rank`` and the sign graphs counted on the tree by
+    ``nodal_records``.  The spectrum, counting and multiplicity rows are
+    the library's checks on the same oracle values."""
+    tree = realize(spec)
+    vals = dense_eigenvalues(tree)
+    basis = full_eigenbasis(spec)
+    rows, facts = dense_rows(basis.vectors), row_facts(basis)
+    residuals = np.array([np.max(np.abs(matvec(tree, f) - lam * f)) for lam, f in zip(facts.values, rows)])
+    rel = float(np.max(residuals / np.max(np.abs(rows), axis=1)))
+    records = nodal_records(tree, vals, rows.T)
+    courant, zero_free = bool(np.all(records.passed)), bool(np.all(records.zero_free))
+    spectrum = decompose_spectrum(spec)
+    results = [
+        check_spectrum_oracle("spectrum_oracle", spectrum, vals),
+        check_counting(spec),
+        CheckResult("eigenbasis_certificate", rel <= RESIDUAL_TOL and qr_full_rank(rows, RANK_THRESHOLD), rel),
+        CheckResult("courant_bound", courant, 0.0 if courant else 1.0),
+        CheckResult("zero_free_equality", zero_free, 0.0 if zero_free else 1.0),
+        check_multiplicity_bound(spectrum, vals),
+    ]
+    return [{"check": r.name, "pass": r.passed, "max_deviation": r.max_deviation} for r in results]
 
 
 def spectrum_rows(spec):

@@ -20,10 +20,18 @@ from hypothesis import strategies as st
 import stratree.cli as cli
 import stratree.eigen as eigen
 from stratree.cli import main
-from stratree.decompose import full_eigenbasis
+from stratree.decompose import BlockVectors, full_eigenbasis
 from stratree.tree import SymmetricTreeSpec
 
-from reference import columns_of, csv_document, dense_rows, json_document, row_facts, spectrum_rows
+from reference import (
+    columns_of,
+    csv_document,
+    dense_rows,
+    json_document,
+    row_facts,
+    spectrum_rows,
+    written_out_verify_rows,
+)
 
 
 def parse_csv(text):
@@ -556,6 +564,20 @@ class TestVerify:
         assert rows["courant_bound"] is True
         assert rows["spectrum_oracle"] is False and rows["multiplicity_lower_bound"] is False
 
+    @pytest.mark.parametrize("children", [[3, 2], [1, 1, 1, 1, 1], [9, 2], [4, 4, 3, 2, 2, 2], [2, 20, 3]])
+    def test_symmetric_rows_build_no_row_layout(self, capsys, monkeypatch, children):
+        # the residual product, the sign counts and the rank certificate
+        # read the stack of level values, never a family's layout, and the
+        # JSON is byte for byte that of the basis's rows written out
+        def refuse(self, family):
+            raise AssertionError("a row layout was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BlockVectors, "layout", refuse)
+            code, out = run(capsys, "verify", "--children", ",".join(map(str, children)))
+        assert code == 0
+        assert out == json_document(written_out_verify_rows(SymmetricTreeSpec(children)))
+
 
 class TestEigvecs:
     def test_star(self, capsys):
@@ -595,13 +617,14 @@ class TestEigvecs:
         )
         heads = ([-0.0, 0.0, x], [up, np.inf], [5e-324])
         residuals = ([0.0, 1e-17, np.nextafter(1e-17, 1.0)], [5e-324, 0.0], [-0.0])
-        families = tuple(fam._replace(g=np.array(g)) for fam, g in zip(basis.vectors.families, level_values))
+        stack = np.zeros((6, 3))
+        stack[:3], stack[3:5, 1:], stack[5:, 2:] = level_values
         lines = basis.vectors.lines
         values = np.array([heads[f][i] for f, i in zip(lines.family.tolist(), lines.position.tolist())])
         basis = dataclasses.replace(
             basis,
-            vectors=dataclasses.replace(basis.vectors, families=families, lines=lines._replace(values=values)),
-            residuals=tuple(np.array(r) for r in residuals),
+            vectors=dataclasses.replace(basis.vectors, values=stack, lines=lines._replace(values=values)),
+            residuals=np.concatenate(residuals),
         )
         monkeypatch.setattr(cli, "full_eigenbasis", lambda spec, basis_cap: basis)
         code, out = run(capsys, "eigvecs", "--children", "3,2", "--format", fmt)
@@ -614,17 +637,18 @@ class TestEigvecs:
 
     def test_basis_holds_no_row_table(self):
         # [3, 1, 4, 1, 3, 2, 4, 3]: one (family, position) entry per run of
-        # rows, K = sum of k - l0 over the 7 levels that give vectors, and
-        # one residual per (family, position): nothing in the basis, its
-        # vectors or its residuals has |V| rows
+        # rows, K = sum of k - l0 over the 7 levels that give vectors, one
+        # stack row of level values and one residual per (family,
+        # position): nothing in the basis, its vectors or its residuals
+        # has |V| rows
         spec = SymmetricTreeSpec([3, 1, 4, 1, 3, 2, 4, 3])
         basis = full_eigenbasis(spec)
         n = spec.vertex_count()
         held = list(held_sequences(basis))
         assert n == 1291 and len(basis.vectors.lines.values) == 33
         assert all(len(a) < n for a in held)
-        assert [len(r) for r in basis.residuals] == [len(fam.g) for fam in basis.vectors.families]
-        assert all(any(a is r for a in held) for r in basis.residuals)
+        assert len(basis.residuals) == len(basis.vectors.values) == 33
+        assert any(a is basis.residuals for a in held)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_writes_stdout_in_pieces_of_the_chunk_size(self, monkeypatch, fmt):

@@ -26,7 +26,7 @@ from stratree.laplacian import dense, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 from stratree.verify import check_eigenbasis
 
-from reference import dense_rows, qr_full_rank, row_facts
+from reference import block_row, dense_rows, qr_full_rank, row_facts
 from strategies import symmetric_specs
 
 SQRT2 = math.sqrt(2.0)
@@ -75,7 +75,7 @@ class TestLevelRecurrence:
     def test_root_level_out_of_range(self):
         t = level_matrix(SymmetricTreeSpec([2]))
         with pytest.raises(IndexError):
-            stratified_levels(t, 2)
+            stratified_levels(t, [2])
 
 
 class TestBalance:
@@ -114,7 +114,7 @@ class TestBalance:
         for l0 in range(spec.levels):
             r = recurrence(spec, l0)
             [vals] = trailing_eigenvalues(t, [l0])
-            gs = stratified_levels(t, l0)
+            gs = stratified_levels(t, [l0])[:, l0:]
             for lam, g in zip(vals, gs):
                 assert g[0] > 0
                 assert np.allclose(r @ g, lam * g, atol=1e-10)
@@ -312,17 +312,23 @@ def swap_subtrees(spec, l0, a, b):
     return perm
 
 
+def family_rows(t, levels, level):
+    """The rows of the family at ``level`` in ``stratified_levels(t, levels)``."""
+    levels = list(levels)
+    start = sum(t.m - l0 for l0 in levels[: levels.index(level)])
+    return slice(start, start + t.m - level)
+
+
 def vanishing_at(level):
-    """A stand-in for ``stratified_levels`` whose last vector is forced to
-    vanish at the subtree root of ``level``, so that it is no longer an
-    eigenvector."""
+    """A stand-in for ``stratified_levels`` whose last vector of the family
+    at ``level`` is forced to vanish at its subtree root, so that it is no
+    longer an eigenvector."""
     solve = decompose.stratified_levels
 
-    def solved(t, root_level):
-        g = solve(t, root_level)
-        if root_level == level:
-            g[-1, 0] = 0.0
-        return g
+    def solved(t, levels):
+        values = solve(t, levels)
+        values[family_rows(t, levels, level).stop - 1, level] = 0.0
+        return values
 
     return solved
 
@@ -466,11 +472,10 @@ class TestAntisymLift:
         # the sibling block holds 0.0 - g, never -g, so a zero stays +0.0
         solve = decompose.stratified_levels
 
-        def zero_at_level_two(t, root_level):
-            g = solve(t, root_level)
-            if root_level == 1:
-                g[:, 1] = 0.0
-            return g
+        def zero_at_level_two(t, levels):
+            values = solve(t, levels)
+            values[family_rows(t, levels, 1), 2] = 0.0
+            return values
 
         monkeypatch.setattr(decompose, "stratified_levels", zero_at_level_two)
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
@@ -583,18 +588,25 @@ class TestFullEigenbasis:
     def test_each_family_layout_expands_to_the_level_block_rows(self, children):
         # a path (one family, its root level's m blocks), a wide root, and
         # interleaved families with many parents each: every row of a run
-        # of (family, i), from the family's one layout expanded by the
-        # residual product's run-length code, is bitwise the vector built
-        # block by block from the same level values
+        # of (family, i), written block by block from the family's one
+        # layout, and the first row that the residual product multiplies,
+        # expanded from the stack's run-length code, are bitwise the
+        # vectors built one at a time from the same level values
         spec = SymmetricTreeSpec(children)
+        n = spec.vertex_count()
         vectors = full_eigenbasis(spec).vectors
+        entries, counts = vectors.first_row_runs()
+        assert entries.shape == counts.shape == (len(vectors.values), 3 * spec.levels)
         for f, fam in enumerate(vectors.families):
             gaps, widths = vectors.layout(f)
             assert gaps.shape == (vectors_per_value(spec.populations(), fam.level), len(widths) + 1)
             for i, g in enumerate(fam.g):
-                values = vectors.block_values(f)[i : i + 1]
-                rows = [np.repeat(*decompose._row_runs(row, widths, values)) for row in gaps]
-                assert np.array(rows).tobytes() == np.array(level_block_rows(spec, fam.level, g)).tobytes()
+                expected = np.array(level_block_rows(spec, fam.level, g))
+                values = vectors.block_values(f)[i]
+                rows = [block_row(row, widths, values, n) for row in gaps]
+                assert np.array(rows).tobytes() == expected.tobytes()
+                r = vectors.family_start[f] + i
+                assert np.repeat(entries[r], counts[r]).tobytes() == expected[0].tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symmetric_specs)
@@ -609,12 +621,28 @@ class TestFullEigenbasis:
         assert_residuals_per_vector(SymmetricTreeSpec(children))
 
     @pytest.mark.parametrize(
-        "children, nbytes", [([3, 1, 4, 1, 3, 2, 4, 3], 2216), ([4, 4, 3, 2, 2, 2], 1568), ([2] * 9, 3960)]
+        "children, nbytes", [([3, 1, 4, 1, 3, 2, 4, 3], 2904), ([4, 4, 3, 2, 2, 2], 2016), ([2] * 9, 5280)]
     )
     def test_nbytes(self, children, nbytes):
-        # the level values plus 16 bytes per line: the family and position
+        # the stack of level values, k columns for each (family, position),
+        # counted once, plus 16 bytes per line: the family and position
         # columns of its lines
         assert full_eigenbasis(SymmetricTreeSpec(children)).vectors.nbytes == nbytes
+
+    @pytest.mark.parametrize("children", [[1] * 6, [3, 1, 4, 1, 3, 2, 4, 3]])
+    def test_level_values_are_views_of_the_stack(self, children):
+        # one store for the level values: each family's g is its rows of
+        # the stack from its level's column on, and the stack is +0.0 above
+        # that column; on a path the one family is the whole (n, n) stack
+        spec = SymmetricTreeSpec(children)
+        vectors = full_eigenbasis(spec).vectors
+        k, start = spec.levels, vectors.family_start
+        assert vectors.values.shape == (sum(k - l0 for l0 in vectors.levels), k)
+        for f, fam in enumerate(vectors.families):
+            assert np.shares_memory(fam.g, vectors.values)
+            assert fam.g.tobytes() == vectors.values[start[f] : start[f + 1], fam.level :].tobytes()
+            above = vectors.values[start[f] : start[f + 1], : fam.level]
+            assert not np.any(above) and not np.signbit(above).any()
 
     def test_peak_memory_is_one_basis(self):
         # no n x n array: the basis is its level values and one line per
@@ -650,10 +678,10 @@ class TestFullEigenbasis:
         # block of every line give the same bits
         spec = SymmetricTreeSpec(children)
         n = spec.vertex_count()
-        expected = np.concatenate(full_eigenbasis(spec).residuals).tobytes()
+        expected = full_eigenbasis(spec).residuals.tobytes()
         for entries in (1, 3 * n, 10**9):
             monkeypatch.setattr(decompose, "RESIDUAL_BLOCK", entries)
-            assert np.concatenate(full_eigenbasis(spec).residuals).tobytes() == expected
+            assert full_eigenbasis(spec).residuals.tobytes() == expected
 
     def test_stratified_vectors_exactly_constant_per_level(self):
         spec = SymmetricTreeSpec([2, 3, 2])
@@ -711,7 +739,7 @@ def eigenbasis_by_vector(spec):
     for _, l0, _, vals in level_spectra(spec):
         if l0 == 0:
             vals[0] = 0.0  # the Laplacian's zero, which LAPACK returns as +-1e-16
-        for lam, g in zip(vals.tolist(), stratified_levels(t, l0)):
+        for lam, g in zip(vals.tolist(), stratified_levels(t, [l0])[:, l0:]):
             entries += [(lam, l0, f) for f in level_block_rows(spec, l0, g)]
     entries.sort(key=lambda e: (e[0], e[1]))
     return entries
@@ -723,10 +751,13 @@ def with_vectors(basis, **fields):
 
 
 def with_g(basis, f, g):
-    """``basis`` with the level values of family f replaced by ``g``."""
-    families = list(basis.vectors.families)
-    families[f] = families[f]._replace(g=g)
-    return with_vectors(basis, families=tuple(families))
+    """``basis`` with the level values of family f replaced by ``g``, in a
+    copy of its stack."""
+    vectors = basis.vectors
+    values = vectors.values.copy()
+    start = vectors.family_start
+    values[start[f] : start[f + 1], vectors.levels[f] :] = g
+    return with_vectors(basis, values=values)
 
 
 def both_ranks(basis, threshold=1e-8):
@@ -792,11 +823,12 @@ class TestFullRank:
         # family and both its positions in the lines: each (family, i) once
         # and runs that hold |V| rows, the level-1 rows twice
         basis = full_eigenbasis(SymmetricTreeSpec([2, 2]))
-        families, lines = basis.vectors.families, basis.vectors.lines
+        values, start, lines = basis.vectors.values, basis.vectors.family_start, basis.vectors.lines
         lines = lines._replace(
             family=np.append(lines.family, 2), position=np.append(lines.position, 1), multiplicities=(1, 1, 1)
         )
-        broken = with_vectors(basis, families=(*families[:2], families[1]), lines=lines)
+        stack = np.vstack((values[: start[2]], values[start[1] : start[2]]))
+        broken = with_vectors(basis, levels=(0, 1, 1), values=stack, lines=lines)
         assert both_ranks(broken) == (False, False)
 
     def test_multiplicity_its_family_does_not_give(self):
@@ -806,7 +838,9 @@ class TestFullRank:
         lines = basis.vectors.lines
         keep = lines.family < 2
         lines = lines._replace(family=lines.family[keep], position=lines.position[keep], multiplicities=(1, 2))
-        broken = with_vectors(basis, families=basis.vectors.families[:2], lines=lines)
+        broken = with_vectors(
+            basis, levels=(0, 1), values=basis.vectors.values[: basis.vectors.family_start[2]], lines=lines
+        )
         assert broken.n == 7 and len(dense_rows(broken.vectors)) == 5
         assert not broken.full_rank()
 

@@ -15,7 +15,7 @@ SYMMETRIC_ROWS = [
     "zero_free_equality",
     "multiplicity_lower_bound",
 ]
-GLUED_ROWS = ["glued_spectrum_oracle", "counting_identity"]
+GLUED_ROWS = ["glued_spectrum_oracle", "counting_identity", "multiplicity_lower_bound"]
 
 SYMMETRIC = SymmetricTreeSpec([3, 2])
 GLUED = GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3]))
