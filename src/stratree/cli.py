@@ -191,11 +191,18 @@ def _spell(values) -> list[str]:
     strings), as ``json.dumps`` writes it: 0.0 and -0.0 apart, NaN and
     Infinity its way, every digit of an int.
 
-    One call of the C encoder spells them all, and its text splits on
-    ", " into one cell per value.  When it does not (a string holds ", ",
-    or an int is too long for the encoder's ``str``), the values are
-    spelled one by one, such ints by ``digits``.
+    When every value is an exact ``int`` (no bool), each distinct one is
+    spelled once, by ``digits``, and looked up for each entry: a spectrum's
+    integer columns take at most k distinct values over k²/2 lines.
+    Otherwise one call of the C encoder spells them all, and its text
+    splits on ", " into one cell per value.  When it does not (a string
+    holds ", ", or an int is too long for the encoder's ``str``), the
+    values are spelled one by one, such ints by ``digits``.  Floats are
+    never looked up: 0.0 and -0.0 are one key of a dict.
     """
+    if values and type(values[0]) is int and set(map(type, values)) == {int}:
+        text = {v: digits(v) for v in dict.fromkeys(values)}
+        return list(map(text.__getitem__, values))
     try:
         cells = json.dumps(values)[1:-1].split(", ")
         if len(cells) == len(values):
@@ -212,13 +219,24 @@ def _json_columns(columns: dict[str, list]) -> str:
     newline.
 
     Python's encoder runs its pure-Python code whenever an indent is set;
-    here each column is spelled by one ``_spell`` call, and each row fills
-    one template built from the names.
+    here each column is spelled by one ``_spell`` call, and the document
+    is one join of a list that holds, for each row and column, the fixed
+    text before the cell (the key, and before a row's first key the close
+    of the row above) and then the cell.  The fixed texts of a row are
+    repeated for every row, and each column's cells slice-assigned between
+    them.
     """
-    keys = [json.dumps(k).replace("%", "%%") for k in columns]
-    template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-    cells = zip(*[_spell(column) for column in columns.values()])
-    return "[\n" + ",\n".join([template % row for row in cells]) + "\n]\n"
+    keys = [json.dumps(k) for k in columns]
+    spelled = [_spell(column) for column in columns.values()]
+    fixed = [f",\n    {key}: " for key in keys]
+    fixed[0] = f"\n  }},\n  {{\n    {keys[0]}: "
+    step = 2 * len(keys)
+    parts = [text for before in fixed for text in (before, "")] * len(spelled[0])
+    for j, cells in enumerate(spelled):
+        parts[2 * j + 1 :: step] = cells
+    parts[0] = f"[\n  {{\n    {keys[0]}: "
+    parts.append("\n  }\n]\n")
+    return "".join(parts)
 
 
 _WRITERS = {"json": _json_columns, "csv": _csv_columns}

@@ -127,14 +127,18 @@ def stratified_levels(t: TriDiag, levels) -> np.ndarray:
     the running product of the slice's off-diagonals sqrt(c); each is signed
     so that its root value is positive.  A root value that rounds to zero
     (an eigenvector concentrated deep in a long path) keeps LAPACK's sign;
-    it is still an eigenvector.  They come from ``eigh`` of each densified
-    slice, whose values are dropped for ``level_spectra``'s, and are written
-    scaled into the stack; a slice too large to densify is a
-    ``CapacityError``.  The stack is taken from ``np.empty``: on a path its
-    one family is as large as the tree.
+    it is still an eigenvector.  ``t`` is densified once, and they come from
+    ``eigh`` of each slice, the view of its trailing rows and columns,
+    whose values are dropped for ``level_spectra``'s; they are written
+    scaled into the stack.  A matrix too large to densify is a
+    ``CapacityError``, and a level outside its rows an ``IndexError``.  The
+    stack is taken from ``np.empty``: on a path its one family is as large
+    as the tree.
     """
     k = t.m
     levels = np.asarray(levels, dtype=np.int64)
+    if levels.size and not (0 <= levels.min() and levels.max() < k):
+        raise IndexError(f"levels {levels.min()}..{levels.max()} out of range for {k} rows")
     row_level = np.repeat(levels, k - levels)
     column = np.arange(k)
     # one row per family: the alternating sign over the running product of
@@ -146,9 +150,10 @@ def stratified_levels(t: TriDiag, levels) -> np.ndarray:
     values = np.empty((len(row_level), k))
     above = column < row_level[:, None]
     values[above] = 0.0
+    dense = t.to_dense()
     at = 0
     for l0, f in zip(levels.tolist(), factor):
-        w = np.linalg.eigh(t.trailing(l0).to_dense())[1]
+        w = np.linalg.eigh(dense[l0:, l0:])[1]
         np.multiply(w.T, f[l0:], out=values[at : at + k - l0, l0:])
         at += k - l0
     flip = values[np.arange(len(values)), row_level] < 0
@@ -312,14 +317,15 @@ class BlockVectors:
         row of ``layout(f)``, from the same ``widths`` and ``offsets``.
         Levels above l0 have W = 0, so they are zeros only.
         """
-        v, family = self.values, self.row_family
-        a = self.widths[family]
-        b = a * (np.array(self.levels)[family] > 0)[:, None]
-        counts = np.stack((a, b, np.diff(self.offsets) - a - b), axis=-1)
+        v, a = self.values, self.widths
+        b = a * (np.array(self.levels) > 0)[:, None]
+        # the counts depend on the family only: one row of 3k per family,
+        # gathered for its rows
+        counts = np.stack((a, b, np.diff(self.offsets) - a - b), axis=-1).reshape(len(a), -1)
         entries = np.zeros((*v.shape, 3))
         entries[..., 0] = v
         np.subtract(0.0, v, out=entries[..., 1])
-        return entries.reshape(len(v), -1), counts.reshape(len(v), -1)
+        return entries.reshape(len(v), -1), counts[self.row_family]
 
     def layout(self, family: int) -> RowLayout:
         """The ``RowLayout`` of every row of a run of ``family``, from one

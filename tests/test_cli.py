@@ -896,6 +896,23 @@ class TestJsonRows:
             "0.0", "-0.0", "NaN", "true", "null", '"a, b"', "18446744073709551616",
         ]
 
+    def test_repeated_int_past_the_str_limit(self):
+        # an all-int column spells each distinct value once, by digits
+        big = 10**5000 + 7
+        assert cli._spell([big, 3, big, -3, 3]) == [str(Decimal(big)), "3", str(Decimal(big)), "-3", "3"]
+        rows = [{"count": big}, {"count": big}]
+        assert cli._json_columns(columns_of(rows)) == (
+            '[\n  {\n    "count": %s\n  },\n  {\n    "count": %s\n  }\n]\n' % (Decimal(big), Decimal(big))
+        )
+
+    def test_equal_values_of_other_types_keep_their_spelling(self):
+        # 1, True and 1.0 are one key of a dict, so such a column is not
+        # spelled by distinct value
+        column = [1, True, 1.0, 1, True, 1.0]
+        assert cli._spell(column) == ["1", "true", "1.0"] * 2
+        rows = [{"mixed": v} for v in column]
+        assert cli._json_columns(columns_of(rows)) == json.dumps(rows, indent=2) + "\n"
+
 
 class TestCsvRows:
     """The CSV twin of ``TestJsonRows``: the column writer against
@@ -929,8 +946,9 @@ class TestCsvRows:
         {"children": []},
         {"left": [2, 2], "right": [2, 2]},  # exact value ties across the two sides
         {"left": [2, 2], "right": [3]},
+        {"children": [2] * 199},  # 20,100 lines, each int column of 200 distinct values at most
     ],
-    ids=["huge_multiplicities", "forty_ones_10", "empty", "glued_ties", "glued"],
+    ids=["huge_multiplicities", "forty_ones_10", "empty", "glued_ties", "glued", "binary_199"],
 )
 def test_spectrum_matches_the_row_path(capsys, tmp_path, doc, fmt):
     path = tmp_path / "spec.json"
