@@ -9,11 +9,12 @@ from .decompose import (
     expanded_spectrum,
     full_eigenbasis,
     level_matrix,
+    level_vectors,
 )
-from .eigen import TriDiag, dense_eigen, dense_eigenvalues, sturm_count, trailing_eigenvalues
-from .glued import glued_spectrum, glued_stratified_matrix
+from .eigen import TriDiag, dense_eigenvalues, sturm_count, trailing_eigenvalues
+from .glued import GluedVectors, glued_spectrum, glued_stratified_matrix, glued_vectors
 from .laplacian import degrees, matvec, write_matrix_market
-from .nodal import SignGraphReport, count_sign_graphs, level_nodal_records, level_sign_graphs, nodal_records
+from .nodal import SignGraphReport, count_sign_graphs, level_nodal_records, level_sign_graphs
 from .tree import (
     CapacityError,
     GluedTreeSpec,
@@ -30,6 +31,7 @@ __all__ = [
     "CapacityError",
     "EigenBasis",
     "GluedTreeSpec",
+    "GluedVectors",
     "InvalidSpecError",
     "RootedTree",
     "SignGraphReport",
@@ -40,17 +42,17 @@ __all__ = [
     "counting_identity",
     "decompose_spectrum",
     "degrees",
-    "dense_eigen",
     "dense_eigenvalues",
     "expanded_spectrum",
     "full_eigenbasis",
     "glued_spectrum",
     "glued_stratified_matrix",
+    "glued_vectors",
     "level_matrix",
     "level_nodal_records",
     "level_sign_graphs",
+    "level_vectors",
     "matvec",
-    "nodal_records",
     "realize",
     "realize_glued",
     "sturm_count",

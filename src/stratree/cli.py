@@ -1,5 +1,8 @@
 """Command-line front end: spectrum, eigvecs, nodal, verify and bench.
 
+``nodal`` and ``verify`` solve the dense oracle for eigenvalues only and
+judge the constructed eigenbasis, counted from its level values.
+
 Specs come either inline (``--children 3,2``) or from a JSON file holding
 exactly ``{"children": [...]}`` for a symmetric tree or ``{"left": [...],
 "right": [...]}`` for a glued one.  Exit codes: 0 success, 1 verification
@@ -26,11 +29,11 @@ from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis
+from .decompose import DEFAULT_BASIS_CAP, EigenBasis, decompose_spectrum, full_eigenbasis, level_vectors
 from .eigen import SOLVE_CAP, dense_eigenvalues
-from .glued import glued_spectrum
+from .glued import glued_spectrum, glued_vectors
 from .laplacian import write_matrix_market
-from .nodal import nodal_records
+from .nodal import level_nodal_records
 from .tree import (
     CapacityError,
     GluedTreeSpec,
@@ -39,7 +42,7 @@ from .tree import (
     digits,
     realize,
 )
-from .verify import DEFAULT_ORACLE_CAP, SPECTRUM_TOL, oracle, oracle_tree, run_all_checks
+from .verify import DEFAULT_ORACLE_CAP, SPECTRUM_TOL, oracle_tree, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -363,8 +366,10 @@ def cmd_eigvecs(config: RunConfig) -> int:
 
 
 def cmd_nodal(config: RunConfig) -> int:
-    tree, vals, vecs = oracle(config.spec, config.oracle_cap)
-    records = nodal_records(tree, vals, vecs, cluster_tol=config.tol)
+    vals = dense_eigenvalues(oracle_tree(config.spec, config.oracle_cap))
+    glued = isinstance(config.spec, GluedTreeSpec)
+    vectors = glued_vectors(config.spec) if glued else level_vectors(config.spec)
+    records = level_nodal_records(vals, vectors, cluster_tol=config.tol)
     fields = {"lambda": "value", "position": "position", "multiplicity": "multiplicity",
               "sign_graphs": "sign_graphs", "bound": "bound", "pass": "passed"}
     columns = {name: getattr(records, attr).tolist() for name, attr in fields.items()}

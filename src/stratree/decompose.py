@@ -446,6 +446,17 @@ class EigenBasis:
         return True
 
 
+def level_vectors(spec: SymmetricTreeSpec, parts: list | None = None) -> BlockVectors:
+    """The ``BlockVectors`` of the families of ``parts``, ``level_spectra``'s
+    parts of ``spec`` (all of them by default): their level values from
+    ``stratified_levels`` and their lines from ``spectrum_from_parts``.
+    Nothing of |V| rows is built, and no residual is taken."""
+    parts = level_spectra(spec) if parts is None else parts
+    levels = tuple(l0 for _, l0, _, _ in parts)
+    values = stratified_levels(level_matrix(spec), levels)
+    return BlockVectors(tuple(spec.populations()), levels, values, spectrum_from_parts(parts))
+
+
 def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP) -> EigenBasis:
     """All |V| eigenpairs of the full Laplacian, residual-certified.
 
@@ -455,9 +466,9 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     the Dirichlet eigenfunction g[i] on the subtree of p's first child
     minus its copy on the subtree of p's child s.  The basis is held as
     those level values and ``decompose_spectrum``'s lines, bit for bit, one
-    per run of rows: only g comes from ``stratified_levels``.  Each line
-    has one residual, the largest entry of |L v - lambda v| on the run's
-    first row v.  Those rows are built only for that n x lines product, in
+    per run of rows (``level_vectors``).  Each line has one residual, the
+    largest entry of |L v - lambda v| on the run's first row v.  Those rows
+    are built only for that n x lines product, in
     blocks of at most ``RESIDUAL_BLOCK`` entries (at least one line each),
     so the certificate holds O(max(|V|, RESIDUAL_BLOCK)) numbers at a time;
     the basis holds no array of |V| rows.  The families sit at distinct
@@ -468,10 +479,8 @@ def full_eigenbasis(spec: SymmetricTreeSpec, basis_cap: int = DEFAULT_BASIS_CAP)
     n = spec.vertex_count()
     if n > basis_cap:
         raise CapacityError(f"basis of size {count_text(n)} exceeds the cap of {basis_cap}")
-    parts = level_spectra(spec)
-    levels = tuple(l0 for _, l0, _, _ in parts)
-    lines = spectrum_from_parts(parts)
-    vectors = BlockVectors(tuple(spec.populations()), levels, stratified_levels(level_matrix(spec), levels), lines)
+    vectors = level_vectors(spec)
+    lines = vectors.lines
     tree = realize(spec)
     # One residual per line, taken on the first row of its run: the others
     # hold the same level values on congruent subtrees (every vertex of a

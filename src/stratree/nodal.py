@@ -1,32 +1,31 @@
 """Sign graphs (strong nodal domains) of functions on trees, and the two
-nodal statements checked on computed eigenpairs: the discrete Courant
-bound and the tree equality for zero-free eigenvectors, both carried as
-columns of ``NodalRecords``, one entry per eigenpair.
+nodal statements checked on the constructed eigenbasis: the discrete
+Courant bound and the tree equality for zero-free eigenvectors, both
+carried as columns of ``NodalRecords``, one entry per eigenvector.
 
 A positive (negative) sign graph is a maximal connected subgraph on which
 the function is strictly positive (negative).  On trees the induced
 subgraph on any vertex subset is a forest, so its component count is just
-vertices minus same-sign edges.  The counts come from one of two sources,
-judged by one verdict code: ``count_sign_graphs`` on vectors written out
-on the tree (the dense oracle's, for ``nodal_records``), or
-``level_sign_graphs`` on an eigenbasis held as its level values (the
-constructed basis, for ``level_nodal_records``).
+vertices minus same-sign edges.  ``count_sign_graphs`` counts vectors
+written out on a tree; ``level_sign_graphs`` counts an eigenbasis held as
+its level values, a symmetric tree's or a glued one's, in exact integers
+with no row written out, and ``level_nodal_records`` judges those counts.
+The tests check the second against the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .decompose import BlockVectors
+from .glued import GluedVectors
 from .tree import RootedTree
 
-if TYPE_CHECKING:
-    from .decompose import BlockVectors
-
-# An entry of a floating eigenvector at most this fraction of the vector's
-# largest magnitude counts as zero, for oracle vectors and level values alike.
+# A level value at most this fraction of its vector's largest magnitude
+# counts as zero.
 ZERO_TOL = 1e-9
 
 
@@ -52,9 +51,7 @@ def count_sign_graphs(
     (n, m) array, all counted in one pass; the counts are then arrays of
     length m.  ``zero_tol`` is an absolute threshold below which entries
     count as zero, one for all columns or one per column.  The default 0.0
-    uses the exact float sign, appropriate for vectors built by
-    copy/difference of transported values; oracle eigenvectors should pass
-    ``oracle_zero_tol(f)`` instead.
+    uses the exact float sign.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[0] != tree.n:
@@ -73,47 +70,72 @@ def count_sign_graphs(
     return SignGraphReport(pos, neg, zero)
 
 
-def oracle_zero_tol(f: np.ndarray) -> float | np.ndarray:
-    """Zero threshold for floating eigenvectors from the dense oracle, one
-    per column of an (n, m) array.  max|f| is taken as max(max f, -min f),
-    which is exact and allocates no array the size of ``f``."""
-    return ZERO_TOL * np.maximum(np.max(f, axis=0), -np.min(f, axis=0))
+def _chain_counts(g: np.ndarray, w: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The positive and the negative sign graphs and the nonzero vertices
+    of each row of ``g``, a function constant on the levels of one subtree:
+    row i holds its values from the subtree's root level (column 0) down,
+    level j has ``w[..., j]`` vertices, each below one of level j - 1, and a
+    value of at most ``ZERO_TOL`` * ``top[i]`` in magnitude counts as zero.
 
-
-def level_sign_graphs(vectors: BlockVectors) -> SignGraphReport:
-    """Counts of every row of an eigenbasis held as level values, one
-    entry per line of ``vectors.lines``, as exact integers from O(k) work
-    per line: no row is written out.
-
-    Row i of a family at level l0 takes its sign s_j on each level j of the
-    family, with |g_ij| <= ``ZERO_TOL`` * max_j |g_ij| as 0.  On one
-    subtree, where level j has w_j = n(l0+j)/n(l0) vertices each below one
-    of level j-1, a sign graph starts at each vertex of level j with
-    s_j != 0 and s_j != s_{j-1} (s_{-1} = 0).  A root-family row is that
-    subtree, the whole tree.  A sibling difference is the subtree's values
-    minus their copy on a disjoint subtree, both cut off by their zero
-    parent, so it has twice the subtree's sign graphs, as many positive as
-    negative, and |V| - 2 sum_j w_j [s_j != 0] zeros.  Every row of a run
-    has its line's counts: the rows are congruent by a tree automorphism,
-    or negated, which leaves the counts of a sibling difference alone.
-    Every row of the stack ``vectors.values`` is counted at once, in
-    columns of absolute level (zero above l0) weighted by
-    ``vectors.widths``.
+    With s_j the sign of level j (s_{-1} = 0), a sign graph starts at each
+    vertex of level j with s_j != 0 and s_j != s_{j-1}.
     """
-    g, family = vectors.values, vectors.row_family
-    w = vectors.widths[family]
-    tol = ZERO_TOL * np.max(np.abs(g), axis=1, keepdims=True)
+    tol = ZERO_TOL * top
     s = (g > tol).view(np.int8) - (g < -tol).view(np.int8)  # NaN gives 0
     above = np.zeros_like(s)
     above[:, 1:] = s[:, :-1]
     up = np.sum(((s == 1) & (above != 1)) * w, axis=1)
     down = np.sum(((s == -1) & (above != -1)) * w, axis=1)
-    support = np.sum((s != 0) * w, axis=1)
+    return up, down, np.sum((s != 0) * w, axis=1)
+
+
+def _stack_counts(vectors: BlockVectors, n: int) -> tuple[np.ndarray, ...]:
+    """Positive and negative sign graphs and zeros of every stack row of
+    ``vectors``, as vectors on a tree of ``n`` vertices that vanish off
+    their own tree, each row's threshold relative to its largest |g|.
+
+    A root-family row is one subtree, the whole tree.  A sibling difference
+    is the subtree's values minus their copy on a disjoint subtree, both
+    cut off by their zero parent, so it has twice the subtree's sign graphs,
+    as many positive as negative, and n - 2 sum_j w_j [s_j != 0] zeros.
+    Rows are counted in columns of absolute level (zero above l0) weighted
+    by ``vectors.widths``.
+    """
+    g, family = vectors.values, vectors.row_family
+    up, down, support = _chain_counts(g, vectors.widths[family], np.max(np.abs(g), axis=1, keepdims=True))
     root = np.array(vectors.levels)[family] == 0
-    pos = np.where(root, up, up + down)
-    neg = np.where(root, down, up + down)
-    zero = sum(vectors.populations) - np.where(root, support, 2 * support)
-    rows = vectors.line_row
+    return np.where(root, up, up + down), np.where(root, down, up + down), n - np.where(root, support, 2 * support)
+
+
+def level_sign_graphs(vectors: BlockVectors | GluedVectors) -> SignGraphReport:
+    """Counts of every row of an eigenbasis held as level values, one
+    entry per line of ``vectors.lines``, as exact integers from O(k) work
+    per line: no row is written out.
+
+    Every row of a run has its line's counts: the rows are congruent by a
+    tree automorphism, or negated, which leaves the counts of a sibling
+    difference alone.  On a glued tree a side's deep row is counted on its
+    side, whose zeros grow by the other side's vertices.  A stratified row
+    is its left and its right chain from the shared root, each counted as
+    a root-family row at one threshold relative to its largest |g| on both,
+    less the root's sign graph and zero, which both chains count.
+    """
+    if isinstance(vectors, BlockVectors):
+        pos, neg, zero = _stack_counts(vectors, sum(vectors.populations))
+        rows = vectors.line_row
+        return SignGraphReport(pos[rows], neg[rows], zero[rows])
+    (left, right), pops = vectors.chains, vectors.populations
+    n = int(pops[0].sum() + pops[1].sum()) - 1
+    top = np.maximum(np.max(np.abs(left), axis=1), np.max(np.abs(right), axis=1))[:, None]
+    (lu, ld, ls), (ru, rd, rs) = (_chain_counts(g, w, top) for g, w in zip(vectors.chains, pops))
+    tol = ZERO_TOL * top[:, 0]
+    plus, minus = left[:, 0] > tol, left[:, 0] < -tol
+    counts = [_stack_counts(side, n) for side in vectors.sides if side]
+    counts.append((lu + ru - plus, ld + rd - minus, n - (ls + rs - (plus | minus))))
+    pos, neg, zero = (np.concatenate(column) for column in zip(*counts))
+    lines = vectors.lines
+    sizes = np.bincount(lines.family)
+    rows = (np.cumsum(sizes) - sizes)[lines.family] + lines.position
     return SignGraphReport(pos[rows], neg[rows], zero[rows])
 
 
@@ -151,20 +173,8 @@ class NodalRecords(NamedTuple):
     zero_free: np.ndarray
 
 
-def nodal_records(
-    tree: RootedTree, values: np.ndarray, vectors: np.ndarray, cluster_tol: float = 1e-8
-) -> NodalRecords:
-    """Both verdicts on every eigenpair, from one sign-graph count of all
-    eigenvectors at the oracle threshold.
-
-    ``vectors`` holds eigenvectors as columns, matching sorted ``values``.
-    """
-    rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
-    return _judge(values, rep.total, rep.zero_count, cluster_tol)
-
-
 def level_nodal_records(
-    values: np.ndarray, vectors: BlockVectors, cluster_tol: float = 1e-8
+    values: np.ndarray, vectors: BlockVectors | GluedVectors, cluster_tol: float = 1e-8
 ) -> NodalRecords:
     """Both verdicts on every row of an eigenbasis held as level values,
     from ``level_sign_graphs``.

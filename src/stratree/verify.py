@@ -5,18 +5,16 @@ tridiagonal decomposition versus a dense eigensolve of the Laplacian
 written out from the tree's parent array, the constructed eigenbasis
 versus its residuals and rank, and the nodal-domain theorems versus sign
 counts on the constructed eigenbasis.  The oracle is solved once per spec,
-for eigenvalues only (``dense_eigenvalues``: no eigenvectors and no
-purification), and its values are handed to every check that needs them.
-A symmetric tree's nodal rows count the sign graphs of the residual- and
-rank-certified constructed basis from its level values
-(``level_nodal_records``), with the oracle's values setting each row's
-position and cluster: the discrete nodal domain theorem (Davies, Gladwell,
-Leydold & Stadler 2001) bounds every vector of an eigenspace, so it holds
-for the constructed vectors as for any other.  A glued tree's rows read
-the oracle's values only too: its fast spectrum against them, and the
-multiplicity lower bound of each side's deep levels.  ``oracle``, the
-eigenpair solve, serves the ``nodal`` command, which reports oracle
-eigenvectors.
+for eigenvalues only (``dense_eigenvalues``), and its values are handed to
+every check that needs them.  A symmetric tree's nodal rows count the sign
+graphs of the residual- and rank-certified constructed basis from its
+level values (``level_nodal_records``, which the ``nodal`` command runs
+too), with the oracle's values setting each row's position and cluster:
+the discrete nodal domain theorem (Davies, Gladwell, Leydold & Stadler
+2001) bounds every vector of an eigenspace, so it holds for the
+constructed vectors as for any other.  A glued tree's rows compare its
+fast spectrum with the oracle's values and hold each side's deep levels
+to the multiplicity lower bound.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import EigenBasis, Spectrum, counting_identity, expanded_spectrum, full_eigenbasis
-from .eigen import dense_eigen, dense_eigenvalues
+from .eigen import dense_eigenvalues
 from .glued import glued_spectrum
 from .nodal import level_nodal_records
 from .tree import CapacityError, GluedTreeSpec, RootedTree, SymmetricTreeSpec, count_text, realize
@@ -54,16 +52,6 @@ def oracle_tree(spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORAC
     if n > cap:
         raise CapacityError(f"|V|={count_text(n)} exceeds the oracle cap {cap}")
     return realize(spec)
-
-
-def oracle(
-    spec: SymmetricTreeSpec | GluedTreeSpec, cap: int = DEFAULT_ORACLE_CAP
-) -> tuple[RootedTree, np.ndarray, np.ndarray]:
-    """The realized tree and the dense eigenpairs of its Laplacian, under
-    ``oracle_tree``'s cap."""
-    tree = oracle_tree(spec, cap)
-    vals, vecs = dense_eigen(tree)
-    return tree, vals, vecs
 
 
 def check_spectrum_oracle(

@@ -22,7 +22,7 @@ from stratree.decompose import decompose_spectrum, full_eigenbasis, level_spectr
 from stratree.eigen import dense_eigenvalues, trailing_eigenvalues
 from stratree.glued import glued_stratified_matrix
 from stratree.laplacian import matvec
-from stratree.nodal import nodal_records
+from stratree.nodal import ZERO_TOL, NodalRecords, count_sign_graphs
 from stratree.tree import GluedTreeSpec, digits, realize
 from stratree.verify import (
     RANK_THRESHOLD,
@@ -72,6 +72,37 @@ def dense_rows(vectors):
     return np.array(rows)
 
 
+def glued_rows(spec, vectors):
+    """The rows of a ``GluedVectors`` as an n x n array on
+    ``realize_glued(spec)``, in line order, each line's run in turn: a
+    side's rows written block by block as ``dense_rows`` writes them and
+    placed on its side (the right side's non-root vertices follow the left
+    tree), and a stratified row's level values on each side's levels."""
+    n_left, n = spec.left.vertex_count(), spec.vertex_count()
+    # (side, family of that side's BlockVectors) of each glued family
+    families = [(s, f) for s, side in enumerate(vectors.sides) if side for f in range(len(side.levels))]
+    rows = []
+    for f, i in zip(vectors.lines.family.tolist(), vectors.lines.position.tolist()):
+        if f == len(families):
+            row = np.zeros(n)
+            row[:n_left] = np.repeat(vectors.chains[0][i], vectors.populations[0])
+            row[n_left:] = np.repeat(vectors.chains[1][i][1:], vectors.populations[1][1:])
+            rows.append(row)
+            continue
+        s, f = families[f]
+        side = vectors.sides[s]
+        gaps, widths = side.layout(f)
+        for row_gaps in gaps:
+            side_row = block_row(row_gaps, widths, side.block_values(f)[i], sum(side.populations))
+            row = np.zeros(n)
+            if s == 0:
+                row[:n_left] = side_row
+            else:
+                row[0], row[n_left:] = side_row[0], side_row[1:]
+            rows.append(row)
+    return np.array(rows)
+
+
 def block_row(gaps, widths, values, n):
     """The length-n row of one ``RowLayout`` row ``gaps``: zeros of
     ``gaps`` around blocks of ``widths`` columns of ``values``."""
@@ -118,12 +149,48 @@ def qr_full_rank(rows, threshold):
     return len(pivots) == len(q) and bool(np.all(pivots > threshold))
 
 
+def oracle_zero_tol(f):
+    """The zero threshold of each column of an (n, m) array of floating
+    eigenvectors written out on a tree: ``ZERO_TOL`` times its largest
+    magnitude, as ``level_sign_graphs`` takes it on level values."""
+    return ZERO_TOL * np.maximum(np.max(f, axis=0), -np.min(f, axis=0))
+
+
+def clusters_by_loop(values, tol):
+    """(start, size) runs of sorted ``values``, a run ending wherever the
+    next value is more than ``tol`` above it."""
+    clusters, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tol:
+            clusters.append((start, i - start))
+            start = i
+    return clusters
+
+
+def records_by_loop(tree, values, vectors, cluster_tol=1e-8):
+    """The ``NodalRecords`` of eigenvectors written out on ``tree`` as the
+    columns of ``vectors``, the r-th of eigenvalue ``values[r]``, each field
+    a tuple of Python values, built cluster by cluster and vector by
+    vector from ``count_sign_graphs`` at ``oracle_zero_tol``."""
+    rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
+    totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
+    records = []
+    for start, size in clusters_by_loop(values, cluster_tol):
+        bound = start + size  # (start+1) + size - 1
+        for i in range(start, start + size):
+            zero_free = zeros[i] > 0 or (size == 1 and totals[i] == start + 1)
+            records.append((
+                float(values[i]), start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound, zero_free
+            ))
+    return NodalRecords(*zip(*records))
+
+
 def written_out_verify_rows(spec):
     """``verify``'s rows of a symmetric tree at the default tolerance, with
     its eigenbasis written out by ``dense_rows``: each row's residual from
     its own matvec, relative to the row's largest magnitude, the rank by
     ``qr_full_rank`` and the sign graphs counted on the tree by
-    ``nodal_records``.  The spectrum, counting and multiplicity rows are
+    ``records_by_loop``.  The spectrum, counting and multiplicity rows are
     the library's checks on the same oracle values."""
     tree = realize(spec)
     vals = dense_eigenvalues(tree)
@@ -131,8 +198,8 @@ def written_out_verify_rows(spec):
     rows, facts = dense_rows(basis.vectors), row_facts(basis)
     residuals = np.array([np.max(np.abs(matvec(tree, f) - lam * f)) for lam, f in zip(facts.values, rows)])
     rel = float(np.max(residuals / np.max(np.abs(rows), axis=1)))
-    records = nodal_records(tree, vals, rows.T)
-    courant, zero_free = bool(np.all(records.passed)), bool(np.all(records.zero_free))
+    records = records_by_loop(tree, vals, rows.T)
+    courant, zero_free = all(records.passed), all(records.zero_free)
     spectrum = decompose_spectrum(spec)
     results = [
         check_spectrum_oracle("spectrum_oracle", spectrum, vals),

@@ -15,9 +15,10 @@ from stratree.decompose import (
     expanded_spectrum,
     full_eigenbasis,
 )
-from stratree.eigen import dense_eigen
-from stratree.glued import glued_spectrum
-from stratree.nodal import level_nodal_records, nodal_records
+from stratree.eigen import dense_eigenvalues
+from stratree.glued import glued_spectrum, glued_vectors
+from stratree.laplacian import dense
+from stratree.nodal import ZERO_TOL, count_sign_graphs, level_nodal_records
 from stratree.tree import (
     GluedTreeSpec,
     SymmetricTreeSpec,
@@ -44,12 +45,11 @@ def sweep_specs(max_len, max_child, max_vertices):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """k <= 5, c(i) <= 4, |V| <= 400: each spec with its oracle eigenpairs."""
+    """k <= 5, c(i) <= 4, |V| <= 400: each spec with its oracle eigenvalues."""
     out = []
     for spec in sweep_specs(4, 4, 400):
         tree = realize(spec)
-        vals, vecs = dense_eigen(tree)
-        out.append((spec, tree, vals, vecs))
+        out.append((spec, tree, dense_eigenvalues(tree)))
     return out
 
 
@@ -62,7 +62,7 @@ def report(name, passed, detail=""):
 def test_criterion_1_oracle_equivalence(sweep):
     t0 = time.perf_counter()
     worst = 0.0
-    for spec, _, vals, _ in sweep:
+    for spec, _, vals in sweep:
         fast = expanded_spectrum(decompose_spectrum(spec))
         worst = max(worst, float(np.max(np.abs(fast - vals))))
     elapsed = time.perf_counter() - t0
@@ -97,7 +97,7 @@ def test_criterion_3_star_closed_form():
 def test_criterion_4_eigenbasis_certificate(sweep):
     ok = True
     worst = 0.0
-    for spec, _, _, _ in sweep:
+    for spec, _, _ in sweep:
         basis = full_eigenbasis(spec)
         if basis.n != spec.vertex_count():
             ok = False
@@ -115,31 +115,58 @@ def test_criterion_4_eigenbasis_certificate(sweep):
 
 
 def test_criterion_5_nodal_bounds(sweep):
-    # on the oracle's eigenvectors, and on the constructed basis (counted
-    # from its level values at the oracle's eigenvalues), as verify judges it
-    bad = {"oracle": 0, "basis": 0}
-    checked = {"oracle": 0, "basis": 0}
-    for spec, tree, vals, vecs in sweep:
-        for source, records in (
-            ("oracle", nodal_records(tree, vals, vecs, cluster_tol=SPECTRUM_TOL)),
-            ("basis", level_nodal_records(vals, full_eigenbasis(spec).vectors, cluster_tol=SPECTRUM_TOL)),
-        ):
-            zero_free = records.zero_count == 0
-            checked[source] += len(records.passed) + int(np.count_nonzero(zero_free))
-            failed = np.count_nonzero(~records.passed) + np.count_nonzero(zero_free & ~records.zero_free)
-            bad[source] += int(failed)
+    # on the constructed basis, counted from its level values at the
+    # oracle's eigenvalues, as verify and nodal judge it
+    bad = checked = 0
+    for spec, _, vals in sweep:
+        records = level_nodal_records(vals, full_eigenbasis(spec).vectors, cluster_tol=SPECTRUM_TOL)
+        zero_free = records.zero_count == 0
+        checked += len(records.passed) + int(np.count_nonzero(zero_free))
+        bad += int(np.count_nonzero(~records.passed) + np.count_nonzero(zero_free & ~records.zero_free))
     report(
         "criterion-5 nodal bounds",
-        sum(bad.values()) == 0,
-        f"{len(sweep)} specs; oracle vectors: {checked['oracle']} checks, {bad['oracle']} failures;"
-        f" constructed basis: {checked['basis']} checks, {bad['basis']} failures",
+        bad == 0,
+        f"{len(sweep)} specs; constructed basis: {checked} checks, {bad} failures",
+    )
+
+
+def eigh_counts_on_simple_rows(spec, vectors):
+    """(rows checked, rows whose sign graphs or zeros differ) over the
+    simple eigenvalues of ``spec``'s Laplacian: the level counts of the
+    constructed basis against ``count_sign_graphs`` on LAPACK's own
+    eigenvectors, each at the level counts' threshold relative to its
+    largest magnitude.  A simple eigenvalue has one eigenvector up to sign,
+    so the two must agree."""
+    tree = realize(spec)
+    vals = dense_eigenvalues(tree)
+    records = level_nodal_records(vals, vectors, cluster_tol=SPECTRUM_TOL)
+    vecs = np.linalg.eigh(dense(tree))[1]
+    raw = count_sign_graphs(tree, vecs, ZERO_TOL * np.max(np.abs(vecs), axis=0))
+    simple = records.multiplicity == 1
+    differ = (raw.total != records.sign_graphs) | (raw.zero_count != records.zero_count)
+    return int(np.count_nonzero(simple)), int(np.count_nonzero(simple & differ))
+
+
+def test_criterion_5_simple_rows_match_lapack_vectors(sweep):
+    checked = bad = 0
+    glued = [GluedTreeSpec(left, right) for left in sweep_specs(2, 3, 20) for right in sweep_specs(2, 3, 20)]
+    for spec, vectors in [
+        *((spec, full_eigenbasis(spec).vectors) for spec, _, _ in sweep),
+        *((spec, glued_vectors(spec)) for spec in glued),
+    ]:
+        rows, differ = eigh_counts_on_simple_rows(spec, vectors)
+        checked, bad = checked + rows, bad + differ
+    report(
+        "criterion-5 simple rows match LAPACK's vectors",
+        bad == 0 and checked > 0,
+        f"{len(sweep)} symmetric and {len(glued)} glued specs; {checked} simple rows, {bad} differ",
     )
 
 
 def test_criterion_6_multiplicity_lower_bound(sweep):
     bad = 0
     checked = 0
-    for spec, _, vals, _ in sweep:
+    for spec, _, vals in sweep:
         pops = spec.populations()
         spectrum = decompose_spectrum(spec)
         for value, l0 in zip(spectrum.values.tolist(), spectrum.origin_level.tolist()):
@@ -163,8 +190,7 @@ def test_criterion_7_glued_equivalence():
                 continue
             pairs += 1
             fast = expanded_spectrum(glued_spectrum(gspec))
-            tree = realize_glued(gspec)
-            vals, _ = dense_eigen(tree)
+            vals = dense_eigenvalues(realize_glued(gspec))
             worst = max(worst, float(np.max(np.abs(fast - vals))))
     # star-gluing sanity: left=[a], right=[b] is the star on a+b leaves
     star_worst = 0.0

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -551,17 +552,18 @@ class TestVerify:
         assert code == 1
         rows = {r["check"]: r["pass"] for r in json.loads(out)}
         assert rows["zero_free_equality"] is False and rows["courant_bound"] is True
-        # at --tol 1e-15 a repeated eigenvalue of [3,3] splits.  nodal's
-        # Courant bound then fails on LAPACK's vectors of that eigenspace,
-        # while verify's holds on the constructed ones, whose sign graphs
-        # stay within the split clusters' bounds; verify still fails, on
-        # the rows that compare eigenvalues at that tolerance
+        # at --tol 1e-15 a repeated eigenvalue of [3,3] splits.  nodal and
+        # verify judge the same constructed vectors, whose sign graphs stay
+        # within the split clusters' bounds, so nodal passes as verify's
+        # Courant bound does; verify still fails, on the rows that compare
+        # eigenvalues at that tolerance
         code, out = run(capsys, "nodal", "--children", "3,3", "--tol", "1e-15")
-        assert not all(r["pass"] for r in json.loads(out))
+        nodal_passed = all(r["pass"] for r in json.loads(out))
+        assert code == 0 and nodal_passed
         code, out = run(capsys, "verify", "--children", "3,3", "--tol", "1e-15")
         assert code == 1
         rows = {r["check"]: r["pass"] for r in json.loads(out)}
-        assert rows["courant_bound"] is True
+        assert rows["courant_bound"] is nodal_passed
         assert rows["spectrum_oracle"] is False and rows["multiplicity_lower_bound"] is False
 
     @pytest.mark.parametrize("children", [[3, 2], [1, 1, 1, 1, 1], [9, 2], [4, 4, 3, 2, 2, 2], [2, 20, 3]])
@@ -777,6 +779,44 @@ class TestNodal:
             assert set(r) == {"lambda", "position", "multiplicity", "sign_graphs", "bound", "pass"}
             assert r["pass"]
 
+    def test_sign_graphs_of_the_constructed_basis(self, capsys):
+        # inside the repeated eigenvalues of [3,2] the rows are sibling
+        # differences, with two sign graphs each at lambda = 1
+        code, out = run(capsys, "nodal", "--children", "3,2")
+        assert code == 0
+        assert [r["sign_graphs"] for r in json.loads(out)] == [1, 2, 2, 2, 2, 2, 7, 6, 6, 10]
+
+    def test_debug_log_has_no_oracle_line(self, capsys, caplog, tmp_path):
+        # no eigenvector is purified, so nothing is tallied
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"left": [2, 2], "right": [3]}))
+        caplog.set_level(logging.DEBUG, logger="stratree")
+        assert main(["nodal", "--children", "4,4,3,2,2,2"]) == 0
+        assert main(["nodal", "--spec", str(path)]) == 0
+        assert not [r for r in caplog.records if "oracle:" in r.getMessage()]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", [{"children": [4, 4, 3, 2, 2, 2]}, {"left": [2, 2], "right": [3]}], ids=str)
+    def test_no_laplacian_eigenvectors(self, capsys, monkeypatch, tmp_path, spec):
+        # nodal counts the constructed basis from its level values: eigh
+        # may solve level slices and the glued recurrence, never a matrix
+        # with a row per vertex
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        n = cli._load_spec_file(str(path)).vertex_count()
+        eigh = np.linalg.eigh
+
+        def refuse_laplacian(a, *args, **kwargs):
+            if len(a) == n:
+                raise AssertionError("eigh of the Laplacian")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse_laplacian)
+        code, out = run(capsys, "nodal", "--spec", str(path))
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == n and all(r["pass"] for r in rows)
+
 
 class TestBench:
     def test_levels_expansion_skips_dense(self, capsys):
@@ -807,7 +847,6 @@ class TestBench:
             raise AssertionError("an eigenvector solve was called")
 
         monkeypatch.setattr(cli, "dense_eigenvalues", counted)
-        monkeypatch.setattr(cli, "oracle", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         code, out = run(capsys, "bench", "--children", "3,2")
         assert code == 0 and calls == [10]

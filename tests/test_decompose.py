@@ -21,7 +21,7 @@ from stratree.decompose import (
     stratified_levels,
     vectors_per_value,
 )
-from stratree.eigen import dense_eigen, sturm_count, trailing_eigenvalues
+from stratree.eigen import dense_eigenvalues, sturm_count, trailing_eigenvalues
 from stratree.laplacian import dense, matvec
 from stratree.tree import CapacityError, SymmetricTreeSpec, realize
 from stratree.verify import check_eigenbasis
@@ -33,9 +33,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def oracle_spectrum(spec):
-    tree = realize(spec)
-    vals, _ = dense_eigen(tree)
-    return vals
+    return dense_eigenvalues(realize(spec))
 
 
 def recurrence(spec, l0):

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratree.decompose import decompose_spectrum, full_eigenbasis
-from stratree.eigen import dense_eigen, dense_eigenvalues
+from stratree.decompose import decompose_spectrum, full_eigenbasis, level_vectors
+from stratree.eigen import dense_eigenvalues
+from stratree.glued import glued_vectors
 from stratree.nodal import (
     ZERO_TOL,
     cluster_spectrum,
     count_sign_graphs,
     level_nodal_records,
     level_sign_graphs,
-    nodal_records,
-    oracle_zero_tol,
 )
 from stratree.tree import GluedTreeSpec, SymmetricTreeSpec, realize
 
-from reference import dense_rows
+from reference import clusters_by_loop, dense_rows, glued_rows, laplacian_of, oracle_zero_tol, records_by_loop
 from strategies import trees
 
 
@@ -27,9 +26,26 @@ def tree_of(children):
 
 
 def oracle(children):
+    """The tree and LAPACK's eigenpairs of its Laplacian, as ``eigh``
+    gives them."""
     tree = tree_of(children)
-    vals, vecs = dense_eigen(tree)
+    vals, vecs = np.linalg.eigh(laplacian_of(tree.parents))
     return tree, vals, vecs
+
+
+def basis_records(spec, cluster_tol=1e-8):
+    """``level_nodal_records`` of the constructed basis of either spec kind
+    at the oracle's eigenvalues, as ``nodal`` takes them."""
+    vectors = glued_vectors(spec) if isinstance(spec, GluedTreeSpec) else level_vectors(spec)
+    return level_nodal_records(dense_eigenvalues(realize(spec)), vectors, cluster_tol=cluster_tol)
+
+
+def written_rows(spec):
+    """Every row of ``spec``'s constructed basis written out on its tree,
+    in the row order of ``basis_records``."""
+    if isinstance(spec, GluedTreeSpec):
+        return glued_rows(spec, glued_vectors(spec))
+    return dense_rows(level_vectors(spec))
 
 
 class TestCountSignGraphs:
@@ -167,15 +183,6 @@ class TestBatchedCounts:
             count_sign_graphs(tree_of([2]), np.ones(shape))
 
 
-def clusters_by_loop(values, tol):
-    clusters, start = [], 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            clusters.append((start, i - start))
-            start = i
-    return clusters
-
-
 class TestClusterSpectrum:
     def test_runs(self):
         vals = np.array([0.0, 1.0, 1.0 + 5e-9, 2.0])
@@ -198,65 +205,39 @@ class TestClusterSpectrum:
 
 class TestCourant:
     def test_constant_eigenfunction_bound_one(self):
-        tree, vals, vecs = oracle([2, 2])
-        records = nodal_records(tree, vals, vecs)
+        records = basis_records(SymmetricTreeSpec([2, 2]))
         assert records.position[0] == 1 and records.bound[0] == 1
         assert records.sign_graphs[0] == 1 and records.passed[0]
 
     def test_star_second_eigenpair(self):
-        tree = tree_of([2])
-        vals = np.array([0.0, 1.0, 3.0])
-        vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
-        records = nodal_records(tree, vals, vecs)
+        # the star's second vector is the sibling difference (0, 1, -1)
+        records = basis_records(SymmetricTreeSpec([2]))
         assert records.bound[1] == 2 and records.sign_graphs[1] == 2 and records.passed[1]
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2], [4, 1, 2]])
     def test_all_oracle_pairs_pass(self, children):
-        tree, vals, vecs = oracle(children)
-        assert np.all(nodal_records(tree, vals, vecs).passed)
+        assert np.all(basis_records(SymmetricTreeSpec(children)).passed)
 
 
 class TestZeroFree:
     def test_constant_is_position_one(self):
-        tree, vals, vecs = oracle([2, 2])
-        records = nodal_records(tree, vals, vecs)
+        records = basis_records(SymmetricTreeSpec([2, 2]))
         assert records.zero_count[0] == 0 and records.zero_free[0]
         assert records.sign_graphs[0] == 1 and records.multiplicity[0] == 1
 
     def test_two_vertex_path(self):
-        tree, vals, vecs = oracle([1])
-        records = nodal_records(tree, vals, vecs)
-        assert np.isclose(vals[1], 2.0)
+        records = basis_records(SymmetricTreeSpec([1]))
+        assert np.isclose(records.value[1], 2.0)
         assert records.zero_count[1] == 0 and records.zero_free[1] and records.sign_graphs[1] == 2
 
     def test_pairs_with_zeros_are_skipped(self):
-        tree = tree_of([2])
-        vals = np.array([0.0, 1.0, 3.0])
-        vecs = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, -0.5], [1.0, -1.0, -0.5]])
-        records = nodal_records(tree, vals, vecs)
+        records = basis_records(SymmetricTreeSpec([2]))
         assert records.zero_count[1] != 0  # (0, 1, -1) vanishes at the root
         assert records.zero_free[1]
 
     @pytest.mark.parametrize("children", [[2], [3], [2, 2], [3, 2], [2, 2, 2]])
     def test_all_oracle_pairs_pass(self, children):
-        tree, vals, vecs = oracle(children)
-        assert np.all(nodal_records(tree, vals, vecs).zero_free)
-
-
-def records_by_loop(tree, values, vectors, cluster_tol=1e-8):
-    """The verdicts of ``nodal_records`` as one tuple of its fields per
-    eigenpair, built cluster by cluster and pair by pair."""
-    rep = count_sign_graphs(tree, vectors, oracle_zero_tol(vectors))
-    totals, zeros = rep.total.tolist(), rep.zero_count.tolist()
-    records = []
-    for start, size in clusters_by_loop(values, cluster_tol):
-        bound = start + size  # (start+1) + size - 1
-        for i in range(start, start + size):
-            zero_free = zeros[i] > 0 or (size == 1 and totals[i] == start + 1)
-            records.append((
-                float(values[i]), start + 1, size, totals[i], zeros[i], bound, totals[i] <= bound, zero_free
-            ))
-    return records
+        assert np.all(basis_records(SymmetricTreeSpec(children)).zero_free)
 
 
 SPECS = [
@@ -273,19 +254,21 @@ SPECS = [
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("cluster_tol", [1e-15, 1e-8, 0.5])
 def test_columns_match_the_loop(spec, cluster_tol):
+    # the records of the constructed basis, symmetric or glued, are the
+    # loop's records of its rows written out on the tree
     tree = realize(spec)
-    vals, vecs = dense_eigen(tree)
-    records = nodal_records(tree, vals, vecs, cluster_tol=cluster_tol)
-    expected = records_by_loop(tree, vals, vecs, cluster_tol)
+    vals = dense_eigenvalues(tree)
+    records = basis_records(spec, cluster_tol)
+    expected = records_by_loop(tree, vals, written_rows(spec).T, cluster_tol)
     assert records._fields == (
         "value", "position", "multiplicity", "sign_graphs", "zero_count", "bound", "passed", "zero_free"
     )
-    for field, column in zip(records._fields, zip(*expected)):
+    for field in records._fields:
         got = getattr(records, field)
         assert got.shape == (len(vals),)
         # the CLI writes the columns' tolist(): their cells must be the
         # loop's Python values, type for type
-        assert [(type(x), x) for x in got.tolist()] == [(type(x), x) for x in column], field
+        assert [(type(x), x) for x in got.tolist()] == [(type(x), x) for x in getattr(expected, field)], field
 
 
 @pytest.mark.parametrize(
@@ -298,9 +281,8 @@ def test_columns_match_the_loop(spec, cluster_tol):
     ],
 )
 def test_one_record_per_eigenpair_carries_both_verdicts(spec):
-    tree = realize(spec)
-    vals, vecs = dense_eigen(tree)
-    records = nodal_records(tree, vals, vecs)
+    vals = dense_eigenvalues(realize(spec))
+    records = basis_records(spec)
     assert all(len(column) == len(vals) for column in records)
     clusters = [(start + 1, size) for start, size in cluster_spectrum(vals) for _ in range(size)]
     assert list(zip(records.position.tolist(), records.multiplicity.tolist())) == clusters
@@ -399,6 +381,29 @@ def test_level_counts_match_the_realized_rows(children):
         assert got.tolist() == getattr(expected, field).tolist(), field
 
 
+# glued trees with and without deep families on either side, paths among
+# them, whose stratified vectors can vanish at the shared root
+GLUED_COUNT_SPECS = [
+    ([2, 2], [3]), ([3, 3, 2], [2, 2, 2, 2]), ([2, 1, 3], [1, 1]), ([], []), ([1] * 5, [1] * 3),
+    ([2] * 6, [2] * 6), ([], [4, 1, 2]), ([1, 1], [2]), ([3, 1, 2], [3, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("left, right", GLUED_COUNT_SPECS, ids=str)
+def test_glued_level_counts_match_the_realized_rows(left, right):
+    # a stratified row's two chains less their shared root, and a side's
+    # row with the other side's zeros, count as the first row of each line
+    # written out on the glued tree at the oracle threshold of that row
+    spec = GluedTreeSpec(SymmetricTreeSpec(left), SymmetricTreeSpec(right))
+    vectors = glued_vectors(spec)
+    rep = level_sign_graphs(vectors)
+    first = np.cumsum([0, *vectors.lines.multiplicity()])[:-1]
+    rows = glued_rows(spec, vectors)[first].T
+    expected = count_sign_graphs(realize(spec), rows, oracle_zero_tol(rows))
+    for field in ("positive_count", "negative_count", "zero_count"):
+        assert getattr(rep, field).tolist() == getattr(expected, field).tolist(), field
+
+
 def test_level_counts_read_a_vanishing_level_value_as_zero():
     # the path [1,1] at lambda = 1 is (1, 0, -1); LAPACK's middle level
     # value is a rounding-size number, not 0.0
@@ -416,13 +421,13 @@ def test_level_counts_read_a_vanishing_level_value_as_zero():
 def test_level_records_are_the_records_of_the_written_rows(children, cluster_tol):
     # every row of the basis, in line order and each line's counts repeated
     # by its multiplicity, judged at the sorted values of an independent
-    # solve, as nodal_records judges the same rows written out
+    # solve, as the loop judges the same rows written out
     spec = SymmetricTreeSpec(children)
     tree = realize(spec)
     vals = dense_eigenvalues(tree)
     vectors = full_eigenbasis(spec).vectors
     records = level_nodal_records(vals, vectors, cluster_tol=cluster_tol)
-    expected = nodal_records(tree, vals, dense_rows(vectors).T, cluster_tol=cluster_tol)
+    expected = records_by_loop(tree, vals, dense_rows(vectors).T, cluster_tol=cluster_tol)
     for field in records._fields:
-        got, want = getattr(records, field).tolist(), getattr(expected, field).tolist()
+        got, want = getattr(records, field).tolist(), list(getattr(expected, field))
         assert [(type(x), x) for x in got] == [(type(x), x) for x in want], field

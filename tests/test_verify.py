@@ -23,20 +23,15 @@ GLUED = GluedTreeSpec(SymmetricTreeSpec([2, 2]), SymmetricTreeSpec([3]))
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """(solver, |V|) of every dense solve, eigenpairs or values only."""
+    """(solver, |V|) of every dense solve of the Laplacian."""
     calls = []
+    solve = verify.dense_eigenvalues
 
-    def count(name):
-        solve = getattr(verify, name)
+    def counted(*args, **kwargs):
+        calls.append(("dense_eigenvalues", args[0].n))
+        return solve(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append((name, args[0].n))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, counted)
-
-    count("dense_eigen")
-    count("dense_eigenvalues")
+    monkeypatch.setattr(verify, "dense_eigenvalues", counted)
     return calls
 
 
@@ -62,16 +57,12 @@ def test_verify_computes_no_laplacian_eigenvectors(monkeypatch, spec, rows, wide
     # eigh may solve the level matrix's slices of at most k rows, for the
     # level values of a symmetric tree's basis, but never the |V|-row
     # Laplacian; a glued tree calls it not at all
-    def refuse(*args, **kwargs):
-        raise AssertionError("the eigenpair oracle was called")
-
     eigh, sizes = np.linalg.eigh, []
 
     def recorded(a, *args, **kwargs):
         sizes.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "dense_eigen", refuse)
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     results = verify.run_all_checks(spec)
     assert max(sizes, default=0) == widest
@@ -122,12 +113,12 @@ def test_over_the_cap_is_refused_before_any_solve(dense_calls, spec):
 def test_oracle_refuses_an_unrealizable_tree_at_once():
     # 10^30 vertices: refused from the spec's count, never materialized
     with pytest.raises(CapacityError):
-        verify.oracle(SymmetricTreeSpec([10] * 30))
+        verify.oracle_tree(SymmetricTreeSpec([10] * 30))
 
 
 def test_oracle_returns_the_realized_tree():
-    tree, vals, vecs = verify.oracle(GLUED)
-    assert tree.n == len(vals) == vecs.shape[0] == GLUED.vertex_count()
+    tree = verify.oracle_tree(GLUED)
+    assert tree.n == len(verify.dense_eigenvalues(tree)) == GLUED.vertex_count()
     assert tree.parents.tolist() == realize(GLUED).parents.tolist()
 
 
